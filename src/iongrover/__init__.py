@@ -32,8 +32,6 @@ from .grover import (
 )
 from .householder import Operator, apply, compose, generalized_hr, identity_operator, standard_hr
 from .imperfections import (
-    BeamProfile,
-    PerturbedRegister,
     SweepRow,
     adapted_chi,
     adapted_iteration_count,

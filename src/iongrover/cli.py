@@ -48,64 +48,49 @@ def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite number {name} is not allowed")
+
+
+#: JSON may write these integers as 15.0
+INTEGER_KEYS = {"n_ions", "marked_index", "iterations", "shots", "steps_per_pulse",
+                "trajectory_stride"}
+SECTIONS = {"pulse": PulseSettings, "imperfection": ImperfectionSettings,
+            "integrator": IntegratorConfig}
+
+
+def _arguments(section, cls, where: str) -> dict:
+    """Keyword arguments for ``cls`` from a JSON object; omitted keys keep the
+    dataclass defaults, and the dataclass validates every value."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+    _reject_unknown(section, set(cls.__dataclass_fields__), where)
+    return {k: int(v) if k in INTEGER_KEYS and isinstance(v, float) and v.is_integer()
+            else v for k, v in section.items()}
+
+
 def load_config(path: Path) -> SearchConfig:
     """Parse and validate a JSON search config (strict: unknown keys rejected)."""
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _reject_unknown(raw, {"schema_version", "n_ions", "marked_index", "mode",
-                          "variant", "iterations", "pulse", "imperfection",
-                          "integrator", "shots"}, "config")
-    if raw.get("schema_version", 1) != 1:
-        raise ConfigError(f"unsupported schema_version {raw.get('schema_version')!r}")
+    version = raw.pop("schema_version", 1)
+    if version != 1:
+        raise ConfigError(f"unsupported schema_version {version!r}")
     for key in ("n_ions", "marked_index"):
         if key not in raw:
             raise ConfigError(f"config is missing required key {key!r}")
-
-    pulse_raw = raw.get("pulse", {})
-    _reject_unknown(pulse_raw, {"shape", "width", "spacing", "peak_coupling"},
-                    "pulse")
-    imp_raw = raw.get("imperfection", {})
-    _reject_unknown(imp_raw, {"epsilon", "scaling", "calibration", "reflection",
-                              "custom_factors"}, "imperfection")
-    integ_raw = raw.get("integrator", {})
-    _reject_unknown(integ_raw, {"steps_per_pulse", "window", "norm_tolerance",
-                                "trajectory_stride"}, "integrator")
-    factors = imp_raw.get("custom_factors")
     try:
-        return SearchConfig(
-            n_ions=int(raw["n_ions"]),
-            marked_index=int(raw["marked_index"]),
-            mode=raw.get("mode", "ideal"),
-            variant=raw.get("variant", "probabilistic"),
-            iterations=raw.get("iterations"),
-            pulse=PulseSettings(
-                shape=pulse_raw.get("shape", "sech"),
-                width=float(pulse_raw.get("width", 1.0)),
-                spacing=float(pulse_raw.get("spacing", 30.0)),
-                peak_coupling=pulse_raw.get("peak_coupling"),
-            ),
-            imperfection=ImperfectionSettings(
-                epsilon=float(imp_raw.get("epsilon", 0.0)),
-                scaling=imp_raw.get("scaling", "field"),
-                calibration=imp_raw.get("calibration", "calibrated"),
-                reflection=imp_raw.get("reflection", "adapted"),
-                custom_factors=tuple(factors) if factors is not None else None,
-            ),
-            integrator=IntegratorConfig(
-                steps_per_pulse=int(integ_raw.get("steps_per_pulse", 4000)),
-                window=float(integ_raw.get("window", 15.0)),
-                norm_tolerance=float(integ_raw.get("norm_tolerance", 1e-9)),
-                trajectory_stride=int(integ_raw.get("trajectory_stride", 8)),
-            ),
-            shots=raw.get("shots"),
-        )
-    except (TypeError, ValueError) as exc:
+        args = _arguments(raw, SearchConfig, "config")
+        for key, cls in SECTIONS.items():
+            args[key] = cls(**_arguments(args.get(key, {}), cls, key))
+        return SearchConfig(**args)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -160,9 +145,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(Path(args.config))
     if cfg.shots is not None and args.seed is None:
         raise ConfigError("shot sampling requires an explicit --seed")
+    result = run_search(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_search(cfg)
     detection = detect(result.final_state)
 
     payload = {
@@ -209,6 +194,8 @@ def _pulse_timeline_rows(cfg: SearchConfig) -> list[list]:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -285,7 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("--figure", required=True, choices=("fig3", "fig4"))
     rep_p.add_argument("--out", required=True, help="output directory")
     rep_p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for sweep cells")
+                       help="worker processes for sweep cells (at most one per "
+                            "cell and per CPU)")
     rep_p.set_defaults(func=_cmd_reproduce)
 
     val_p = sub.add_parser("validate", help="run the self-check suite")

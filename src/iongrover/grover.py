@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from . import imperfections
-from .dynamics import evolve, evolve_schedule, hamiltonian_from_pulse
+from .dynamics import IntegrationError, evolve, evolve_schedule, hamiltonian_from_pulse
 from .householder import apply, generalized_hr
 from .model import (
     CouplingVector,
@@ -42,18 +42,21 @@ def iteration_count(n_ions: int) -> int:
     return int(math.floor(math.pi / (2.0 * angle) + 1e-12))
 
 
-def deterministic_params(n_ions: int) -> tuple[int, float]:
+def deterministic_params(n_ions: int, count: int | None = None) -> tuple[int, float]:
     """Iteration count and matched reflection phase for a unit-fidelity search.
 
     With beta = asin(1/sqrt(N)), J is the smallest count admitting phase
     matching and phi = 2 asin(sin(pi/(4J+2)) / sin(beta)); running J
     iterations with both reflections at phase phi ends exactly on the marked
-    state.
+    state.  A requested ``count`` re-solves the matching: any count at or
+    above J still ends exactly on the mark, below it the ratio clips and the
+    search falls back to phase pi.
     """
     if n_ions < 2:
         raise ValueError(f"need at least 2 ions, got {n_ions}")
     beta = math.asin(1.0 / math.sqrt(n_ions))
-    count = math.ceil((math.pi / 2.0 - beta) / (2.0 * beta) - 1e-12)
+    if count is None:
+        count = math.ceil((math.pi / 2.0 - beta) / (2.0 * beta) - 1e-12)
     ratio = math.sin(math.pi / (4 * count + 2)) / math.sin(beta)
     phi = 2.0 * math.asin(min(1.0, ratio))
     return count, phi
@@ -90,23 +93,16 @@ def _profile_factors(cfg: SearchConfig) -> np.ndarray:
 
 
 def _resolve_phase(cfg: SearchConfig) -> tuple[int, float, float]:
-    count = cfg.iterations
     if cfg.variant == "deterministic":
-        if count is None:
-            count, phi = deterministic_params(cfg.n_ions)
-        else:
-            # phase matching re-solves for the requested count; any count at
-            # or above the minimal one still ends exactly on the mark, below
-            # it the ratio clips and the search falls back to phase pi
-            beta = math.asin(1.0 / math.sqrt(cfg.n_ions))
-            ratio = math.sin(math.pi / (4 * count + 2)) / math.sin(beta)
-            phi = 2.0 * math.asin(min(1.0, ratio))
-        delta_t = 0.0 if phi == math.pi else detuning_for_phase(phi, 1)
-    else:
-        if count is None:
-            count = iteration_count(cfg.n_ions)
-        phi, delta_t = math.pi, 0.0
-    return count, phi, delta_t
+        count, phi = deterministic_params(cfg.n_ions, cfg.iterations)
+        return count, phi, 0.0 if phi == math.pi else detuning_for_phase(phi, 1)
+    return cfg.iterations or iteration_count(cfg.n_ions), math.pi, 0.0
+
+
+def _global_peak(cfg: SearchConfig) -> float:
+    """Rms Rabi peak of the 2-pi pulses: as configured, or the exact 2-pi area."""
+    shape = PulseShape(cfg.pulse.shape, cfg.pulse.width)
+    return cfg.pulse.peak_coupling or 2.0 * math.pi / shape.integral()
 
 
 def _reflection_chi(cfg: SearchConfig, factors: np.ndarray) -> CouplingVector:
@@ -115,15 +111,14 @@ def _reflection_chi(cfg: SearchConfig, factors: np.ndarray) -> CouplingVector:
     return CouplingVector(factors / np.linalg.norm(factors))
 
 
-def _init_pulse(cfg: SearchConfig, factors: np.ndarray, global_peak: float,
-                center: float) -> PulseSpec:
+def _init_pulse(cfg: SearchConfig, factors: np.ndarray, center: float) -> PulseSpec:
     shape = PulseShape(cfg.pulse.shape, cfg.pulse.width)
     norm = float(np.linalg.norm(factors))
     chi = CouplingVector(factors / norm)
     # Same beam as the global pulse at half the Rabi frequency; calibrated
     # means the power is trimmed for an exact rms-pi transfer, uncalibrated
     # leaves it at the uniform-beam setting.
-    peak = global_peak / 2.0
+    peak = _global_peak(cfg) / 2.0
     if cfg.imperfection.calibration == "uncalibrated":
         peak *= norm / math.sqrt(cfg.n_ions)
     return PulseSpec(shape, chi, peak, detuning=0.0, center=center)
@@ -145,12 +140,10 @@ def build_plan(cfg: SearchConfig) -> IterationPlan:
     shape = PulseShape(cfg.pulse.shape, cfg.pulse.width)
     width = cfg.pulse.width
     spacing = cfg.pulse.spacing * width
-    global_peak = cfg.pulse.peak_coupling
-    if global_peak is None:
-        global_peak = 2.0 * math.pi / shape.integral()
+    global_peak = _global_peak(cfg)
     delta = delta_t / width
     centers = [(0.5 + i) * spacing for i in range(2 * count + 1)]
-    init = _init_pulse(cfg, factors, global_peak, centers[0])
+    init = _init_pulse(cfg, factors, centers[0])
     steps = []
     for k in range(count):
         oracle = PulseSpec(shape, oracle_chi, global_peak, detuning=delta,
@@ -166,15 +159,10 @@ def initialize(cfg: SearchConfig) -> RegisterState:
     profile-shaped) init beam, exact in ideal mode, integrated in physical."""
     factors = _profile_factors(cfg)
     if cfg.mode == "ideal":
-        reg = imperfections.register_from_factors(
+        return imperfections.register_from_factors(
             factors, calibrated=cfg.imperfection.calibration == "calibrated"
         )
-        return reg.to_state()
-    shape = PulseShape(cfg.pulse.shape, cfg.pulse.width)
-    global_peak = cfg.pulse.peak_coupling
-    if global_peak is None:
-        global_peak = 2.0 * math.pi / shape.integral()
-    pulse = _init_pulse(cfg, factors, global_peak, center=0.0)
+    pulse = _init_pulse(cfg, factors, center=0.0)
     return evolve(basis_register(cfg.n_ions, 0),
                   hamiltonian_from_pulse(pulse), cfg.integrator)
 
@@ -182,9 +170,6 @@ def initialize(cfg: SearchConfig) -> RegisterState:
 def run_search(cfg: SearchConfig) -> SearchResult:
     """Execute init, all iterations, and detection for one config."""
     plan = build_plan(cfg)
-    peak = cfg.pulse.peak_coupling
-    if peak is None:
-        peak = 2.0 * math.pi / PulseShape(cfg.pulse.shape, cfg.pulse.width).integral()
     params = {
         "n_ions": cfg.n_ions,
         "marked_index": cfg.marked_index,
@@ -193,7 +178,7 @@ def run_search(cfg: SearchConfig) -> SearchResult:
         "iterations": plan.count,
         "phi": plan.phi,
         "delta_t": plan.delta_t,
-        "peak_coupling": peak,
+        "peak_coupling": _global_peak(cfg),
         "pulse_shape": cfg.pulse.shape,
         "pulse_width": cfg.pulse.width,
         "pulse_spacing": cfg.pulse.spacing,
@@ -218,6 +203,8 @@ def run_search(cfg: SearchConfig) -> SearchResult:
         state, times, pops = evolve_schedule(
             basis_register(cfg.n_ions, 0), schedule, cfg.integrator, record=True
         )
+    if not (np.all(np.isfinite(state.amplitudes)) and np.all(np.isfinite(pops))):
+        raise IntegrationError("non-finite final state or trajectory")
 
     return SearchResult(
         final_state=state,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CouplingVector, RegisterState
+from .model import CouplingVector, ImperfectionSettings, RegisterState, SearchConfig
 
 FLAT = 1e-12
 
@@ -40,75 +40,32 @@ def beam_factors(n_ions: int, epsilon: float, scaling: str = "field") -> np.ndar
     return (1.0 - eff) ** (x**2)
 
 
-@dataclass(frozen=True)
-class BeamProfile:
-    """Edge deficit plus the per-ion factors it induces."""
-
-    n_ions: int
-    epsilon: float
-    scaling: str = "field"
-
-    @property
-    def factors(self) -> np.ndarray:
-        return beam_factors(self.n_ions, self.epsilon, self.scaling)
-
-
-@dataclass(frozen=True)
-class PerturbedRegister:
-    """A register prepared by an imperfect init pulse.
-
-    ``amplitudes`` are the N ion-slot amplitudes, ``residual`` the leftover
-    ancilla amplitude; together they form a normalized (N+1)-slot state.
-    """
-
-    amplitudes: np.ndarray
-    residual: complex = 0.0
-
-    def __post_init__(self) -> None:
-        amp = np.array(self.amplitudes, dtype=complex)
-        if amp.ndim != 1 or len(amp) < 2:
-            raise ValueError("need amplitudes for at least 2 ions")
-        total = np.linalg.norm(np.concatenate(([self.residual], amp)))
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"register not normalized: total norm {total:.12g}")
-        amp /= total
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "residual", complex(self.residual) / total)
-
-    @property
-    def n_ions(self) -> int:
-        return len(self.amplitudes)
-
-    def to_state(self) -> RegisterState:
-        return RegisterState(np.concatenate(([self.residual], self.amplitudes)))
-
-
-def register_from_factors(factors: np.ndarray, calibrated: bool = True) -> PerturbedRegister:
+def register_from_factors(factors: np.ndarray, calibrated: bool = True) -> RegisterState:
     """Analytic outcome of the init pulse under a beam profile.
 
     The init pulse drives the two-level system {ancilla, bright state of the
     profile}; ``calibrated`` means the rms area is forced to pi (complete
     transfer into the profile-shaped bright state), otherwise the laser power
-    is set as if the beam were uniform, leaving an ancilla residual.
+    is set as if the beam were uniform, leaving an ancilla residual in slot 0.
     """
     f = np.asarray(factors, dtype=float)
     norm = float(np.linalg.norm(f))
     if norm <= 0:
         raise ValueError("factors must not all vanish")
     if calibrated:
-        return PerturbedRegister(f / norm, residual=0.0)
+        return RegisterState(np.concatenate(([0.0], f / norm)))
     half_area = math.pi * norm / (2.0 * math.sqrt(len(f)))
-    return PerturbedRegister(math.sin(half_area) * f / norm,
-                             residual=math.cos(half_area))
+    return RegisterState(np.concatenate(([math.cos(half_area)],
+                                         math.sin(half_area) * f / norm)))
 
 
-def adapted_chi(register: PerturbedRegister) -> CouplingVector:
-    """Reflection vector matched to the register's amplitude distribution."""
-    norm = float(np.linalg.norm(register.amplitudes))
+def adapted_chi(register: RegisterState) -> CouplingVector:
+    """Reflection vector matched to the register's ion amplitude distribution."""
+    ions = register.amplitudes[1:]
+    norm = float(np.linalg.norm(ions))
     if norm < FLAT:
         raise ValueError("cannot adapt to an empty register")
-    return CouplingVector(register.amplitudes / norm)
+    return CouplingVector(ions / norm)
 
 
 def adapted_iteration_count(a_m: complex) -> int:
@@ -132,30 +89,14 @@ class SweepRow:
     infidelity: float
 
 
-def _sweep_cell(args: tuple) -> SweepRow:
-    # Worker entry point; the imports sit here because grover itself imports
+def _sweep_cell(cfg: SearchConfig) -> SweepRow:
+    # Worker entry point; the import sits here because grover itself imports
     # this module, and the function must stay top-level for the process pool.
-    from .dynamics import IntegratorConfig
     from .grover import run_search
-    from .model import ImperfectionSettings, PulseSettings, SearchConfig
 
-    (n_ions, marked, eps, steps, mode, calibration, scaling, reflection,
-     steps_per_pulse) = args
-    cfg = SearchConfig(
-        n_ions=n_ions,
-        marked_index=marked,
-        mode=mode,
-        variant="probabilistic",
-        iterations=steps,
-        pulse=PulseSettings(),
-        imperfection=ImperfectionSettings(epsilon=eps, scaling=scaling,
-                                          calibration=calibration,
-                                          reflection=reflection),
-        integrator=IntegratorConfig(steps_per_pulse=steps_per_pulse,
-                                    trajectory_stride=1000),
-    )
     result = run_search(cfg)
-    return SweepRow(eps, marked, 1.0 - result.success_probability)
+    return SweepRow(cfg.imperfection.epsilon, cfg.marked_index,
+                    1.0 - result.success_probability)
 
 
 def infidelity_sweep(
@@ -173,17 +114,29 @@ def infidelity_sweep(
     """Infidelity table over a (epsilon, marked ion) grid.
 
     Cells are independent searches; with ``jobs`` > 1 they run in a process
-    pool and are merged back in grid order, so the output is identical for
-    any worker count.
+    pool of at most one worker per cell and per CPU, and are merged back in
+    grid order, so the output is identical for any worker count.
     """
+    import os
+
+    from .dynamics import IntegratorConfig
+
     if steps < 1:
         raise ValueError("need at least one search step")
+    if jobs < 1:
+        raise ValueError(f"need at least one job, got {jobs}")
+    integrator = IntegratorConfig(steps_per_pulse=steps_per_pulse,
+                                  trajectory_stride=1000)
     cells = [
-        (n_ions, m, float(eps), steps, mode, calibration, scaling, reflection,
-         steps_per_pulse)
+        SearchConfig(n_ions=n_ions, marked_index=m, mode=mode, iterations=steps,
+                     imperfection=ImperfectionSettings(
+                         epsilon=float(eps), scaling=scaling,
+                         calibration=calibration, reflection=reflection),
+                     integrator=integrator)
         for eps in epsilons
         for m in marked
     ]
+    jobs = min(jobs, len(cells), os.cpu_count() or 1)
     if jobs <= 1:
         return [_sweep_cell(c) for c in cells]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -210,11 +163,10 @@ def adapted_advantage(
     from .model import local_chi, marked_probability, uniform_chi
 
     factors = beam_factors(n_ions, epsilon, scaling)
-    register = register_from_factors(factors, calibrated=True)
-    start = register.to_state()
+    start = register_from_factors(factors, calibrated=True)
     oracle = standard_hr(local_chi(n_ions, marked_index))
     best = []
-    for chi in (adapted_chi(register), uniform_chi(n_ions)):
+    for chi in (adapted_chi(start), uniform_chi(n_ions)):
         reflection = standard_hr(chi)
         state = start
         top = 0.0

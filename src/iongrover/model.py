@@ -36,6 +36,16 @@ class NormalizationError(ValueError):
     """Amplitude data is too far from unit norm to be float noise."""
 
 
+def check_number(value: Any, what: str, integer: bool = False) -> None:
+    """Reject bools, non-numbers, NaN and infinities, and for counts and
+    indices any non-integer; None (an unset optional field) passes."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)
+                              or not (integer or np.isfinite(value))):
+        kind = "an integer" if integer else "a finite number"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+
+
 def _unit_vector(values: Any, what: str, min_len: int) -> np.ndarray:
     vec = np.array(values, dtype=complex)
     if vec.ndim != 1:
@@ -156,6 +166,8 @@ class PulseSettings:
     def __post_init__(self) -> None:
         if self.shape not in ("sech", "gaussian"):
             raise ValueError(f"unknown pulse shape {self.shape!r}")
+        for name in ("width", "spacing", "peak_coupling"):
+            check_number(getattr(self, name), name)
         if self.width <= 0:
             raise ValueError("pulse width must be positive")
         if self.spacing <= 0:
@@ -190,7 +202,7 @@ class ImperfectionSettings:
             raise ValueError(f"reflection must be one of {VALID_REFLECTIONS}")
         if self.custom_factors is not None:
             factors = tuple(float(f) for f in self.custom_factors)
-            if not factors or any(f <= 0 or f > 1 for f in factors):
+            if not factors or not all(0 < f <= 1 for f in factors):
                 raise ValueError("custom factors must lie in (0, 1]")
             object.__setattr__(self, "custom_factors", factors)
 
@@ -210,6 +222,8 @@ class SearchConfig:
     shots: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n_ions", "marked_index", "iterations", "shots"):
+            check_number(getattr(self, name), name, integer=True)
         if self.n_ions < 2:
             raise ValueError(f"need at least 2 ions, got {self.n_ions}")
         if not 1 <= self.marked_index <= self.n_ions:

@@ -159,10 +159,6 @@ def detuning_for_phase(phi: float, l: int = 1) -> float:
     return float(root)
 
 
-def _resolved_peak(shape: PulseShape, area: float, peak_coupling: float | None) -> float:
-    return peak_coupling if peak_coupling is not None else area / shape.integral()
-
-
 def build_global_pulse(
     chi: CouplingVector,
     phase: float = math.pi,
@@ -178,7 +174,7 @@ def build_global_pulse(
     for non-sech envelopes).
     """
     shp = PulseShape(shape, width)
-    peak = _resolved_peak(shp, 2.0 * math.pi, peak_coupling)
+    peak = peak_coupling if peak_coupling is not None else 2.0 * math.pi / shp.integral()
     delta_t = 0.0 if phase == math.pi else detuning_for_phase(phase, 1)
     return PulseSpec(shp, chi, peak, detuning=delta_t / width, center=center)
 

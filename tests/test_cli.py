@@ -165,3 +165,125 @@ class TestValidateCommand:
         report = json.loads((out / "validation_report.json").read_text())
         assert report["passed"] is True
         assert all(c["margin"] >= 0 for c in report["checks"])
+
+
+class TestConfigHardening:
+    """Each probe once exited 0 with NaN output, truncated silently, or ended
+    in a traceback."""
+
+    def run_raw(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        return main(["run", "--config", str(path), "--out", str(out)]), out
+
+    @pytest.mark.parametrize("text", [
+        '{"n_ions": 6, "marked_index": 2, "pulse": {"width": NaN}}',
+        '{"n_ions": 6, "marked_index": 2, "pulse": {"spacing": Infinity}}',
+        '{"n_ions": 6, "marked_index": 2, "imperfection": {"epsilon": -Infinity}}',
+        '{"n_ions": 6, "marked_index": 2, "integrator": {"window": 1e400}}',
+    ])
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, text):
+        code, out = self.run_raw(tmp_path, text)
+        assert code == 2
+        assert "config invalid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"n_ions": 15.9},
+        {"iterations": 2.5},
+        {"n_ions": True},
+        {"marked_index": "2"},
+        {"shots": 10.5},
+        {"integrator": {"steps_per_pulse": 4000.5}},
+        {"integrator": {"trajectory_stride": False}},
+        {"pulse": {"width": "1.0"}},
+        {"pulse": {"peak_coupling": True}},
+    ])
+    def test_non_integral_or_mistyped_values_exit_2(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["pulse", "imperfection", "integrator"])
+    @pytest.mark.parametrize("value", [[], None, 3, "sech"])
+    def test_non_object_section_exit_2(self, tmp_path, capsys, section, value):
+        cfg = write_config(tmp_path / "cfg.json", **{section: value})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", n_ions=6.0, iterations=2.0)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["parameters_used"]["n_ions"] == 6
+        assert result["iterations_executed"] == 2
+
+    def test_overflowing_pulse_exits_3_before_writing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", mode="physical",
+                           pulse={"peak_coupling": 1e300})
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_trajectory_exits_3_before_writing(self, tmp_path, monkeypatch):
+        import iongrover.grover as grover
+
+        real = grover.evolve_schedule
+
+        def poisoned(*args, **kwargs):
+            state, times, pops = real(*args, **kwargs)
+            pops = pops.copy()
+            pops[1, 1] = np.nan
+            return state, times, pops
+
+        monkeypatch.setattr(grover, "evolve_schedule", poisoned)
+        cfg = write_config(tmp_path / "cfg.json", mode="physical")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        assert main(["reproduce", "--figure", "fig4", "--out", str(tmp_path),
+                     "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs, cpus, cells, expected", [
+        (64, 3, 6, 3),   # clamped to the CPU count
+        (64, 8, 2, 2),   # clamped to the cell count
+        (2, 8, 6, 2),    # honoured
+        (4, 1, 6, None),  # one CPU: no pool at all
+    ])
+    def test_pool_size_is_clamped(self, monkeypatch, jobs, cpus, cells, expected):
+        import os
+
+        import iongrover.imperfections as imperfections
+
+        created = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(imperfections, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rows = imperfections.infidelity_sweep(5, [1, 2], [0.0, 0.1, 0.2][: cells // 2],
+                                              steps=1, mode="ideal", jobs=jobs)
+        assert len(rows) == cells
+        assert created == ([] if expected is None else [expected])

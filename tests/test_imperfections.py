@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from iongrover.imperfections import (
-    PerturbedRegister,
     adapted_advantage,
     adapted_chi,
     adapted_iteration_count,
@@ -12,7 +11,7 @@ from iongrover.imperfections import (
     infidelity_sweep,
     register_from_factors,
 )
-from iongrover.model import ImperfectionSettings, SearchConfig
+from iongrover.model import ImperfectionSettings, RegisterState, SearchConfig
 from iongrover.grover import run_search
 
 
@@ -54,7 +53,7 @@ class TestAdaptedChi:
                                    np.full(6, 1 / math.sqrt(6)), atol=1e-15)
 
     def test_already_normalized_passthrough(self):
-        reg = PerturbedRegister(np.array([0.6, 0.8]))
+        reg = RegisterState(np.array([0.0, 0.6, 0.8]))
         np.testing.assert_allclose(adapted_chi(reg).components, [0.6, 0.8],
                                    atol=1e-15)
 
@@ -66,7 +65,7 @@ class TestAdaptedChi:
 
     def test_zero_register_rejected(self):
         with pytest.raises(ValueError):
-            adapted_chi(PerturbedRegister(np.zeros(4), residual=1.0))
+            adapted_chi(RegisterState(np.eye(5)[0]))
 
 
 class TestAdaptedIterationCount:
@@ -91,20 +90,21 @@ class TestAdaptedIterationCount:
 class TestPerturbedRegister:
     def test_calibrated_has_no_residual(self):
         reg = register_from_factors(beam_factors(10, 0.2))
-        assert abs(reg.residual) < 1e-15
-        assert np.linalg.norm(reg.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        assert abs(reg.amplitudes[0]) < 1e-15
+        assert np.linalg.norm(reg.amplitudes[1:]) == pytest.approx(1.0, abs=1e-12)
 
     def test_uncalibrated_residual(self):
         factors = beam_factors(10, 0.2)
         reg = register_from_factors(factors, calibrated=False)
         half_area = math.pi * np.linalg.norm(factors) / (2 * math.sqrt(10))
-        assert abs(reg.residual) == pytest.approx(abs(math.cos(half_area)),
+        assert abs(reg.amplitudes[0]) == pytest.approx(abs(math.cos(half_area)),
                                                   rel=1e-12)
 
     def test_full_state_round_trip(self):
-        reg = register_from_factors(beam_factors(8, 0.1))
-        state = reg.to_state()
-        np.testing.assert_allclose(state.amplitudes[1:], reg.amplitudes)
+        factors = beam_factors(8, 0.1)
+        state = register_from_factors(factors)
+        np.testing.assert_allclose(state.amplitudes[1:],
+                                   factors / np.linalg.norm(factors), atol=1e-15)
 
 
 class TestSweep:
