@@ -30,7 +30,15 @@ from .grover import (
     run_search,
     sample_detection,
 )
-from .householder import Operator, apply, compose, generalized_hr, identity_operator, standard_hr
+from .householder import (
+    Operator,
+    Reflection,
+    apply,
+    compose,
+    generalized_hr,
+    identity_operator,
+    standard_hr,
+)
 from .imperfections import (
     SweepRow,
     adapted_chi,

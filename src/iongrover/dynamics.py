@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .householder import Operator
+from .householder import Operator, Reflection
 from .model import CouplingVector, DimensionMismatchError, RegisterState, check_number
 from .pulses import PulseShape, PulseSpec
 
@@ -325,7 +325,8 @@ def evolve_schedule(
     return final, np.asarray(times, dtype=float), np.asarray(pops, dtype=float)
 
 
-def hr_distance(candidate: Operator | np.ndarray, reference: Operator | np.ndarray) -> float:
+def hr_distance(candidate: Operator | Reflection | np.ndarray,
+                reference: Operator | Reflection | np.ndarray) -> float:
     """Frobenius distance between a simulated propagator and an analytic reflection.
 
     The ancilla's return phase is not observable in the search protocol (the
@@ -333,19 +334,18 @@ def hr_distance(candidate: Operator | np.ndarray, reference: Operator | np.ndarr
     diagonal element is replaced by its modulus before comparing; its
     magnitude deficit and any leakage into the ancilla row/column still count.
     """
-    u = np.array(candidate.matrix if isinstance(candidate, Operator) else candidate,
-                 dtype=complex)
-    v = np.asarray(reference.matrix if isinstance(reference, Operator) else reference,
-                   dtype=complex)
+    u = np.array(getattr(candidate, "matrix", candidate), dtype=complex)
+    v = np.asarray(getattr(reference, "matrix", reference), dtype=complex)
     if u.shape != v.shape:
         raise DimensionMismatchError("operators must share a shape")
     u[0, 0] = abs(u[0, 0])
     return float(np.linalg.norm(u - v))
 
 
-def fit_hr_phase(candidate: Operator | np.ndarray, chi: CouplingVector) -> float:
+def fit_hr_phase(candidate: Operator | Reflection | np.ndarray,
+                 chi: CouplingVector) -> float:
     """Reflection phase carried by chi under a (near-)reflection propagator."""
-    u = candidate.matrix if isinstance(candidate, Operator) else np.asarray(candidate)
+    u = np.asarray(getattr(candidate, "matrix", candidate))
     block = u[1:, 1:]
     if block.shape[0] != chi.n_ions:
         raise DimensionMismatchError("operator and coupling vector sizes differ")

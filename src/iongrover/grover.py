@@ -67,8 +67,8 @@ class IterationPlan:
     """Resolved schedule: counts, phase, and the materialized steps.
 
     ``steps`` holds one (oracle, reflection) pair per iteration, as exact
-    operators in ideal mode or pulse specs in physical mode; ``init_pulse``
-    is set in physical mode only.
+    rank-1 reflections in ideal mode or pulse specs in physical mode;
+    ``init_pulse`` is set in physical mode only.
     """
 
     variant: str

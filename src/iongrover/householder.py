@@ -3,18 +3,21 @@
 Both reflections act only within the ion manifold (slots 1..N); the ancilla
 slot 0 always carries the identity.  ``standard_hr`` is the involutory
 reflection 1 - 2|chi><chi| and ``generalized_hr`` replaces the -1 eigenvalue
-on chi by an arbitrary phase factor exp(i*phi).
+on chi by an arbitrary phase factor exp(i*phi).  A reflection is kept as the
+rank-1 pair (chi, phi) and applied in O(N); its dense matrix is built only
+when read.  ``Operator`` is the dense type of propagators and compositions.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import CouplingVector, DimensionMismatchError, RegisterState
+from .model import CouplingVector, DimensionMismatchError, RegisterState, check_number
 
 #: Default unitarity acceptance for freshly built operators.
 UNITARITY_TOL = 1e-12
@@ -34,7 +37,7 @@ class Operator:
         if mat.shape[0] < 3:
             raise ValueError("operator must act on at least 2 ions plus ancilla")
         defect = float(np.linalg.norm(mat.conj().T @ mat - np.eye(len(mat))))
-        if defect > unitarity_tol:
+        if not defect <= unitarity_tol:
             raise ValueError(
                 f"matrix is not unitary: defect {defect:.3g} > {unitarity_tol:g}"
             )
@@ -55,34 +58,90 @@ class Operator:
         return self.matrix[1:, 1:]
 
 
+def _rank1_defect(c: complex, s: float) -> float:
+    """||U^dag U - 1||_F of U = 1 + c|chi><chi| with s = <chi|chi>, in O(1).
+
+    U^dag U - 1 = (2 Re c + |c|^2 s)|chi><chi| and || |chi><chi| ||_F = s.
+    """
+    return abs(2.0 * c.real + abs(c) ** 2 * s) * s
+
+
+@dataclass(frozen=True)
+class Reflection:
+    """1 + (exp(i*phi) - 1)|chi><chi| on the ion manifold, identity on the ancilla.
+
+    Exposes the read API of ``Operator``; ``matrix`` is built on first read.
+    """
+
+    chi: CouplingVector
+    phi: float
+    #: exp(i*phi) - 1, the coefficient of the rank-1 update
+    factor: complex = field(init=False, repr=False)
+    #: chi embedded in the register space, ancilla slot 0 empty
+    vector: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        check_number(self.phi, "reflection phase")
+        c = cmath.exp(1j * self.phi) - 1.0
+        v = np.concatenate(([0.0], self.chi.components))
+        defect = _rank1_defect(c, float(np.vdot(v, v).real))
+        if not defect <= UNITARITY_TOL:
+            raise ValueError(
+                f"reflection is not unitary: defect {defect:.3g} > {UNITARITY_TOL:g}"
+            )
+        v.setflags(write=False)
+        object.__setattr__(self, "phi", float(self.phi))
+        object.__setattr__(self, "factor", c)
+        object.__setattr__(self, "vector", v)
+
+    @property
+    def dim(self) -> int:
+        return len(self.vector)
+
+    @property
+    def n_ions(self) -> int:
+        return self.dim - 1
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        mat = np.eye(self.dim, dtype=complex)
+        mat += self.factor * np.outer(self.vector, self.vector.conj())
+        mat.setflags(write=False)
+        return mat
+
+    @property
+    def manifold_block(self) -> np.ndarray:
+        """The ion-manifold sub-matrix (slots 1..N)."""
+        return self.matrix[1:, 1:]
+
+
 def identity_operator(n_ions: int) -> Operator:
     return Operator(np.eye(n_ions + 1, dtype=complex))
 
 
-def generalized_hr(chi: CouplingVector, phi: float) -> Operator:
+def generalized_hr(chi: CouplingVector, phi: float) -> Reflection:
     """Reflection with eigenvalue exp(i*phi) on chi, identity elsewhere."""
-    n = chi.n_ions
-    mat = np.eye(n + 1, dtype=complex)
-    mat[1:, 1:] += (cmath.exp(1j * phi) - 1.0) * np.outer(
-        chi.components, chi.components.conj()
-    )
-    return Operator(mat)
+    return Reflection(chi, phi)
 
 
-def standard_hr(chi: CouplingVector) -> Operator:
+def standard_hr(chi: CouplingVector) -> Reflection:
     """The involutory reflection 1 - 2|chi><chi| on the manifold."""
     return generalized_hr(chi, np.pi)
 
 
-def apply(op: Operator, state: RegisterState) -> RegisterState:
+def apply(op: Operator | Reflection, state: RegisterState) -> RegisterState:
     if op.dim != state.n_ions + 1:
         raise DimensionMismatchError(
             f"operator dim {op.dim} does not match register size {state.n_ions + 1}"
         )
-    return RegisterState(op.matrix @ state.amplitudes)
+    if isinstance(op, Operator):
+        return RegisterState(op.matrix @ state.amplitudes)
+    y, v = state.amplitudes, op.vector
+    return RegisterState(y + (op.factor * np.vdot(v, y)) * v)
 
 
-def compose(ops: Sequence[Operator] | Iterable[Operator], n_ions: int | None = None) -> Operator:
+def compose(ops: Sequence[Operator | Reflection] | Iterable[Operator | Reflection],
+            n_ions: int | None = None) -> Operator:
     """Product of operators listed in application order (first applied first).
 
     An empty list composes to the identity; ``n_ions`` is then required to fix

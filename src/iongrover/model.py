@@ -53,7 +53,7 @@ def _unit_vector(values: Any, what: str, min_len: int) -> np.ndarray:
     if len(vec) < min_len:
         raise ValueError(f"{what} needs at least {min_len} components, got {len(vec)}")
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > NORM_REPAIR_TOL:
+    if not abs(norm - 1.0) <= NORM_REPAIR_TOL:
         raise NormalizationError(
             f"{what} has norm {norm:.12g}; expected 1 within {NORM_REPAIR_TOL:g}"
         )

@@ -5,17 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iongrover.grover import deterministic_params, iteration_count, run_search
 from iongrover.householder import (
     Operator,
+    Reflection,
+    _rank1_defect,
     apply,
     compose,
     generalized_hr,
     identity_operator,
     standard_hr,
 )
+from iongrover.imperfections import adapted_advantage
 from iongrover.model import (
     CouplingVector,
     DimensionMismatchError,
+    RegisterState,
+    SearchConfig,
     local_chi,
     uniform_chi,
     uniform_register,
@@ -26,6 +32,12 @@ def random_chi(seed: int, n: int, real: bool = False) -> CouplingVector:
     rng = np.random.default_rng(seed)
     v = rng.normal(size=n) + (0 if real else 1j * rng.normal(size=n))
     return CouplingVector(v / np.linalg.norm(v))
+
+
+def random_register(seed: int, n: int) -> RegisterState:
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return RegisterState(amp / np.linalg.norm(amp))
 
 
 def brute_reflection(chi: np.ndarray, phi: float = math.pi) -> np.ndarray:
@@ -205,3 +217,82 @@ class TestGroverEquivalence:
     def test_unitarity_gate(self):
         with pytest.raises(ValueError):
             Operator(np.diag([1.0, 1.0, 1.0 + 1e-6]))
+
+
+class TestRankOneReflection:
+    @pytest.mark.parametrize("n", [2, 15, 64])
+    @pytest.mark.parametrize("phi", [0.0, 0.661 * math.pi, math.pi])
+    def test_apply_matches_dense_matvec(self, n, phi):
+        for seed in range(3):
+            op = generalized_hr(random_chi(100 + seed, n), phi)
+            state = random_register(200 + seed, n)
+            out = apply(op, state).amplitudes
+            assert np.abs(out - op.matrix @ state.amplitudes).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 10])
+    @pytest.mark.parametrize("phi", [0.0, 0.3, 0.661 * math.pi, math.pi, -2.0])
+    def test_closed_form_defect_matches_dense(self, n, phi):
+        op = generalized_hr(random_chi(n, n), phi)
+        dense = np.linalg.norm(op.matrix.conj().T @ op.matrix - np.eye(n + 1))
+        closed = _rank1_defect(op.factor, float(np.vdot(op.vector, op.vector).real))
+        assert abs(closed - dense) <= 1e-15
+
+    @pytest.mark.parametrize("c", [0.3 - 0.2j, -1.5 + 0.4j, 2j])
+    def test_closed_form_defect_off_the_unit_circle(self, c):
+        # the identity behind the gate, for non-unitary U and unnormalized chi
+        rng = np.random.default_rng(7)
+        chi = 0.8 * (rng.normal(size=5) + 1j * rng.normal(size=5))
+        u = np.eye(5, dtype=complex) + c * np.outer(chi, chi.conj())
+        dense = np.linalg.norm(u.conj().T @ u - np.eye(5))
+        closed = _rank1_defect(c, float(np.vdot(chi, chi).real))
+        assert closed == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, phi):
+        with pytest.raises(ValueError):
+            generalized_hr(uniform_chi(4), phi)
+
+    def test_nan_operator_rejected(self):
+        with pytest.raises(ValueError):
+            Operator(np.diag([1, 1, math.nan]))
+
+    def test_matrix_is_read_only(self):
+        op = standard_hr(random_chi(4, 5))
+        assert (op.dim, op.n_ions) == (6, 5)
+        with pytest.raises(ValueError):
+            op.matrix[1, 1] = 0.0
+        assert op.manifold_block.shape == (5, 5)
+
+
+class TestNoDenseSearchPath:
+    """Ideal searches never build an (N+1)^2 matrix: every dense builder raises."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_dense(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense (N+1)^2 operator built on the search path")
+
+        monkeypatch.setattr(Reflection, "matrix", property(refuse))
+        monkeypatch.setattr(Operator, "__post_init__", refuse)
+
+    def test_guard_is_armed(self):
+        with pytest.raises(AssertionError):
+            standard_hr(uniform_chi(3)).matrix
+        with pytest.raises(AssertionError):
+            identity_operator(3)
+
+    @pytest.mark.parametrize("variant", ["probabilistic", "deterministic"])
+    def test_ideal_search_n2048(self, variant):
+        n, marked = 2048, 7
+        result = run_search(SearchConfig(n, marked, mode="ideal", variant=variant))
+        if variant == "probabilistic":
+            beta = math.asin(1 / math.sqrt(n))
+            expected = math.sin((2 * iteration_count(n) + 1) * beta) ** 2
+            assert result.success_probability == pytest.approx(expected, abs=1e-12)
+        else:
+            assert result.iterations_executed == deterministic_params(n)[0]
+            assert 1.0 - result.success_probability <= 1e-9
+
+    def test_adapted_advantage(self):
+        best_adapted, best_uniform = adapted_advantage(20, 0.3, 5)
+        assert best_adapted >= best_uniform - 1e-9

@@ -66,6 +66,14 @@ class TestNormalizationPolicy:
         chi = CouplingVector([0.6, 0.8])
         np.testing.assert_allclose(chi.components, [0.6, 0.8])
 
+    def test_nan_register_rejected(self):
+        with pytest.raises(ValueError):
+            RegisterState([math.nan, 1, 0])
+
+    def test_nan_coupling_vector_rejected(self):
+        with pytest.raises(ValueError):
+            CouplingVector([math.nan, 1])
+
 
 class TestFidelity:
     def test_identical_basis_states(self):
