@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -285,6 +286,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # what is alive now (the imported modules above all) outlives the command;
+    # frozen, it stays out of the collections the command triggers
+    gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

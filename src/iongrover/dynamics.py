@@ -135,7 +135,7 @@ def _chain(terms, t0, h, steps, stride):
             out[0, 0] += delta * on
         return (-1j * h) * out
 
-    marks = np.union1d(np.arange(stride or steps, steps, stride or steps), [steps])
+    marks = np.append(np.arange(stride or steps, steps, stride or steps), steps)
     carry, out = eye, []
     for first in range(0, steps, CHUNK_STEPS):
         grid = t0 + h * np.arange(first, min(first + CHUNK_STEPS, steps))

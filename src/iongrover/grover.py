@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+import numpy.random  # loaded lazily by numpy; here it loads with the package
 
 from . import imperfections
 from .dynamics import IntegrationError, evolve, evolve_schedule, hamiltonian_from_pulse

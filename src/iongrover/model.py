@@ -146,7 +146,7 @@ def marked_probability(state: RegisterState, marked_index: int) -> float:
         raise IndexError(
             f"ion index {marked_index} out of range for N={state.n_ions}"
         )
-    return float(abs(state.amplitudes[marked_index]) ** 2)
+    return min(1.0, float(abs(state.amplitudes[marked_index]) ** 2))  # may round past 1
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.optimize import brentq, minimize_scalar
 
-from .model import CouplingVector, local_chi
+from .model import CouplingVector, check_number, local_chi
 
 
 class NoSolutionError(ValueError):
@@ -46,7 +44,8 @@ class PulseShape:
     def __post_init__(self) -> None:
         if self.kind not in ("sech", "gaussian", "tabulated"):
             raise ValueError(f"unknown pulse shape {self.kind!r}")
-        if self.width <= 0:
+        check_number(self.width, "pulse width")
+        if not self.width > 0:
             raise ValueError("pulse width must be positive")
         if self.kind == "tabulated":
             if self.times is None or self.values is None:
@@ -55,8 +54,8 @@ class PulseShape:
             values = tuple(float(v) for v in self.values)
             if len(times) != len(values) or len(times) < 2:
                 raise ValueError("tabulated shape needs matching sample arrays")
-            if any(v < 0 for v in values):
-                raise ValueError("envelope samples must be nonnegative")
+            if not all(map(math.isfinite, times + values)) or min(values) < 0:
+                raise ValueError("envelope samples must be finite and nonnegative")
             object.__setattr__(self, "times", times)
             object.__setattr__(self, "values", values)
 
@@ -85,8 +84,8 @@ class PulseShape:
             lo, hi = max(lo, -window * self.width), min(hi, window * self.width)
         if hi <= lo:
             return 0.0
-        grid = np.linspace(lo, hi, 4097)
-        return float(trapezoid(self.envelope(grid), grid))
+        y = self.envelope(np.linspace(lo, hi, 4097))  # trapezoid rule, uniform grid
+        return float((hi - lo) / 4096 * (y.sum() - 0.5 * (y[0] + y[-1])))
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,9 @@ class PulseSpec:
     center: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rms_peak < 0:
+        for name in ("rms_peak", "detuning", "center"):
+            check_number(getattr(self, name), name)
+        if not self.rms_peak >= 0:
             raise ValueError("rms peak must be nonnegative")
 
     @property
@@ -148,15 +149,21 @@ def detuning_for_phase(phi: float, l: int = 1) -> float:
         )
     if l == 1:
         return 1.0 / math.tan(phi / 2.0)
-
-    def raw(x: float) -> float:
-        return 2.0 * sum(math.atan2(2 * j + 1, x) for j in range(l))
-
-    lo, hi = 0.0, 4.0 * l / math.tan(phi / 2.0) + 4.0 * l
-    while raw(hi) > phi:
-        hi *= 2.0
-    root = brentq(lambda x: raw(x) - phi, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    return float(root)
+    # In u = 1/(delta*T) the map 2 sum_j atan((2j+1) u) rises and is concave on
+    # u >= 0: Newton steps from its tangent at 0, u = phi/(2 l^2), climb to the root,
+    # which atan((2j+1) u) >= atan(u) bounds by tan(phi/(2l)); off-bracket steps bisect.
+    odd = range(1, 2 * l, 2)
+    lo, hi = phi / (2.0 * l * l), math.tan(phi / (2.0 * l))
+    u = lo
+    for _ in range(64):
+        g = 2.0 * sum(math.atan(a * u) for a in odd) - phi
+        lo, hi = (u, hi) if g < 0.0 else (lo, u)
+        step = g / (2.0 * sum(a / (1.0 + (a * u) ** 2) for a in odd))
+        nxt = u - step if lo <= u - step <= hi else 0.5 * (lo + hi)
+        u, last = nxt, u
+        if abs(u - last) <= 4e-16 * u:
+            break
+    return 1.0 / u
 
 
 def build_global_pulse(
@@ -207,6 +214,8 @@ def calibrate_generalized_pulse(
     outer loop moves the detuning until the fitted reflection phase matches.
     The sech solution seeds the search bracket.
     """
+    from scipy.optimize import brentq, minimize_scalar  # heavy; only needed here
+
     from . import dynamics  # deferred: dynamics depends on this module
 
     if not 0.0 < phase < math.pi:

@@ -287,3 +287,56 @@ class TestJobs:
                                               steps=1, mode="ideal", jobs=jobs)
         assert len(rows) == cells
         assert created == ([] if expected is None else [expected])
+
+
+IMPORT_PROBE = """
+import gc, json, sys
+
+def heavy():
+    return {m for m in sys.modules if m.split(".")[0] == "scipy"
+            or m.split(".")[:2] in (["numpy", "ma"], ["numpy", "random"])}
+
+import iongrover.cli
+from iongrover.cli import main
+
+found = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+for name, argv in json.loads(sys.argv[1]):
+    before = heavy()
+    code = main(argv)
+    found[name] = [code, sorted(heavy() - before)]
+found["frozen"] = gc.get_freeze_count() > 0
+print(json.dumps(found))
+"""
+
+
+class TestImportHygiene:
+    def test_commands_import_no_heavy_module(self, tmp_path):
+        # scipy is needed by calibrate_generalized_pulse only, and numpy.ma and
+        # numpy.random must load with the package, not inside a timed command;
+        # main freezes the import's objects, so no command's collection scans them
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import iongrover
+
+        physical = write_config(tmp_path / "physical.json", n_ions=15, marked_index=8,
+                                mode="physical", variant="deterministic")
+        ideal = write_config(tmp_path / "ideal.json", n_ions=64, marked_index=8)
+        commands = [
+            ["run_physical", ["run", "--config", str(physical), "--out", str(tmp_path / "p")]],
+            ["run_ideal", ["run", "--config", str(ideal), "--out", str(tmp_path / "i")]],
+            ["fig3", ["reproduce", "--figure", "fig3", "--out", str(tmp_path / "f")]],
+            ["validate", ["validate", "--suite", "fast", "--out", str(tmp_path / "v")]],
+        ]
+        src = str(Path(iongrover.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        found = json.loads(proc.stdout.splitlines()[-1])
+        assert found.pop("import") == []
+        assert found.pop("frozen") is True
+        assert found == {name: [0, []] for name, _ in commands}

@@ -243,6 +243,16 @@ class TestDenseEquivalence:
         np.testing.assert_array_equal(times, ref_t)
         assert np.abs(pops - np.asarray(ref_p)).max() <= EQUIVALENCE_TOL
 
+    @pytest.mark.parametrize("steps,stride", [(4000, 0), (4000, 160), (4000, 3), (7, 7)])
+    def test_chain_marks(self, steps, stride):
+        # recorded step counts: every stride steps and the last, sorted and unique
+        term = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), 0.3, SECH, 0.0, None)
+        marks, products = dynamics._chain([term], -15.0, 30.0 / steps, steps, stride)
+        expected = np.union1d(np.arange(stride or steps, steps, stride or steps), [steps])
+        np.testing.assert_array_equal(marks, expected)
+        assert marks.dtype == expected.dtype
+        assert products.shape == (2, 2, len(expected))
+
     def test_overlap_with_repeated_chi(self):
         # the same chi twice spans one bright direction, not two
         chi = uniform_chi(3)

@@ -131,6 +131,15 @@ class TestRunSearchIdeal:
         )
         assert result.success_probability > 1 - 1e-9
 
+    def test_success_probability_never_exceeds_one(self):
+        # |amplitude|^2 of this search rounds to 1.0000000000000004; a value
+        # above 1 would turn into a negative infidelity in the sweeps
+        result = run_search(
+            SearchConfig(n_ions=2048, marked_index=7, variant="deterministic")
+        )
+        assert result.success_probability <= 1.0
+        assert result.success_probability == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("n", [2, 7, 23, 40, 64])
     def test_trajectory_matches_closed_form(self, n):
         result = run_search(SearchConfig(n_ions=n, marked_index=1))

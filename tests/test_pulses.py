@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
+from scipy.optimize import brentq
 
 from iongrover.dynamics import (
     HamiltonianSpec,
@@ -59,6 +61,45 @@ class TestPulseShape:
             PulseShape("sech", 0.0)
         with pytest.raises(ValueError):
             PulseShape("tabulated", 1.0, times=(0.0,), values=(1.0,))
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, True, "1.0"])
+    def test_non_finite_or_non_number_width_rejected(self, width):
+        with pytest.raises(ValueError):
+            PulseShape("sech", width)
+
+    @pytest.mark.parametrize("times,values", [
+        ((0.0, 1.0), (math.nan, 1.0)),
+        ((0.0, 1.0), (1.0, math.inf)),
+        ((math.nan, 1.0), (1.0, 1.0)),
+        ((0.0, math.inf), (1.0, 1.0)),
+    ])
+    def test_non_finite_samples_rejected(self, times, values):
+        with pytest.raises(ValueError):
+            PulseShape("tabulated", 1.0, times=times, values=values)
+
+    @pytest.mark.parametrize("window", [None, 2.0])
+    def test_tabulated_integral_matches_scipy_trapezoid(self, window):
+        grid = np.linspace(-7.0, 5.0, 333)
+        shape = PulseShape("tabulated", 1.3, times=tuple(grid),
+                           values=tuple(np.exp(-grid ** 2 / 3) * (1.2 + np.sin(grid))))
+        lo, hi = grid[0], grid[-1]
+        if window is not None:
+            lo, hi = -window * shape.width, window * shape.width
+        fine = np.linspace(lo, hi, 4097)
+        expected = float(trapezoid(shape.envelope(fine), fine))
+        assert shape.integral(window) == pytest.approx(expected, rel=1e-14)
+
+
+class TestPulseSpecGates:
+    @pytest.mark.parametrize("field,value", [
+        ("rms_peak", math.nan), ("rms_peak", math.inf), ("rms_peak", -1.0),
+        ("detuning", math.nan), ("detuning", math.inf), ("detuning", -math.inf),
+        ("center", math.nan), ("center", math.inf), ("center", -math.inf),
+    ])
+    def test_bad_number_rejected(self, field, value):
+        kwargs = {"rms_peak": 2.0, field: value}
+        with pytest.raises(ValueError):
+            PulseSpec(PulseShape("sech", 1.0), uniform_chi(3), **kwargs)
 
 
 class TestRmsArea:
@@ -129,6 +170,31 @@ class TestDetuningForPhase:
     def test_round_trip(self, phi, l):
         delta_t = detuning_for_phase(phi, l)
         assert phase_from_detuning(delta_t, l) == pytest.approx(phi, abs=1e-10)
+
+    @pytest.mark.parametrize("l", [2, 3, 5])
+    def test_matches_brentq(self, l):
+        # the bracketed root search this solver replaced, kept as an oracle
+        def raw(x):
+            return 2.0 * sum(math.atan2(2 * j + 1, x) for j in range(l))
+
+        for phi in np.linspace(0.02 * math.pi, 0.99 * math.pi, 41):
+            phi = float(phi)
+            hi = 4.0 * l / math.tan(phi / 2.0) + 4.0 * l
+            while raw(hi) > phi:
+                hi *= 2.0
+            expected = brentq(lambda x: raw(x) - phi, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
+            delta_t = detuning_for_phase(phi, l)
+            assert abs(delta_t - expected) <= 1e-12
+            assert abs(phase_from_detuning(delta_t, l) - phi) <= 1e-13
+
+    @pytest.mark.parametrize("l", [2, 3, 50])
+    def test_extreme_phases(self, l):
+        # near pi the root is finite; for tiny phases delta*T ~ 2 l^2 / phi
+        for phi in (math.pi, math.nextafter(math.pi, 0.0)):
+            phase = phase_from_detuning(detuning_for_phase(phi, l), l)
+            assert abs(wrap_phase(phase - phi)) <= 1e-13  # pi and -pi are one phase
+        for phi in (1e-9, 1e-160, 1e-300):
+            assert detuning_for_phase(phi, l) == pytest.approx(2 * l * l / phi, rel=1e-12)
 
     def test_wrap_phase_branch(self):
         assert wrap_phase(math.pi) == pytest.approx(math.pi)
