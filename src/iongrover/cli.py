@@ -39,10 +39,6 @@ class ConfigError(ValueError):
     """The run config file is malformed or fails validation."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
     unknown = sorted(set(section) - allowed)
     if unknown:
@@ -100,26 +96,27 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str) else _fmt(cell) for cell in row
-        ))
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], columns: list[list]) -> None:
+    """Write equal-length columns as rows, formatted by one % call over a
+    repeated row template: str cells as they are, numbers as %.17g, which
+    gives the text of format(float(x), ".17g")."""
+    rows = len(columns[0])
+    row = ",".join("%s" if rows and isinstance(col[0], str) else "%.17g"
+                   for col in columns)
+    cells = [None] * (rows * len(columns))
+    for j, col in enumerate(columns):
+        cells[j::len(columns)] = col
+    _write_text(path, ",".join(header) + "\n" + (row + "\n") * rows % tuple(cells))
 
 
 def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _trajectory_rows(result: SearchResult, marked_index: int) -> list[list]:
-    rows = []
-    for t, pops in zip(result.trajectory_times, result.trajectory_populations):
-        p_marked = pops[marked_index]
-        p_slot0 = pops[0]
-        rows.append([t, p_marked, p_slot0, float(pops.sum()) - p_marked - p_slot0])
-    return rows
+def _trajectory_columns(result: SearchResult, marked_index: int) -> list[list]:
+    """time, p_marked, p_slot0, p_other_total, read from the reduced trajectory."""
+    return [result.trajectory_times.tolist(),
+            *result.trajectory.columns(marked_index).T.tolist()]
 
 
 def _manifest(out_dir: Path, command: str, arguments: dict, resolved: dict,
@@ -176,22 +173,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _write_json(result_path, payload)
     traj_path = out_dir / "trajectory.csv"
     _write_csv(traj_path, ["time", "p_marked", "p_slot0", "p_other_total"],
-               _trajectory_rows(result, cfg.marked_index))
+               _trajectory_columns(result, cfg.marked_index))
     _manifest(out_dir, "run", {"config": str(args.config)},
               result.parameters_used, [result_path, traj_path])
     return 0
 
 
-def _pulse_timeline_rows(cfg: SearchConfig) -> list[list]:
+def _pulse_timeline_columns(cfg: SearchConfig) -> list[list]:
     plan = build_plan(cfg)
-    rows = [[0, "init", plan.init_pulse.center, plan.init_pulse.shape.width,
-             rms_area(plan.init_pulse), plan.init_pulse.detuning]]
-    for k, (oracle, reflection) in enumerate(plan.steps, start=1):
-        rows.append([2 * k - 1, "oracle", oracle.center, oracle.shape.width,
-                     rms_area(oracle), oracle.detuning])
-        rows.append([2 * k, "global", reflection.center, reflection.shape.width,
-                     rms_area(reflection), reflection.detuning])
-    return [[str(r[0]), r[1], r[2], r[3], r[4], r[5]] for r in rows]
+    pulses = [plan.init_pulse, *(p for step in plan.steps for p in step)]
+    return [[str(i) for i in range(len(pulses))],
+            ["init"] + ["oracle", "global"] * plan.count,
+            [p.center for p in pulses], [p.shape.width for p in pulses],
+            [rms_area(p) for p in pulses], [p.detuning for p in pulses]]
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
@@ -208,7 +202,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             result = run_search(cfg)
             path = out_dir / f"fig3_{variant}.csv"
             _write_csv(path, ["time", "p_marked", "p_slot0", "p_other_total"],
-                       _trajectory_rows(result, cfg.marked_index))
+                       _trajectory_columns(result, cfg.marked_index))
             files.append(path)
             resolved[variant] = result.parameters_used
             if variant == "deterministic":
@@ -216,14 +210,15 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
                 _write_csv(pulses_path,
                            ["index", "kind", "center", "width", "rms_area",
                             "detuning"],
-                           _pulse_timeline_rows(cfg))
+                           _pulse_timeline_columns(cfg))
                 files.append(pulses_path)
     else:
         rows = infidelity_sweep(20, FIG4_IONS, FIG4_EPSILONS, steps=3,
                                 mode="physical", jobs=args.jobs)
         path = out_dir / "fig4_infidelity.csv"
         _write_csv(path, ["epsilon", "ion", "infidelity"],
-                   [[r.epsilon, str(r.marked_index), r.infidelity] for r in rows])
+                   [[r.epsilon for r in rows], [str(r.marked_index) for r in rows],
+                    [r.infidelity for r in rows]])
         files.append(path)
         resolved = {"n_ions": 20, "steps": 3, "ions": FIG4_IONS,
                     "epsilons": FIG4_EPSILONS}

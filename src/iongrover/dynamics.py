@@ -23,8 +23,9 @@ span{ancilla, chi_1..chi_k}.  Fixed-step classical RK4 (bit-for-bit
 reproducible) is a polynomial in the stage Hamiltonians, so on this invariant
 space it is the same scheme as on the full register.  The one-step matrices of
 all steps are built at once and chained by a log-depth prefix product; the
-register, and each recorded population row, is then rebuilt by a rank-r
-update: O(N) per pulse.
+register is then rebuilt by a rank-r update, O(N) per pulse.  The recorded
+trajectory stays in the same form: the register before the pulse, the driven
+basis and the r driven components at each recorded step (``Trajectory``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,14 @@ from typing import Sequence
 import numpy as np
 
 from .householder import Operator, Reflection
-from .model import CouplingVector, DimensionMismatchError, RegisterState, check_number
+from .model import (
+    CouplingVector,
+    DimensionMismatchError,
+    RegisterState,
+    Trajectory,
+    check_number,
+    state_segment,
+)
 from .pulses import PulseShape, PulseSpec
 
 
@@ -155,21 +163,20 @@ def _chain(terms, t0, h, steps, stride):
     return marks, np.concatenate(out, axis=2)
 
 
-def _advance(y, q, marks, products, t0, h, times, pops):
+def _advance(y, q, marks, products, t0, h, times, segments):
     """Apply chained reduced propagators to y (vector or matrix of columns).
 
     The orthonormal columns of ``q`` span the driven states, ancilla first;
-    the rest of the register is dark.  Unless ``times`` is None, the time and
-    the per-slot populations of the leading column are appended at every
-    recorded step.
+    the rest of the register is dark.  Unless ``times`` is None, the times of
+    the recorded steps are appended to it and the ``Trajectory`` segment of
+    the leading column to ``segments``.
     """
     z = q.conj().T @ y
     if times is not None:
         lead = z if z.ndim == 1 else z[:, 0]
-        rows = (np.einsum("ijm,j->mi", products, lead) - lead) @ q.T
-        rows += y if y.ndim == 1 else y[:, 0]
         times.extend((t0 + marks * h).tolist())
-        pops.extend(np.square(np.abs(rows)))
+        segments.append((y if y.ndim == 1 else y[:, 0], q,
+                         np.einsum("ijm,j->mi", products, lead) - lead))
     return y + q @ (products[:, :, -1] @ z - z)
 
 
@@ -182,11 +189,11 @@ def _driven(directions):
 
 
 def _integrate_pulse(y, couplings, delta, shape, steps, window, *,
-                     center=0.0, stride=0, times=None, pops=None, chains=None):
+                     center=0.0, stride=0, times=None, segments=None, chains=None):
     """Advance y (vector or matrix of columns) across one pulse window with RK4.
 
-    When ``stride`` > 0 the per-slot populations of the leading column are
-    appended to ``times``/``pops`` every ``stride`` steps and at the window end.
+    When ``stride`` > 0 the leading column is recorded every ``stride`` steps
+    and at the window end: times to ``times``, one segment to ``segments``.
     ``chains`` caches the reduced propagators by (|g|, delta, shape, grid), so
     pulses that differ only in their bright direction are integrated once.
     """
@@ -200,10 +207,10 @@ def _integrate_pulse(y, couplings, delta, shape, steps, window, *,
         block = np.array([[0.0, strength / 2.0], [strength / 2.0, 0.0]])
         chains[key] = _chain([(block, delta, shape, 0.0, None)], -half, h, steps, stride)
     return _advance(y, _driven(g[:, None] / (strength or 1.0)), *chains[key],
-                    center - half, h, times if stride else None, pops)
+                    center - half, h, times if stride else None, segments)
 
 
-def _integrate_cluster(y, pulses, spans, cfg, stride, times, pops):
+def _integrate_cluster(y, pulses, spans, cfg, stride, times, segments):
     """Integrate pulses with overlapping windows under their summed Hamiltonian.
 
     One global grid, refined so the narrowest pulse keeps its step count,
@@ -225,7 +232,8 @@ def _integrate_cluster(y, pulses, spans, cfg, stride, times, pops):
         block[0, 1:] = block[1:, 0].conj()
         terms.append((block, p.detuning, p.shape, p.center, span))
     h = (hi - lo) / steps
-    return _advance(y, q, *_chain(terms, lo, h, steps, stride), lo, h, times, pops)
+    return _advance(y, q, *_chain(terms, lo, h, steps, stride), lo, h, times,
+                    segments)
 
 
 def evolve(state: RegisterState, spec: HamiltonianSpec,
@@ -276,7 +284,7 @@ def evolve_schedule(
     cfg: IntegratorConfig | None = None,
     record: bool = False,
 ):
-    """Run a sequence of pulses; returns (final state, times, populations).
+    """Run a sequence of pulses; returns (final state, times, ``Trajectory``).
 
     Non-overlapping windows (the default spacing) are integrated pulse by
     pulse; nothing evolves between windows because the drive and its rotating
@@ -291,7 +299,7 @@ def evolve_schedule(
         if p.n_ions != state.n_ions:
             raise DimensionMismatchError("pulse and register sizes differ")
     times: list[float] = []
-    pops: list[np.ndarray] = []
+    segments: list = []
     stride = cfg.trajectory_stride if record else 0
     y = state.amplitudes
 
@@ -301,11 +309,11 @@ def evolve_schedule(
 
     if record and pulses:
         times.append(spans[0][0])
-        pops.append(np.abs(y) ** 2)
+        segments.append(state_segment([y]))
 
     if overlap:
         y = _integrate_cluster(y, pulses, spans, cfg, stride,
-                               times if stride else None, pops)
+                               times if stride else None, segments)
     else:
         # oracle and global pulses share (|g|, delta), so a search integrates
         # each distinct pulse once and applies it along every bright direction
@@ -313,7 +321,8 @@ def evolve_schedule(
         for p in pulses:
             y = _integrate_pulse(y, p.couplings, p.detuning, p.shape,
                                  cfg.steps_per_pulse, cfg.window, center=p.center,
-                                 stride=stride, times=times, pops=pops, chains=chains)
+                                 stride=stride, times=times, segments=segments,
+                                 chains=chains)
 
     drift = abs(float(np.linalg.norm(y)) - 1.0)
     budget = cfg.norm_tolerance * max(1, len(pulses))
@@ -322,7 +331,7 @@ def evolve_schedule(
             f"norm drift {drift:.3e} exceeds schedule budget {budget:g}"
         )
     final = RegisterState(y / np.linalg.norm(y))
-    return final, np.asarray(times, dtype=float), np.asarray(pops, dtype=float)
+    return final, np.asarray(times, dtype=float), Trajectory(tuple(segments))
 
 
 def hr_distance(candidate: Operator | Reflection | np.ndarray,

@@ -25,9 +25,11 @@ from .model import (
     RegisterState,
     SearchConfig,
     SearchResult,
+    Trajectory,
     basis_register,
     local_chi,
     marked_probability,
+    state_segment,
 )
 from .pulses import PulseShape, PulseSpec, detuning_for_phase
 
@@ -191,27 +193,29 @@ def run_search(cfg: SearchConfig) -> SearchResult:
 
     if cfg.mode == "ideal":
         state = initialize(cfg)
-        times = [0.0]
-        pops = [state.populations]
+        registers = np.empty((plan.count + 1, cfg.n_ions + 1), dtype=complex)
+        registers[0] = state.amplitudes
         for k, (oracle, reflection) in enumerate(plan.steps, start=1):
             state = apply(reflection, apply(oracle, state))
-            times.append(float(k))
-            pops.append(state.populations)
+            registers[k] = state.amplitudes
+        times = np.arange(plan.count + 1, dtype=float)
+        trajectory = Trajectory((state_segment(registers),))
     else:
         schedule = [plan.init_pulse]
         for oracle, reflection in plan.steps:
             schedule.extend((oracle, reflection))
-        state, times, pops = evolve_schedule(
+        state, times, trajectory = evolve_schedule(
             basis_register(cfg.n_ions, 0), schedule, cfg.integrator, record=True
         )
-    if not (np.all(np.isfinite(state.amplitudes)) and np.all(np.isfinite(pops))):
+    if not (np.all(np.isfinite(state.amplitudes)) and trajectory.is_finite()
+            and np.all(np.isfinite(trajectory.columns(cfg.marked_index)))):
         raise IntegrationError("non-finite final state or trajectory")
 
     return SearchResult(
         final_state=state,
         success_probability=marked_probability(state, cfg.marked_index),
         trajectory_times=np.asarray(times, dtype=float),
-        trajectory_populations=np.asarray(pops, dtype=float),
+        trajectory_populations=trajectory,
         iterations_executed=plan.count,
         parameters_used=params,
     )

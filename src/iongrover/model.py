@@ -249,21 +249,101 @@ class SearchConfig:
             object.__setattr__(self, "integrator", IntegratorConfig())
 
 
+def _squared(z: np.ndarray) -> np.ndarray:
+    """|z|^2 elementwise, with one temporary."""
+    out = np.abs(z)
+    return np.square(out, out=out)
+
+
+def state_segment(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A ``Trajectory`` segment of rank 0: one row |y|^2 per register y, given
+    as the rows of a (rows, N+1) array."""
+    y = np.asarray(states, dtype=complex)
+    return y, np.zeros((y.shape[1], 0), dtype=complex), np.zeros((len(y), 0), dtype=complex)
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Population trace held in bright/dark form, one segment per integrated
+    window (a pulse, or a cluster of overlapping pulses).
+
+    A segment (y, q, w) stands for the rows |y + q w_m|^2: y is the register
+    before the window, the orthonormal columns of q span the states driven in
+    it (ancilla first), and row m of w holds the change of those components
+    at the m-th recorded step.  Registers recorded as they are (the start of
+    a schedule, the states of an ideal search) form a segment of rank 0 with
+    one y per row (``state_segment``).  Slot populations and row totals cost
+    O(rows x rank) for a window; ``rows`` builds the dense (rows, N+1) form.
+    """
+
+    segments: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    #: ``columns`` by marked index: the finite-output gate and the CLI read them
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for segment in self.segments:
+            for part in segment:
+                part.setflags(write=False)
+
+    def __len__(self) -> int:
+        return sum(len(w) for _, _, w in self.segments)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the segments' arrays."""
+        return sum(a.nbytes for segment in self.segments for a in segment)
+
+    def is_finite(self) -> bool:
+        return all(np.all(np.isfinite(y)) and np.all(np.isfinite(w))
+                   for y, _, w in self.segments)
+
+    def slots(self, index) -> np.ndarray:
+        """Populations of the indexed slots, one row per recorded sample."""
+        parts = [_squared(y[..., index] + w @ q[index].T) for y, q, w in self.segments]
+        return np.concatenate(parts) if parts else np.zeros((0, 0))
+
+    def totals(self) -> np.ndarray:
+        """Row sums |y|^2 + 2 Re<q^dag y, w_m> + |w_m|^2 (q is an isometry)."""
+        parts = [_squared(y).sum(axis=-1)
+                 + 2.0 * (w * (y @ q.conj()).conj()).real.sum(axis=-1)
+                 + _squared(w).sum(axis=-1) for y, q, w in self.segments]
+        return np.concatenate(parts) if parts else np.zeros(0)
+
+    def columns(self, marked_index: int) -> np.ndarray:
+        """Per row: the marked slot, the ancilla and the total of every other
+        slot, shape (rows, 3); computed once per marked index."""
+        if marked_index not in self._columns:
+            out = np.empty((len(self), 3))
+            out[:, :2] = self.slots([marked_index, 0])
+            out[:, 2] = self.totals() - out[:, 0] - out[:, 1]
+            out.setflags(write=False)
+            self._columns[marked_index] = out
+        return self._columns[marked_index]
+
+    def rows(self) -> np.ndarray:
+        """Dense populations, one (N+1)-slot row per sample, ancilla first."""
+        return self.slots(slice(None))
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of a search run plus the recorded population trace.
 
     ``trajectory_times`` holds absolute times in physical mode and iteration
-    indices in ideal mode; ``trajectory_populations`` holds one (N+1)-slot
-    population row per sample, ancilla first.
+    indices in ideal mode.  ``trajectory_populations`` holds one (N+1)-slot
+    population row per sample, ancilla first.  A search passes it as a
+    ``Trajectory``, which is kept reduced as ``trajectory``; the dense rows
+    are then built on first read.  Dense rows may be passed directly too.
     """
 
     final_state: RegisterState
     success_probability: float
     trajectory_times: np.ndarray
-    trajectory_populations: np.ndarray
+    trajectory_populations: np.ndarray | Trajectory
     iterations_executed: int
     parameters_used: dict
+    trajectory: Trajectory | None = field(init=False, default=None, repr=False,
+                                          compare=False)
 
     def __post_init__(self) -> None:
         marked = self.parameters_used.get("marked_index")
@@ -275,8 +355,23 @@ class SearchResult:
                     f"{self.success_probability!r} vs {direct!r}"
                 )
         times = np.asarray(self.trajectory_times, dtype=float)
-        pops = np.asarray(self.trajectory_populations, dtype=float)
         times.setflags(write=False)
-        pops.setflags(write=False)
         object.__setattr__(self, "trajectory_times", times)
-        object.__setattr__(self, "trajectory_populations", pops)
+        pops = self.trajectory_populations
+        if isinstance(pops, Trajectory):
+            object.__setattr__(self, "trajectory", pops)
+            object.__delattr__(self, "trajectory_populations")  # see __getattr__
+        else:
+            pops = np.asarray(pops, dtype=float)
+            pops.setflags(write=False)
+            object.__setattr__(self, "trajectory_populations", pops)
+
+    def __getattr__(self, name: str):
+        # reached only for attributes not set: the dense rows of a reduced
+        # trajectory before their first read
+        if name != "trajectory_populations" or self.__dict__.get("trajectory") is None:
+            raise AttributeError(name)
+        rows = self.trajectory.rows()
+        rows.setflags(write=False)
+        object.__setattr__(self, name, rows)
+        return rows

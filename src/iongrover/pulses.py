@@ -148,21 +148,26 @@ def detuning_for_phase(phi: float, l: int = 1) -> float:
             f"phase {phi!r} not attainable on the principal branch (0, pi]"
         )
     if l == 1:
-        return 1.0 / math.tan(phi / 2.0)
-    # In u = 1/(delta*T) the map 2 sum_j atan((2j+1) u) rises and is concave on
-    # u >= 0: Newton steps from its tangent at 0, u = phi/(2 l^2), climb to the root,
-    # which atan((2j+1) u) >= atan(u) bounds by tan(phi/(2l)); off-bracket steps bisect.
-    odd = range(1, 2 * l, 2)
-    lo, hi = phi / (2.0 * l * l), math.tan(phi / (2.0 * l))
-    u = lo
-    for _ in range(64):
-        g = 2.0 * sum(math.atan(a * u) for a in odd) - phi
-        lo, hi = (u, hi) if g < 0.0 else (lo, u)
-        step = g / (2.0 * sum(a / (1.0 + (a * u) ** 2) for a in odd))
-        nxt = u - step if lo <= u - step <= hi else 0.5 * (lo + hi)
-        u, last = nxt, u
-        if abs(u - last) <= 4e-16 * u:
-            break
+        u = math.tan(phi / 2.0)
+    else:
+        # In u = 1/(delta*T) the map 2 sum_j atan((2j+1) u) rises and is concave
+        # on u >= 0: Newton steps from its tangent at 0, u = phi/(2 l^2), climb to
+        # the root, which atan((2j+1) u) >= atan(u) bounds by tan(phi/(2l));
+        # off-bracket steps bisect.
+        odd = range(1, 2 * l, 2)
+        lo, hi = phi / (2.0 * l * l), math.tan(phi / (2.0 * l))
+        u = lo
+        for _ in range(64):
+            g = 2.0 * sum(math.atan(a * u) for a in odd) - phi
+            lo, hi = (u, hi) if g < 0.0 else (lo, u)
+            step = g / (2.0 * sum(a / (1.0 + (a * u) ** 2) for a in odd))
+            nxt = u - step if lo <= u - step <= hi else 0.5 * (lo + hi)
+            u, last = nxt, u
+            if abs(u - last) <= 4e-16 * u:
+                break
+    if not u > 0.0 or math.isinf(1.0 / u):
+        # phi/2 underflowed, or delta*T ~ 2 l^2 / phi lies beyond the float range
+        raise NoSolutionError(f"phase {phi!r} needs a detuning beyond the float range")
     return 1.0 / u
 
 

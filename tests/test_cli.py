@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from iongrover import cli
 from iongrover.cli import main
+from iongrover.imperfections import SweepRow
+from iongrover.model import SearchConfig, Trajectory
+from iongrover.pulses import rms_area
 
 
 def write_config(path, **overrides):
@@ -230,22 +234,40 @@ class TestConfigHardening:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_non_finite_trajectory_exits_3_before_writing(self, tmp_path, monkeypatch):
+    @staticmethod
+    def run_with_poisoned_record(tmp_path, monkeypatch, part, value):
+        """Exit code of a physical run whose trajectory record carries
+        ``value`` in slot or component 1 of part ``part`` of its second segment."""
         import iongrover.grover as grover
 
         real = grover.evolve_schedule
 
         def poisoned(*args, **kwargs):
-            state, times, pops = real(*args, **kwargs)
-            pops = pops.copy()
-            pops[1, 1] = np.nan
-            return state, times, pops
+            state, times, trajectory = real(*args, **kwargs)
+            segment = [a.copy() for a in trajectory.segments[1]]
+            segment[part][..., 1] = value
+            segments = list(trajectory.segments)
+            segments[1] = tuple(segment)
+            return state, times, Trajectory(tuple(segments))
 
         monkeypatch.setattr(grover, "evolve_schedule", poisoned)
         cfg = write_config(tmp_path / "cfg.json", mode="physical")
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
-        assert not out.exists()
+        with np.errstate(all="ignore"):
+            return main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+    def test_non_finite_trajectory_exits_3_before_writing(self, tmp_path, monkeypatch):
+        # NaN in a driven component at a recorded step
+        assert self.run_with_poisoned_record(tmp_path, monkeypatch, 2, np.nan) == 3
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("part, value", [
+        (0, np.nan),    # the register before a pulse
+        (2, 1e200),     # finite, but its population overflows
+    ])
+    def test_poisoned_record_exits_3_before_writing(self, tmp_path, monkeypatch,
+                                                    part, value):
+        assert self.run_with_poisoned_record(tmp_path, monkeypatch, part, value) == 3
+        assert not (tmp_path / "out").exists()
 
 
 class TestJobs:
@@ -340,3 +362,136 @@ class TestImportHygiene:
         assert found.pop("import") == []
         assert found.pop("frozen") is True
         assert found == {name: [0, []] for name, _ in commands}
+
+
+def reference_write_csv(path, header, rows):
+    """The per-cell writer the bulk ``cli._write_csv`` replaced."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            cell if isinstance(cell, str) else format(float(cell), ".17g") for cell in row
+        ))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_trajectory_rows(result, marked_index):
+    """The trajectory rows as they were computed from the dense populations."""
+    rows = []
+    for t, pops in zip(result.trajectory_times, result.trajectory_populations):
+        p_marked = pops[marked_index]
+        p_slot0 = pops[0]
+        rows.append([t, p_marked, p_slot0, float(pops.sum()) - p_marked - p_slot0])
+    return rows
+
+
+def reference_pulse_timeline_rows(cfg):
+    plan = cli.build_plan(cfg)
+    rows = [[0, "init", plan.init_pulse.center, plan.init_pulse.shape.width,
+             rms_area(plan.init_pulse), plan.init_pulse.detuning]]
+    for k, (oracle, reflection) in enumerate(plan.steps, start=1):
+        rows.append([2 * k - 1, "oracle", oracle.center, oracle.shape.width,
+                     rms_area(oracle), oracle.detuning])
+        rows.append([2 * k, "global", reflection.center, reflection.shape.width,
+                     rms_area(reflection), reflection.detuning])
+    return [[str(r[0]), r[1], r[2], r[3], r[4], r[5]] for r in rows]
+
+
+class TestBulkCsvWriter:
+    """``cli._write_csv`` writes the same bytes as the per-cell reference."""
+
+    def assert_same_bytes(self, tmp_path, header, rows, columns):
+        reference_write_csv(tmp_path / "ref.csv", header, rows)
+        cli._write_csv(tmp_path / "got.csv", header, columns)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_awkward_floats(self, tmp_path):
+        values = [0.0, -0.0, 1.0, 0, 7, 0.1, 1 / 3, 5e-324, 2.2250738585072014e-308,
+                  1e-5, 1e-4, 1e16, 1e17, 123456789012345678.0, -1.7976931348623157e308,
+                  math.pi, np.float64(2.5), math.inf, -math.inf, math.nan]
+        labels = [f"c{i}" for i in range(len(values))]
+        self.assert_same_bytes(tmp_path, ["x", "label", "y"],
+                               [[v, s, -v] for v, s in zip(values, labels)],
+                               [values, labels, [-v for v in values]])
+
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    def test_trajectory(self, tmp_path, mode):
+        cfg = SearchConfig(n_ions=15, marked_index=8, mode=mode, variant="deterministic")
+        result = cli.run_search(cfg)
+        columns = cli._trajectory_columns(result, cfg.marked_index)
+        header = ["time", "p_marked", "p_slot0", "p_other_total"]
+        self.assert_same_bytes(tmp_path, header, list(zip(*columns)), columns)
+        # the columns agree with the rows computed from the dense populations
+        ref = np.array(reference_trajectory_rows(result, cfg.marked_index))
+        got = np.array(columns).T
+        np.testing.assert_array_equal(got[:, 0], ref[:, 0])
+        assert np.abs(got[:, 1:3] - ref[:, 1:3]).max() <= 1e-15
+        assert np.abs(got[:, 3] - ref[:, 3]).max() <= 1e-13
+
+    def test_fig3_pulses(self, fig3_dir, tmp_path):
+        cfg = SearchConfig(n_ions=15, marked_index=8, mode="physical",
+                           variant="deterministic")
+        header = ["index", "kind", "center", "width", "rms_area", "detuning"]
+        reference_write_csv(tmp_path / "ref.csv", header,
+                            reference_pulse_timeline_rows(cfg))
+        assert (fig3_dir / "fig3_pulses.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    def test_fig4_rows(self, tmp_path, monkeypatch):
+        rows = [SweepRow(eps, ion, 1e-3 * ion + eps ** 2)
+                for eps in cli.FIG4_EPSILONS for ion in cli.FIG4_IONS]
+        monkeypatch.setattr(cli, "infidelity_sweep", lambda *a, **k: rows)
+        assert main(["reproduce", "--figure", "fig4", "--out", str(tmp_path)]) == 0
+        reference_write_csv(tmp_path / "ref.csv", ["epsilon", "ion", "infidelity"],
+                            [[r.epsilon, str(r.marked_index), r.infidelity] for r in rows])
+        assert (tmp_path / "fig4_infidelity.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+
+class TestNoDenseTrajectoryPath:
+    """Commands write trajectories from the reduced record: with the dense
+    builder made to raise, they still succeed."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        results = []
+        real = cli.run_search
+        monkeypatch.setattr(cli, "run_search",
+                            lambda cfg: results.append(real(cfg)) or results[-1])
+        return results
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense trajectory rows built on the command path")
+
+    def check_dense_rows_on_read(self, results):
+        for result in results:
+            rows = result.trajectory_populations
+            assert rows.shape == (len(result.trajectory_times),
+                                  result.final_state.n_ions + 1)
+            assert not rows.flags.writeable
+            np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_guard_is_armed(self, monkeypatch):
+        result = cli.run_search(SearchConfig(n_ions=4, marked_index=2))
+        with monkeypatch.context() as guard:
+            guard.setattr(Trajectory, "rows", self.refuse)
+            with pytest.raises(AssertionError):
+                result.trajectory_populations
+
+    def test_run_physical_n256(self, tmp_path, monkeypatch, searches):
+        cfg = write_config(tmp_path / "cfg.json", n_ions=256, marked_index=77,
+                           mode="physical", variant="deterministic")
+        with monkeypatch.context() as guard:
+            guard.setattr(Trajectory, "rows", self.refuse)
+            assert main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "out")]) == 0
+        assert len(searches) == 1
+        self.check_dense_rows_on_read(searches)
+
+    def test_reproduce_fig3(self, tmp_path, monkeypatch, searches):
+        with monkeypatch.context() as guard:
+            guard.setattr(Trajectory, "rows", self.refuse)
+            assert main(["reproduce", "--figure", "fig3", "--out", str(tmp_path)]) == 0
+        assert len(searches) == 2
+        self.check_dense_rows_on_read(searches)

@@ -15,6 +15,8 @@ import pytest
 from scipy.special import gamma, hyp2f1
 
 from iongrover import dynamics
+from iongrover.grover import build_plan, initialize, run_search
+from iongrover.householder import apply
 from iongrover.dynamics import (
     HamiltonianSpec,
     IntegratorConfig,
@@ -23,7 +25,17 @@ from iongrover.dynamics import (
     evolve_schedule,
     propagator,
 )
-from iongrover.model import CouplingVector, RegisterState, local_chi, uniform_chi
+from iongrover.model import (
+    CouplingVector,
+    PulseSettings,
+    RegisterState,
+    SearchConfig,
+    Trajectory,
+    basis_register,
+    local_chi,
+    state_segment,
+    uniform_chi,
+)
 from iongrover.pulses import PulseShape, PulseSpec
 
 SECH = PulseShape("sech", 1.0)
@@ -121,9 +133,10 @@ class TestDenseEquivalence:
         rng = np.random.default_rng(100 * n + int(10 * delta))
         g = random_couplings(rng, n, 2.0)
         y = random_state(rng, n)
-        got_t, got_p, ref_t, ref_p = [], [], [], []
+        got_t, got_s, ref_t, ref_p = [], [], [], []
         got = _integrate_pulse(y.copy(), g, delta, SECH, 1000, 15.0, center=7.5,
-                               stride=7, times=got_t, pops=got_p)
+                               stride=7, times=got_t, segments=got_s)
+        got_p = Trajectory(tuple(got_s)).rows()
         ref = dense_integrate_pulse(y.copy(), g, delta, SECH, 1000, 15.0,
                                     center=7.5, stride=7, times=ref_t, pops=ref_p)
         assert np.abs(got - ref).max() <= EQUIVALENCE_TOL
@@ -137,9 +150,10 @@ class TestDenseEquivalence:
         g = random_couplings(rng, n, 1.7)
         y = np.eye(n + 1, dtype=complex)[:, : min(n + 1, 9)]
         y[:, 0] = random_state(rng, n)
-        got_t, got_p, ref_t, ref_p = [], [], [], []
+        got_t, got_s, ref_t, ref_p = [], [], [], []
         got = _integrate_pulse(y.copy(), g, 0.4, GAUSS, 800, 6.0, stride=100,
-                               times=got_t, pops=got_p)
+                               times=got_t, segments=got_s)
+        got_p = Trajectory(tuple(got_s)).rows()
         ref = dense_integrate_pulse(y.copy(), g, 0.4, GAUSS, 800, 6.0, stride=100,
                                     times=ref_t, pops=ref_p)
         assert got.shape == ref.shape
@@ -198,7 +212,7 @@ class TestDenseEquivalence:
                                       times=ref_t, pops=ref_p)
         assert np.abs(final.amplitudes - y / np.linalg.norm(y)).max() <= EQUIVALENCE_TOL
         np.testing.assert_array_equal(times, ref_t)
-        assert np.abs(pops - np.asarray(ref_p)).max() <= EQUIVALENCE_TOL
+        assert np.abs(pops.rows() - np.asarray(ref_p)).max() <= EQUIVALENCE_TOL
 
     @pytest.mark.parametrize("n", [2, 15])
     def test_overlapping_detuned_cluster(self, n):
@@ -217,8 +231,9 @@ class TestDenseEquivalence:
         spans = [(p.center - 15.0 * p.shape.width, p.center + 15.0 * p.shape.width)
                  for p in pulses]
         y = random_state(rng, n)
-        got_t, got_p, ref_t, ref_p = [], [], [], []
-        got = _integrate_cluster(y.copy(), pulses, spans, cfg, 13, got_t, got_p)
+        got_t, got_s, ref_t, ref_p = [], [], [], []
+        got = _integrate_cluster(y.copy(), pulses, spans, cfg, 13, got_t, got_s)
+        got_p = Trajectory(tuple(got_s)).rows()
         ref = dense_overlap(y.copy(), pulses, cfg, 13, ref_t, ref_p)
         assert np.abs(got - ref).max() <= EQUIVALENCE_TOL
         assert got_t == ref_t
@@ -241,7 +256,7 @@ class TestDenseEquivalence:
         y = dense_overlap(y, pulses, cfg, 13, ref_t, ref_p)
         assert np.abs(final.amplitudes - y / np.linalg.norm(y)).max() <= EQUIVALENCE_TOL
         np.testing.assert_array_equal(times, ref_t)
-        assert np.abs(pops - np.asarray(ref_p)).max() <= EQUIVALENCE_TOL
+        assert np.abs(pops.rows() - np.asarray(ref_p)).max() <= EQUIVALENCE_TOL
 
     @pytest.mark.parametrize("steps,stride", [(4000, 0), (4000, 160), (4000, 3), (7, 7)])
     def test_chain_marks(self, steps, stride):
@@ -263,6 +278,78 @@ class TestDenseEquivalence:
         final, _, _ = evolve_schedule(start, pulses, cfg)
         y = dense_overlap(start.amplitudes.copy(), pulses, cfg, 0, [], [])
         assert np.abs(final.amplitudes - y / np.linalg.norm(y)).max() <= EQUIVALENCE_TOL
+
+
+def reduced_cases():
+    """Searches whose reduced trajectory is checked against its dense rows."""
+    for n in (2, 15, 64):
+        marked = 1 + n // 2
+        for variant in ("probabilistic", "deterministic"):
+            yield SearchConfig(n, marked, mode="ideal", variant=variant)
+            for stride in (1, 8, 4000):
+                yield SearchConfig(n, marked, mode="physical", variant=variant,
+                                   integrator=IntegratorConfig(trajectory_stride=stride))
+        # windows 30 widths long, centers 10 apart: one overlapping cluster
+        yield SearchConfig(n, marked, mode="physical",
+                           pulse=PulseSettings(spacing=10.0))
+
+
+def search_with_dense_rows(cfg, monkeypatch):
+    """A search plus its population rows as the dense recorders wrote them:
+    |state|^2 of every ideal iterate, or the full (N+1)-vector rebuilt at
+    every recorded RK4 step."""
+    if cfg.mode == "ideal":
+        plan = build_plan(cfg)
+        state = initialize(cfg)
+        rows = [state.populations]
+        for oracle, reflection in plan.steps:
+            state = apply(reflection, apply(oracle, state))
+            rows.append(state.populations)
+        return run_search(cfg), np.array(rows)
+    rows = [basis_register(cfg.n_ions, 0).populations]
+    real = dynamics._advance
+
+    def recording(y, q, marks, products, t0, h, times, segments):
+        if times is not None:
+            lead = q.conj().T @ y
+            full = (np.einsum("ijm,j->mi", products, lead) - lead) @ q.T + y
+            rows.extend(np.square(np.abs(full)))
+        return real(y, q, marks, products, t0, h, times, segments)
+
+    monkeypatch.setattr(dynamics, "_advance", recording)
+    return run_search(cfg), np.array(rows)
+
+
+class TestReducedTrajectory:
+    """Slots, totals and the CSV columns of the reduced record against the
+    dense rows of the recorders it replaced."""
+
+    @pytest.mark.parametrize("cfg", list(reduced_cases()),
+                             ids=lambda c: f"{c.mode}-{c.variant}-N{c.n_ions}-"
+                                           f"stride{c.integrator.trajectory_stride}-"
+                                           f"spacing{c.pulse.spacing:g}")
+    def test_slots_and_totals_match_dense_rows(self, cfg, monkeypatch):
+        result, dense = search_with_dense_rows(cfg, monkeypatch)
+        trajectory, m = result.trajectory, cfg.marked_index
+        assert dense.shape == (len(result.trajectory_times), cfg.n_ions + 1)
+        assert len(trajectory) == len(dense)
+        assert np.abs(trajectory.slots([m, 0]) - dense[:, [m, 0]]).max() <= 1e-15
+        assert np.abs(trajectory.totals() - dense.sum(axis=1)).max() <= 1e-13
+        # p_other_total as the per-row writer computed it from the dense rows
+        other = [float(row.sum()) - row[m] - row[0] for row in dense]
+        columns = trajectory.columns(m)
+        assert np.abs(columns[:, :2] - dense[:, [m, 0]]).max() <= 1e-15
+        assert np.abs(columns[:, 2] - other).max() <= 1e-13
+        # and the dense rows built on first read
+        assert np.abs(result.trajectory_populations - dense).max() <= 1e-15
+
+    def test_segment_of_rank_zero_holds_the_rows_exactly(self):
+        rng = np.random.default_rng(5)
+        ys = [random_state(rng, 4) for _ in range(3)]
+        trajectory = Trajectory((state_segment(ys),))
+        pops = [np.abs(y) ** 2 for y in ys]
+        np.testing.assert_array_equal(trajectory.rows(), pops)
+        np.testing.assert_array_equal(trajectory.totals(), [p.sum() for p in pops])
 
 
 def rosen_zener_window(alpha, t, width):

@@ -196,6 +196,13 @@ class TestDetuningForPhase:
         for phi in (1e-9, 1e-160, 1e-300):
             assert detuning_for_phase(phi, l) == pytest.approx(2 * l * l / phi, rel=1e-12)
 
+    @pytest.mark.parametrize("l", [1, 2, 5])
+    @pytest.mark.parametrize("phi", [5e-324, 1e-310])
+    def test_phase_beyond_float_range(self, phi, l):
+        # phi/2 underflows to 0 at 5e-324; delta*T ~ 2 l^2 / phi overflows at 1e-310
+        with pytest.raises(NoSolutionError):
+            detuning_for_phase(phi, l)
+
     def test_wrap_phase_branch(self):
         assert wrap_phase(math.pi) == pytest.approx(math.pi)
         assert wrap_phase(-math.pi) == pytest.approx(math.pi)
