@@ -8,14 +8,11 @@ robustness studies and a reproduction CLI.
 __version__ = "0.1.0"
 
 from .dynamics import (
-    HamiltonianSpec,
     IntegrationError,
     IntegratorConfig,
     evolve,
     evolve_schedule,
     fit_hr_phase,
-    hamiltonian_from_pulse,
-    hamiltonian_matrix,
     hr_distance,
     propagator,
 )
@@ -34,15 +31,12 @@ from .householder import (
     Operator,
     Reflection,
     apply,
-    compose,
     generalized_hr,
-    identity_operator,
     standard_hr,
 )
 from .imperfections import (
     SweepRow,
     adapted_chi,
-    adapted_iteration_count,
     adapted_advantage,
     beam_factors,
     infidelity_sweep,
@@ -69,7 +63,6 @@ from .pulses import (
     PulseShape,
     PulseSpec,
     build_global_pulse,
-    build_local_pulse,
     calibrate_generalized_pulse,
     detuning_for_phase,
     phase_from_detuning,

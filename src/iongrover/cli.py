@@ -295,6 +295,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: config invalid: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: output not written: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ from .model import (
     RegisterState,
     Trajectory,
     check_number,
+    local_chi,
     state_segment,
 )
 from .pulses import PulseShape, PulseSpec
@@ -50,28 +51,6 @@ from .pulses import PulseShape, PulseSpec
 
 class IntegrationError(RuntimeError):
     """The integrator violated its norm or unitarity budget."""
-
-
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """One pulse seen by the integrator: couplings, envelope and detuning."""
-
-    couplings: np.ndarray
-    envelope: PulseShape
-    detuning: float = 0.0
-
-    def __post_init__(self) -> None:
-        g = np.array(self.couplings, dtype=complex)
-        if g.ndim != 1 or len(g) < 2:
-            raise ValueError("couplings must be a vector over at least 2 ions")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("couplings must be finite")
-        g.setflags(write=False)
-        object.__setattr__(self, "couplings", g)
-
-    @property
-    def n_ions(self) -> int:
-        return len(self.couplings)
 
 
 @dataclass(frozen=True)
@@ -100,19 +79,6 @@ class IntegratorConfig:
             raise ValueError("norm tolerance must be in (0, 1e-9]")
         if self.trajectory_stride < 1:
             raise ValueError("trajectory stride must be at least 1")
-
-
-def hamiltonian_matrix(spec: HamiltonianSpec, t: float) -> np.ndarray:
-    """Dense Hamiltonian at time t (pulse centered at t = 0), hermitian by construction."""
-    if not math.isfinite(t):
-        raise ValueError("time must be finite")
-    n = spec.n_ions
-    f = float(spec.envelope.envelope(t))
-    h = np.zeros((n + 1, n + 1), dtype=complex)
-    h[1:, 0] = spec.couplings * (f / 2.0)
-    h[0, 1:] = np.conj(spec.couplings) * (f / 2.0)
-    h[0, 0] = spec.detuning
-    return h
 
 
 #: one-step matrices held in memory at once; longer grids are chained in
@@ -236,9 +202,10 @@ def _integrate_cluster(y, pulses, spans, cfg, stride, times, segments):
                     segments)
 
 
-def evolve(state: RegisterState, spec: HamiltonianSpec,
+def evolve(state: RegisterState, spec: PulseSpec,
            cfg: IntegratorConfig | None = None) -> RegisterState:
-    """Propagate a register state across the full pulse window.
+    """Propagate a register state across the full pulse window (its center
+    only places the pulse in time, so it is ignored here).
 
     Raises ``IntegrationError`` if the norm drifts beyond the configured
     tolerance; drift inside the tolerance is repaired, never hidden above it.
@@ -249,7 +216,7 @@ def evolve(state: RegisterState, spec: HamiltonianSpec,
             f"pulse drives {spec.n_ions} ions but register has {state.n_ions}"
         )
     y = _integrate_pulse(state.amplitudes, spec.couplings, spec.detuning,
-                         spec.envelope, cfg.steps_per_pulse, cfg.window)
+                         spec.shape, cfg.steps_per_pulse, cfg.window)
     drift = abs(float(np.linalg.norm(y)) - 1.0)
     if not drift <= cfg.norm_tolerance:
         raise IntegrationError(
@@ -258,7 +225,7 @@ def evolve(state: RegisterState, spec: HamiltonianSpec,
     return RegisterState(y)
 
 
-def propagator(spec: HamiltonianSpec, cfg: IntegratorConfig | None = None,
+def propagator(spec: PulseSpec, cfg: IntegratorConfig | None = None,
                unitarity_tol: float = 1e-9) -> Operator:
     """Full-window propagator, column k being the evolution of basis slot k.
 
@@ -267,15 +234,29 @@ def propagator(spec: HamiltonianSpec, cfg: IntegratorConfig | None = None,
     """
     cfg = cfg or IntegratorConfig()
     u = _integrate_pulse(np.eye(spec.n_ions + 1), spec.couplings, spec.detuning,
-                         spec.envelope, cfg.steps_per_pulse, cfg.window)
+                         spec.shape, cfg.steps_per_pulse, cfg.window)
     try:
         return Operator(u, unitarity_tol=unitarity_tol)
     except ValueError as exc:
         raise IntegrationError(str(exc)) from exc
 
 
-def hamiltonian_from_pulse(pulse: PulseSpec) -> HamiltonianSpec:
-    return HamiltonianSpec(pulse.couplings, pulse.shape, pulse.detuning)
+def HamiltonianSpec(couplings, envelope: PulseShape, detuning: float = 0.0) -> PulseSpec:
+    """The pulse with per-ion couplings g: rms peak |g| along chi = g/|g|.
+
+    Kept as an alias for callers that describe a pulse by its couplings;
+    zero couplings give a pulse of rms peak 0.
+    """
+    g = np.asarray(couplings, dtype=complex)
+    strength = float(np.linalg.norm(g))
+    check_number(strength, "coupling strength")
+    chi = CouplingVector(g / strength) if strength else local_chi(len(g), 1)
+    return PulseSpec(envelope, chi, strength, detuning=detuning)
+
+
+def hamiltonian_from_pulse(pulse: PulseSpec) -> PulseSpec:
+    """Alias kept for callers written against ``HamiltonianSpec``: the pulse itself."""
+    return pulse
 
 
 def evolve_schedule(

@@ -18,7 +18,7 @@ import numpy as np
 import numpy.random  # loaded lazily by numpy; here it loads with the package
 
 from . import imperfections
-from .dynamics import IntegrationError, evolve, evolve_schedule, hamiltonian_from_pulse
+from .dynamics import IntegrationError, evolve, evolve_schedule
 from .householder import apply, generalized_hr
 from .model import (
     CouplingVector,
@@ -67,17 +67,19 @@ def deterministic_params(n_ions: int, count: int | None = None) -> tuple[int, fl
 
 @dataclass(frozen=True)
 class IterationPlan:
-    """Resolved schedule: counts, phase, and the materialized steps.
+    """Resolved schedule: counts, phase, pulse strength and the materialized steps.
 
     ``steps`` holds one (oracle, reflection) pair per iteration, as exact
     rank-1 reflections in ideal mode or pulse specs in physical mode;
-    ``init_pulse`` is set in physical mode only.
+    ``init_pulse`` is set in physical mode only.  ``peak_coupling`` is the
+    rms Rabi peak of the 2-pi pulses: as configured, or the exact 2-pi area.
     """
 
     variant: str
     count: int
     phi: float
     delta_t: float
+    peak_coupling: float
     init_pulse: PulseSpec | None
     steps: tuple[tuple[Any, Any], ...]
 
@@ -102,29 +104,10 @@ def _resolve_phase(cfg: SearchConfig) -> tuple[int, float, float]:
     return cfg.iterations or iteration_count(cfg.n_ions), math.pi, 0.0
 
 
-def _global_peak(cfg: SearchConfig) -> float:
-    """Rms Rabi peak of the 2-pi pulses: as configured, or the exact 2-pi area."""
-    shape = PulseShape(cfg.pulse.shape, cfg.pulse.width)
-    return cfg.pulse.peak_coupling or 2.0 * math.pi / shape.integral()
-
-
 def _reflection_chi(cfg: SearchConfig, factors: np.ndarray) -> CouplingVector:
     if cfg.imperfection.reflection == "uniform":
         return CouplingVector(np.ones(cfg.n_ions) / math.sqrt(cfg.n_ions))
     return CouplingVector(factors / np.linalg.norm(factors))
-
-
-def _init_pulse(cfg: SearchConfig, factors: np.ndarray, center: float) -> PulseSpec:
-    shape = PulseShape(cfg.pulse.shape, cfg.pulse.width)
-    norm = float(np.linalg.norm(factors))
-    chi = CouplingVector(factors / norm)
-    # Same beam as the global pulse at half the Rabi frequency; calibrated
-    # means the power is trimmed for an exact rms-pi transfer, uncalibrated
-    # leaves it at the uniform-beam setting.
-    peak = _global_peak(cfg) / 2.0
-    if cfg.imperfection.calibration == "uncalibrated":
-        peak *= norm / math.sqrt(cfg.n_ions)
-    return PulseSpec(shape, chi, peak, detuning=0.0, center=center)
 
 
 def build_plan(cfg: SearchConfig) -> IterationPlan:
@@ -133,41 +116,52 @@ def build_plan(cfg: SearchConfig) -> IterationPlan:
     factors = _profile_factors(cfg)
     refl_chi = _reflection_chi(cfg, factors)
     oracle_chi = local_chi(cfg.n_ions, cfg.marked_index)
+    shape = PulseShape(cfg.pulse.shape, cfg.pulse.width)
+    peak = cfg.pulse.peak_coupling or 2.0 * math.pi / shape.integral()
 
     if cfg.mode == "ideal":
         oracle = generalized_hr(oracle_chi, phi)
         reflection = generalized_hr(refl_chi, phi)
-        return IterationPlan(cfg.variant, count, phi, delta_t, None,
+        return IterationPlan(cfg.variant, count, phi, delta_t, peak, None,
                              tuple((oracle, reflection) for _ in range(count)))
 
-    shape = PulseShape(cfg.pulse.shape, cfg.pulse.width)
+    if cfg.pulse.shape != "sech" and phi != math.pi:
+        # the detuning comes from the sech closed form (phase_from_detuning)
+        raise ValueError(
+            f"a {cfg.pulse.shape!r} pulse cannot realize the planned reflection "
+            f"phase {phi / math.pi:.4f}*pi: detuned pulses are calibrated for "
+            "sech only, so a physical search with a non-sech shape must run at "
+            "phase pi, as the probabilistic variant does")
     width = cfg.pulse.width
     spacing = cfg.pulse.spacing * width
-    global_peak = _global_peak(cfg)
     delta = delta_t / width
     centers = [(0.5 + i) * spacing for i in range(2 * count + 1)]
-    init = _init_pulse(cfg, factors, centers[0])
-    steps = []
-    for k in range(count):
-        oracle = PulseSpec(shape, oracle_chi, global_peak, detuning=delta,
-                           center=centers[1 + 2 * k])
-        glob = PulseSpec(shape, refl_chi, global_peak, detuning=delta,
-                         center=centers[2 + 2 * k])
-        steps.append((oracle, glob))
-    return IterationPlan(cfg.variant, count, phi, delta_t, init, tuple(steps))
+    norm = float(np.linalg.norm(factors))
+    # Same beam as the global pulse at half the Rabi frequency; calibrated
+    # means the power is trimmed for an exact rms-pi transfer, uncalibrated
+    # leaves it at the uniform-beam setting.
+    init_peak = peak / 2.0
+    if cfg.imperfection.calibration == "uncalibrated":
+        init_peak *= norm / math.sqrt(cfg.n_ions)
+    init = PulseSpec(shape, CouplingVector(factors / norm), init_peak, detuning=0.0,
+                     center=centers[0])
+    steps = tuple(
+        (PulseSpec(shape, oracle_chi, peak, detuning=delta, center=centers[1 + 2 * k]),
+         PulseSpec(shape, refl_chi, peak, detuning=delta, center=centers[2 + 2 * k]))
+        for k in range(count))
+    return IterationPlan(cfg.variant, count, phi, delta_t, peak, init, steps)
 
 
 def initialize(cfg: SearchConfig) -> RegisterState:
     """Prepare the start register: the bright state of the (possibly
     profile-shaped) init beam, exact in ideal mode, integrated in physical."""
-    factors = _profile_factors(cfg)
     if cfg.mode == "ideal":
         return imperfections.register_from_factors(
-            factors, calibrated=cfg.imperfection.calibration == "calibrated"
+            _profile_factors(cfg),
+            calibrated=cfg.imperfection.calibration == "calibrated",
         )
-    pulse = _init_pulse(cfg, factors, center=0.0)
-    return evolve(basis_register(cfg.n_ions, 0),
-                  hamiltonian_from_pulse(pulse), cfg.integrator)
+    return evolve(basis_register(cfg.n_ions, 0), build_plan(cfg).init_pulse,
+                  cfg.integrator)
 
 
 def run_search(cfg: SearchConfig) -> SearchResult:
@@ -181,7 +175,7 @@ def run_search(cfg: SearchConfig) -> SearchResult:
         "iterations": plan.count,
         "phi": plan.phi,
         "delta_t": plan.delta_t,
-        "peak_coupling": _global_peak(cfg),
+        "peak_coupling": plan.peak_coupling,
         "pulse_shape": cfg.pulse.shape,
         "pulse_width": cfg.pulse.width,
         "pulse_spacing": cfg.pulse.spacing,
@@ -215,7 +209,7 @@ def run_search(cfg: SearchConfig) -> SearchResult:
         final_state=state,
         success_probability=marked_probability(state, cfg.marked_index),
         trajectory_times=np.asarray(times, dtype=float),
-        trajectory_populations=trajectory,
+        trajectory=trajectory,
         iterations_executed=plan.count,
         parameters_used=params,
     )

@@ -5,7 +5,7 @@ slot 0 always carries the identity.  ``standard_hr`` is the involutory
 reflection 1 - 2|chi><chi| and ``generalized_hr`` replaces the -1 eigenvalue
 on chi by an arbitrary phase factor exp(i*phi).  A reflection is kept as the
 rank-1 pair (chi, phi) and applied in O(N); its dense matrix is built only
-when read.  ``Operator`` is the dense type of propagators and compositions.
+when read.  ``Operator`` is the dense type of integrated propagators.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,19 +43,6 @@ class Operator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_ions(self) -> int:
-        return self.dim - 1
-
-    @property
-    def manifold_block(self) -> np.ndarray:
-        """The ion-manifold sub-matrix (slots 1..N)."""
-        return self.matrix[1:, 1:]
-
 
 def _rank1_defect(c: complex, s: float) -> float:
     """||U^dag U - 1||_F of U = 1 + c|chi><chi| with s = <chi|chi>, in O(1).
@@ -70,7 +56,7 @@ def _rank1_defect(c: complex, s: float) -> float:
 class Reflection:
     """1 + (exp(i*phi) - 1)|chi><chi| on the ion manifold, identity on the ancilla.
 
-    Exposes the read API of ``Operator``; ``matrix`` is built on first read.
+    Like ``Operator`` it exposes ``matrix``, built here on first read.
     """
 
     chi: CouplingVector
@@ -98,25 +84,12 @@ class Reflection:
     def dim(self) -> int:
         return len(self.vector)
 
-    @property
-    def n_ions(self) -> int:
-        return self.dim - 1
-
     @cached_property
     def matrix(self) -> np.ndarray:
         mat = np.eye(self.dim, dtype=complex)
         mat += self.factor * np.outer(self.vector, self.vector.conj())
         mat.setflags(write=False)
         return mat
-
-    @property
-    def manifold_block(self) -> np.ndarray:
-        """The ion-manifold sub-matrix (slots 1..N)."""
-        return self.matrix[1:, 1:]
-
-
-def identity_operator(n_ions: int) -> Operator:
-    return Operator(np.eye(n_ions + 1, dtype=complex))
 
 
 def generalized_hr(chi: CouplingVector, phi: float) -> Reflection:
@@ -129,34 +102,10 @@ def standard_hr(chi: CouplingVector) -> Reflection:
     return generalized_hr(chi, np.pi)
 
 
-def apply(op: Operator | Reflection, state: RegisterState) -> RegisterState:
+def apply(op: Reflection, state: RegisterState) -> RegisterState:
     if op.dim != state.n_ions + 1:
         raise DimensionMismatchError(
             f"operator dim {op.dim} does not match register size {state.n_ions + 1}"
         )
-    if isinstance(op, Operator):
-        return RegisterState(op.matrix @ state.amplitudes)
     y, v = state.amplitudes, op.vector
     return RegisterState(y + (op.factor * np.vdot(v, y)) * v)
-
-
-def compose(ops: Sequence[Operator | Reflection] | Iterable[Operator | Reflection],
-            n_ions: int | None = None) -> Operator:
-    """Product of operators listed in application order (first applied first).
-
-    An empty list composes to the identity; ``n_ions`` is then required to fix
-    the dimension.
-    """
-    ops = list(ops)
-    if not ops:
-        if n_ions is None:
-            raise ValueError("empty composition needs an explicit n_ions")
-        return identity_operator(n_ions)
-    dim = ops[0].dim
-    for op in ops:
-        if op.dim != dim:
-            raise DimensionMismatchError("operators in a composition must share a dimension")
-    mat = np.eye(dim, dtype=complex)
-    for op in ops:
-        mat = op.matrix @ mat
-    return Operator(mat, unitarity_tol=1e-11)

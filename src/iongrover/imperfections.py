@@ -68,20 +68,6 @@ def adapted_chi(register: RegisterState) -> CouplingVector:
     return CouplingVector(ions / norm)
 
 
-def adapted_iteration_count(a_m: complex) -> int:
-    """Optimal step count when the marked slot starts at amplitude a_m.
-
-    Integer part of pi / (4 |a_m|), clamped to at least one step (the formula
-    targets small amplitudes and degenerates for order-one ones).
-    """
-    mag = abs(a_m)
-    if mag <= 0.0:
-        raise ValueError("marked amplitude must be nonzero")
-    if mag > 1.0 + FLAT:
-        raise ValueError(f"amplitude magnitude {mag} exceeds 1")
-    return max(1, int(math.pi / (4.0 * mag) + FLAT))
-
-
 @dataclass(frozen=True)
 class SweepRow:
     epsilon: float

@@ -10,6 +10,7 @@ amplitude arrays are frozen after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -330,20 +331,15 @@ class SearchResult:
     """Outcome of a search run plus the recorded population trace.
 
     ``trajectory_times`` holds absolute times in physical mode and iteration
-    indices in ideal mode.  ``trajectory_populations`` holds one (N+1)-slot
-    population row per sample, ancilla first.  A search passes it as a
-    ``Trajectory``, which is kept reduced as ``trajectory``; the dense rows
-    are then built on first read.  Dense rows may be passed directly too.
+    indices in ideal mode, one per row of the reduced ``trajectory``.
     """
 
     final_state: RegisterState
     success_probability: float
     trajectory_times: np.ndarray
-    trajectory_populations: np.ndarray | Trajectory
+    trajectory: Trajectory
     iterations_executed: int
     parameters_used: dict
-    trajectory: Trajectory | None = field(init=False, default=None, repr=False,
-                                          compare=False)
 
     def __post_init__(self) -> None:
         marked = self.parameters_used.get("marked_index")
@@ -354,24 +350,17 @@ class SearchResult:
                     "success probability inconsistent with final state: "
                     f"{self.success_probability!r} vs {direct!r}"
                 )
+        if not isinstance(self.trajectory, Trajectory):
+            raise TypeError("trajectory must be a Trajectory, got "
+                            f"{type(self.trajectory).__name__}")
         times = np.asarray(self.trajectory_times, dtype=float)
         times.setflags(write=False)
         object.__setattr__(self, "trajectory_times", times)
-        pops = self.trajectory_populations
-        if isinstance(pops, Trajectory):
-            object.__setattr__(self, "trajectory", pops)
-            object.__delattr__(self, "trajectory_populations")  # see __getattr__
-        else:
-            pops = np.asarray(pops, dtype=float)
-            pops.setflags(write=False)
-            object.__setattr__(self, "trajectory_populations", pops)
 
-    def __getattr__(self, name: str):
-        # reached only for attributes not set: the dense rows of a reduced
-        # trajectory before their first read
-        if name != "trajectory_populations" or self.__dict__.get("trajectory") is None:
-            raise AttributeError(name)
+    @cached_property
+    def trajectory_populations(self) -> np.ndarray:
+        """Dense read-only populations, one (N+1)-slot row per sample, ancilla
+        first; built on first read."""
         rows = self.trajectory.rows()
         rows.setflags(write=False)
-        object.__setattr__(self, name, rows)
         return rows

@@ -123,7 +123,8 @@ def rms_area(pulse: PulseSpec, window: float | None = None) -> float:
 
 
 def phase_from_detuning(delta_t: float, l: int = 1) -> float:
-    """Reflection phase of a sech pulse with rms area 2*pi*l at detuning delta*T.
+    """Reflection phase of a sech pulse with rms area 2*pi*l at detuning delta*T
+    (sech only: other envelopes map delta*T to other phases).
 
     phi = 2 * sum_{j=0}^{l-1} arg(delta*T + i(2j+1)), reduced to (-pi, pi].
     Resonance gives phi = pi for odd l and phi = 0 for even l.
@@ -181,28 +182,14 @@ def build_global_pulse(
 ) -> PulseSpec:
     """Rms-area-2*pi pulse on the whole chain realizing M(chi; phase).
 
-    ``phase = pi`` gives the resonant standard reflection; other phases set
-    the detuning via the sech closed form (use ``calibrate_generalized_pulse``
-    for non-sech envelopes).
+    ``phase = pi`` gives the resonant standard reflection for any envelope.
+    Other phases set the detuning via the sech closed form, so they hold for
+    sech only (use ``calibrate_generalized_pulse`` for non-sech envelopes).
     """
     shp = PulseShape(shape, width)
     peak = peak_coupling if peak_coupling is not None else 2.0 * math.pi / shp.integral()
     delta_t = 0.0 if phase == math.pi else detuning_for_phase(phase, 1)
     return PulseSpec(shp, chi, peak, detuning=delta_t / width, center=center)
-
-
-def build_local_pulse(
-    marked_index: int,
-    n_ions: int,
-    phase: float = math.pi,
-    shape: str = "sech",
-    width: float = 1.0,
-    peak_coupling: float | None = None,
-    center: float = 0.0,
-) -> PulseSpec:
-    """2*pi pulse addressing one ion: the oracle reflection M(chi_m; phase)."""
-    chi = local_chi(n_ions, marked_index)
-    return build_global_pulse(chi, phase, shape, width, peak_coupling, center)
 
 
 def calibrate_generalized_pulse(
@@ -233,9 +220,7 @@ def calibrate_generalized_pulse(
     # probes only steer the root finder, so they run coarse and with a loose
     # unitarity gate; the returned pulse is exact to the solver precision
     def probe(area: float, delta_t: float):
-        spec = dynamics.HamiltonianSpec(
-            (area / shp.integral()) * probe_chi.components, shp, delta_t / width
-        )
+        spec = PulseSpec(shp, probe_chi, area / shp.integral(), detuning=delta_t / width)
         return dynamics.propagator(spec, cfg, unitarity_tol=1e-2)
 
     def best_area(delta_t: float) -> float:

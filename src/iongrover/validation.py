@@ -101,11 +101,11 @@ def _propagator_checks(rng: np.random.Generator, trials: int) -> list[CheckResul
         for n in (2, 5):
             chi = _random_chi(rng, n)
             std = pulses.build_global_pulse(chi)
-            u = dynamics.propagator(dynamics.hamiltonian_from_pulse(std), cfg)
+            u = dynamics.propagator(std, cfg)
             worst_std = max(worst_std, dynamics.hr_distance(
                 u, householder.standard_hr(chi)))
             gen = pulses.build_global_pulse(chi, phase=phi)
-            u = dynamics.propagator(dynamics.hamiltonian_from_pulse(gen), cfg)
+            u = dynamics.propagator(gen, cfg)
             worst_gen = max(worst_gen, dynamics.hr_distance(
                 u, householder.generalized_hr(chi, phi)))
     return [
@@ -124,8 +124,7 @@ def _fitted_phase(rng: np.random.Generator, trials: int) -> CheckResult:
     for _ in range(trials):
         dt = rng.uniform(0.05, 2.0)
         chi = _random_chi(rng, 2)
-        spec = dynamics.HamiltonianSpec(2.0 * chi.components,
-                                        pulses.PulseShape("sech", 1.0), dt)
+        spec = pulses.PulseSpec(pulses.PulseShape("sech", 1.0), chi, 2.0, detuning=dt)
         fitted = dynamics.fit_hr_phase(dynamics.propagator(spec, cfg), chi)
         worst = max(worst, abs(fitted - pulses.phase_from_detuning(dt, 1)))
     return _check("fitted_phase_vs_formula", worst, 1e-3,
@@ -135,7 +134,7 @@ def _fitted_phase(rng: np.random.Generator, trials: int) -> CheckResult:
 def _integrator_checks() -> list[CheckResult]:
     chi = model.CouplingVector(np.array([0.6, 0.8]))
     shape = pulses.PulseShape("sech", 1.0)
-    spec = dynamics.HamiltonianSpec(2.0 * chi.components, shape, 0.589)
+    spec = pulses.PulseSpec(shape, chi, 2.0, detuning=0.589)
     ref = dynamics.propagator(spec, dynamics.IntegratorConfig(steps_per_pulse=32000))
     errs = []
     for steps in (500, 1000):

@@ -6,6 +6,7 @@ import pytest
 
 from iongrover import cli
 from iongrover.cli import main
+from iongrover.grover import run_search
 from iongrover.imperfections import SweepRow
 from iongrover.model import SearchConfig, Trajectory
 from iongrover.pulses import rms_area
@@ -169,6 +170,53 @@ class TestValidateCommand:
         report = json.loads((out / "validation_report.json").read_text())
         assert report["passed"] is True
         assert all(c["margin"] >= 0 for c in report["checks"])
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command", [
+        ["run", "--config", "{cfg}"],
+        ["reproduce", "--figure", "fig3"],
+        ["validate", "--suite", "fast"],
+    ], ids=lambda c: c[0])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "cfg.json")
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        argv = [a.format(cfg=cfg) for a in command] + ["--out", str(taken)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert taken.read_text() == "keep"
+
+
+class TestNonSechShape:
+    def test_detuned_gaussian_search_refused(self, tmp_path, capsys):
+        # the sech closed-form detuning gave p = 0.814 here, with exit 0
+        cfg = write_config(tmp_path / "cfg.json", n_ions=5, marked_index=2,
+                           mode="physical", variant="deterministic",
+                           pulse={"shape": "gaussian"})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sech only" in err and "'gaussian'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variant, iterations",
+                             [("probabilistic", None), ("deterministic", 1)])
+    def test_resonant_gaussian_search_runs(self, tmp_path, variant, iterations):
+        # phase pi needs only the 2-pi area, which any envelope gets right; one
+        # deterministic iteration at N = 5 clips the matched phase to pi
+        cfg = write_config(tmp_path / "cfg.json", n_ions=5, marked_index=2,
+                           mode="physical", variant=variant, iterations=iterations,
+                           pulse={"shape": "gaussian"})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["parameters_used"]["phi"] == math.pi
+        ideal = run_search(SearchConfig(n_ions=5, marked_index=2, variant=variant,
+                                        iterations=iterations))
+        assert result["success_probability"] == pytest.approx(
+            ideal.success_probability, abs=1e-5)
 
 
 class TestConfigHardening:

@@ -9,7 +9,7 @@ from iongrover.dynamics import (
     IntegratorConfig,
     evolve,
     evolve_schedule,
-    hamiltonian_matrix,
+    hamiltonian_from_pulse,
     hr_distance,
     propagator,
     _integrate_pulse,
@@ -36,36 +36,80 @@ def random_chi(seed: int, n: int) -> CouplingVector:
     return CouplingVector(v / np.linalg.norm(v))
 
 
+class TestHamiltonianSpecAlias:
+    def test_couplings_become_peak_and_direction(self):
+        g = np.array([0.4, 0.3 + 0.2j, -1.1])
+        spec = HamiltonianSpec(g, SECH, 0.7)
+        assert isinstance(spec, PulseSpec)
+        assert spec.rms_peak == pytest.approx(np.linalg.norm(g), rel=1e-15)
+        np.testing.assert_allclose(spec.chi.components, g / np.linalg.norm(g),
+                                   atol=1e-15)
+        np.testing.assert_allclose(spec.couplings, g, atol=1e-15)
+        assert (spec.shape, spec.detuning, spec.center) == (SECH, 0.7, 0.0)
+
+    def test_zero_couplings_give_zero_peak(self):
+        spec = HamiltonianSpec(np.zeros(3), SECH)
+        assert spec.rms_peak == 0.0 and spec.n_ions == 3
+        np.testing.assert_array_equal(spec.couplings, np.zeros(3))
+
+    @pytest.mark.parametrize("g", [[1.0], [0.0], [1.0, math.nan]])
+    def test_bad_couplings_rejected(self, g):
+        with pytest.raises(ValueError):
+            HamiltonianSpec(np.array(g), SECH)
+
+    def test_from_pulse_is_the_pulse(self):
+        pulse = PulseSpec(SECH, uniform_chi(4), 2.0, detuning=0.3, center=5.0)
+        assert hamiltonian_from_pulse(pulse) is pulse
+
+
 class TestHamiltonianMatrix:
+    """H = [[delta, g^dag/2], [g/2, 0]] (ancilla first), seen through the
+    propagator it generates over the full pulse window."""
+
     def test_zero_envelope_zero_detuning(self):
         spec = HamiltonianSpec(np.array([0.0, 0.0]), SECH, 0.0)
-        np.testing.assert_allclose(hamiltonian_matrix(spec, 0.0), np.zeros((3, 3)))
+        np.testing.assert_array_equal(propagator(spec).matrix, np.eye(3))
 
     def test_two_ion_structure(self):
+        # the ancilla couples to the bright ion state g/|g| only; the dark
+        # state orthogonal to it is left untouched
         g = np.array([0.4, 0.3 + 0.2j])
-        spec = HamiltonianSpec(g, SECH, 0.0)
-        h = hamiltonian_matrix(spec, 0.0)
-        np.testing.assert_allclose(h[1:, 0], g / 2)
-        np.testing.assert_allclose(h[0, 1:], np.conj(g) / 2)
-        assert h[0, 0] == 0
-        np.testing.assert_allclose(h[1:, 1:], 0)
+        u = propagator(HamiltonianSpec(g, SECH, 0.0)).matrix
+        dark = np.array([0.0, -np.conj(g[1]), np.conj(g[0])])
+        np.testing.assert_allclose(u @ dark, dark, atol=1e-12)
+        assert abs(u[1, 0] * g[1] - u[2, 0] * g[0]) < 1e-12
+        assert abs(u[1, 0]) > 0.1
 
     def test_detuning_sits_on_ancilla_diagonal(self):
-        spec = HamiltonianSpec(np.array([1.0, 1.0]), SECH, 0.7)
-        assert hamiltonian_matrix(spec, 0.0)[0, 0] == pytest.approx(0.7)
+        # without coupling the detuning only phases the ancilla, at rate delta
+        # over the 2 * window * T long integration window
+        spec = HamiltonianSpec(np.array([0.0, 0.0]), SECH, 0.7)
+        u = propagator(spec).matrix
+        duration = 2.0 * 15.0 * SECH.width
+        assert u[0, 0] == pytest.approx(np.exp(-0.7j * duration), abs=1e-9)
+        np.testing.assert_array_equal(u[1:, 1:], np.eye(2))
+        np.testing.assert_array_equal(u[0, 1:], 0.0)
+        np.testing.assert_array_equal(u[1:, 0], 0.0)
 
     def test_hermitian_for_random_specs(self):
+        # a Hermitian generator integrates to a unitary propagator; the
+        # fine grid keeps the RK4 defect of strong random pulses far below 1e-9
         rng = np.random.default_rng(3)
+        fine = IntegratorConfig(steps_per_pulse=16000)
         for _ in range(10):
             g = rng.normal(size=5) + 1j * rng.normal(size=5)
-            spec = HamiltonianSpec(g, SECH, rng.normal())
-            h = hamiltonian_matrix(spec, rng.normal())
-            assert np.linalg.norm(h - h.conj().T) == 0.0
+            u = propagator(HamiltonianSpec(g, SECH, rng.normal()), fine).matrix
+            assert np.linalg.norm(u.conj().T @ u - np.eye(6)) < 1e-9
 
     def test_envelope_scales_couplings(self):
-        spec = HamiltonianSpec(np.array([2.0, 0.0]), SECH, 0.0)
-        h = hamiltonian_matrix(spec, 3.0)
-        assert h[1, 0] == pytest.approx(1.0 / math.cosh(3.0), rel=1e-14)
+        # area = g * integral(sech) = g * pi: g = 1 is a pi pulse (full
+        # transfer), g = 2 a 2*pi pulse (the standard reflection on the ions)
+        half = propagator(HamiltonianSpec(np.array([1.0, 0.0]), SECH, 0.0)).matrix
+        assert abs(half[1, 0]) == pytest.approx(1.0, abs=1e-5)
+        full = propagator(HamiltonianSpec(np.array([2.0, 0.0]), SECH, 0.0)).matrix
+        np.testing.assert_allclose(full[1:, 1:],
+                                   standard_hr(local_chi(2, 1)).matrix[1:, 1:],
+                                   atol=1e-5)
 
 
 class TestEvolve:
@@ -182,7 +226,7 @@ class TestSchedule:
         final, times, pops = evolve_schedule(state, pulses, record=True)
         manual = state
         for p in pulses:
-            manual = evolve(manual, HamiltonianSpec(p.couplings, p.shape, p.detuning))
+            manual = evolve(manual, p)  # evolve ignores the center
         assert fidelity(final, manual) > 1 - 1e-12
         assert times[0] == 0.0 and times[-1] == pytest.approx(60.0)
         assert pops.rows().shape[1] == 4

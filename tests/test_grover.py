@@ -20,6 +20,7 @@ from iongrover.model import (
     SearchConfig,
     basis_register,
     fidelity,
+    local_chi,
     uniform_register,
 )
 
@@ -199,12 +200,12 @@ class TestRunSearchPhysical:
     def test_oracle_locality(self):
         # the oracle pulse must leave every unmarked slot magnitude alone
         from iongrover.dynamics import evolve
-        from iongrover.pulses import build_local_pulse
+        from iongrover.pulses import build_global_pulse
 
         cfg = SearchConfig(n_ions=6, marked_index=3, mode="physical")
         state = initialize(cfg)
-        pulse = build_local_pulse(3, 6)
-        after = evolve(state, hamiltonian_from_pulse(pulse), cfg.integrator)
+        pulse = build_global_pulse(local_chi(6, 3))
+        after = evolve(state, pulse, cfg.integrator)
         before_mag = np.abs(state.amplitudes)
         after_mag = np.abs(after.amplitudes)
         for k in range(1, 7):

@@ -11,9 +11,7 @@ from iongrover.householder import (
     Reflection,
     _rank1_defect,
     apply,
-    compose,
     generalized_hr,
-    identity_operator,
     standard_hr,
 )
 from iongrover.imperfections import adapted_advantage
@@ -79,7 +77,7 @@ class TestStandardHR:
 
     def test_manifold_spectrum(self):
         # one -1 eigenvalue, the rest +1, determinant -1 on the manifold block
-        block = standard_hr(random_chi(11, 7)).manifold_block
+        block = standard_hr(random_chi(11, 7)).matrix[1:, 1:]
         eigs = np.linalg.eigvals(block)
         assert np.sum(np.abs(eigs + 1) < 1e-9) == 1
         assert np.sum(np.abs(eigs - 1) < 1e-9) == 6
@@ -120,7 +118,7 @@ class TestGeneralizedHR:
 class TestApply:
     def test_identity(self):
         state = uniform_register(6)
-        out = apply(identity_operator(6), state)
+        out = apply(generalized_hr(random_chi(6, 6), 0.0), state)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
     def test_oracle_flips_marked_amplitude(self):
@@ -139,44 +137,40 @@ class TestApply:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            apply(identity_operator(4), uniform_register(5))
+            apply(standard_hr(uniform_chi(4)), uniform_register(5))
 
 
 class TestCompose:
+    """Products of reflections, composed by applying them in turn."""
+
     def test_single(self):
         op = standard_hr(random_chi(2, 4))
-        np.testing.assert_allclose(compose([op]).matrix, op.matrix)
+        state = random_register(1, 4)
+        np.testing.assert_allclose(apply(op, state).amplitudes,
+                                   op.matrix @ state.amplitudes, atol=1e-15)
 
     def test_involution_pair(self):
         op = standard_hr(random_chi(3, 4))
-        np.testing.assert_allclose(compose([op, op]).matrix, np.eye(5), atol=1e-14)
-
-    def test_empty_needs_dimension(self):
-        np.testing.assert_allclose(compose([], n_ions=3).matrix, np.eye(4))
-        with pytest.raises(ValueError):
-            compose([])
+        state = random_register(2, 4)
+        np.testing.assert_allclose(apply(op, apply(op, state)).amplitudes,
+                                   state.amplitudes, atol=1e-14)
 
     def test_application_order(self):
-        # first element of the list acts first on the state
+        # the reflection applied first acts first on the state
         oracle = standard_hr(local_chi(4, 2))
         diffusion = standard_hr(uniform_chi(4))
-        grover_op = compose([oracle, diffusion])
-        np.testing.assert_allclose(grover_op.matrix,
-                                   diffusion.matrix @ oracle.matrix, atol=1e-15)
-
-    def test_three_iterations_n15(self):
-        oracle = standard_hr(local_chi(15, 4))
-        diffusion = standard_hr(uniform_chi(15))
-        op = compose([oracle, diffusion] * 3)
-        final = apply(op, uniform_register(15))
-        # closed form sin^2(7 asin(1/sqrt(15)))
-        expected = math.sin(7 * math.asin(1 / math.sqrt(15))) ** 2
-        assert expected == pytest.approx(0.9352421018747142, abs=1e-15)
-        assert abs(final.amplitudes[4]) ** 2 == pytest.approx(expected, abs=1e-12)
+        state = random_register(3, 4)
+        out = apply(diffusion, apply(oracle, state)).amplitudes
+        np.testing.assert_allclose(
+            out, diffusion.matrix @ oracle.matrix @ state.amplitudes, atol=1e-15)
+        assert not np.allclose(
+            out, oracle.matrix @ diffusion.matrix @ state.amplitudes, atol=1e-6)
 
     def test_mismatched_dimensions(self):
+        # a sequence mixing chain sizes fails at the first mismatched step
+        state = apply(standard_hr(uniform_chi(3)), uniform_register(3))
         with pytest.raises(DimensionMismatchError):
-            compose([identity_operator(3), identity_operator(4)])
+            apply(standard_hr(uniform_chi(4)), state)
 
 
 class TestGroverEquivalence:
@@ -184,10 +178,10 @@ class TestGroverEquivalence:
     def test_marked_probability_closed_form(self, n):
         theta = math.asin(1 / math.sqrt(n))
         for m in range(1, n + 1):
-            op = compose([standard_hr(local_chi(n, m)), standard_hr(uniform_chi(n))])
+            oracle, diffusion = standard_hr(local_chi(n, m)), standard_hr(uniform_chi(n))
             state = uniform_register(n)
             for k in range(1, 5):
-                state = apply(op, state)
+                state = apply(diffusion, apply(oracle, state))
                 expected = math.sin((2 * k + 1) * theta) ** 2
                 assert abs(state.amplitudes[m]) ** 2 == pytest.approx(
                     expected, abs=1e-12
@@ -198,9 +192,8 @@ class TestGroverEquivalence:
         # manifold the composites differ by an overall sign, so per-step
         # probabilities agree
         n, m = 8, 3
-        ours = compose(
-            [standard_hr(local_chi(n, m)), standard_hr(uniform_chi(n))]
-        ).manifold_block
+        ours = (standard_hr(uniform_chi(n)).matrix
+                @ standard_hr(local_chi(n, m)).matrix)[1:, 1:]
         w = np.ones(n) / math.sqrt(n)
         diffusion = 2 * np.outer(w, w) - np.eye(n)
         oracle = np.eye(n)
@@ -213,6 +206,17 @@ class TestGroverEquivalence:
             a = ours @ a
             b = textbook @ b
             assert abs(a[m - 1]) ** 2 == pytest.approx(abs(b[m - 1]) ** 2, abs=1e-13)
+
+    def test_three_iterations_n15(self):
+        oracle = standard_hr(local_chi(15, 4))
+        diffusion = standard_hr(uniform_chi(15))
+        final = uniform_register(15)
+        for _ in range(3):
+            final = apply(diffusion, apply(oracle, final))
+        # closed form sin^2(7 asin(1/sqrt(15)))
+        expected = math.sin(7 * math.asin(1 / math.sqrt(15))) ** 2
+        assert expected == pytest.approx(0.9352421018747142, abs=1e-15)
+        assert abs(final.amplitudes[4]) ** 2 == pytest.approx(expected, abs=1e-12)
 
     def test_unitarity_gate(self):
         with pytest.raises(ValueError):
@@ -258,10 +262,13 @@ class TestRankOneReflection:
 
     def test_matrix_is_read_only(self):
         op = standard_hr(random_chi(4, 5))
-        assert (op.dim, op.n_ions) == (6, 5)
+        assert op.dim == 6
         with pytest.raises(ValueError):
             op.matrix[1, 1] = 0.0
-        assert op.manifold_block.shape == (5, 5)
+        block = op.matrix[1:, 1:]
+        assert block.shape == (5, 5)
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.0
 
 
 class TestNoDenseSearchPath:
@@ -279,7 +286,7 @@ class TestNoDenseSearchPath:
         with pytest.raises(AssertionError):
             standard_hr(uniform_chi(3)).matrix
         with pytest.raises(AssertionError):
-            identity_operator(3)
+            Operator(np.eye(4))
 
     @pytest.mark.parametrize("variant", ["probabilistic", "deterministic"])
     def test_ideal_search_n2048(self, variant):

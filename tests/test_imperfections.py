@@ -6,7 +6,6 @@ import pytest
 from iongrover.imperfections import (
     adapted_advantage,
     adapted_chi,
-    adapted_iteration_count,
     beam_factors,
     infidelity_sweep,
     register_from_factors,
@@ -66,25 +65,6 @@ class TestAdaptedChi:
     def test_zero_register_rejected(self):
         with pytest.raises(ValueError):
             adapted_chi(RegisterState(np.eye(5)[0]))
-
-
-class TestAdaptedIterationCount:
-    def test_amplitude_tenth(self):
-        # pi * 10 / 4 = 7.85 -> 7 steps, matching (pi/4) sqrt(100)
-        assert adapted_iteration_count(0.1) == 7
-
-    def test_amplitude_fifth(self):
-        assert adapted_iteration_count(0.2) == 3
-
-    def test_large_amplitude_clamped(self):
-        assert adapted_iteration_count(1.0) == 1
-
-    def test_complex_amplitude_uses_magnitude(self):
-        assert adapted_iteration_count(0.1j) == 7
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            adapted_iteration_count(0.0)
 
 
 class TestPerturbedRegister:

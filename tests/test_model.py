@@ -12,9 +12,11 @@ from iongrover.model import (
     RegisterState,
     SearchConfig,
     SearchResult,
+    Trajectory,
     basis_register,
     fidelity,
     marked_probability,
+    state_segment,
     uniform_register,
 )
 
@@ -160,7 +162,31 @@ class TestSearchResult:
                 final_state=state,
                 success_probability=0.5,
                 trajectory_times=np.array([0.0]),
-                trajectory_populations=np.array([state.populations]),
+                trajectory=Trajectory((state_segment([state.amplitudes]),)),
                 iterations_executed=1,
                 parameters_used={"marked_index": 2},
             )
+
+    @staticmethod
+    def result(trajectory):
+        state = uniform_register(4)
+        return SearchResult(final_state=state, success_probability=0.25,
+                            trajectory_times=np.arange(2.0), trajectory=trajectory,
+                            iterations_executed=1, parameters_used={"marked_index": 2})
+
+    def test_populations_are_the_cached_rows(self):
+        registers = [basis_register(4, 0).amplitudes, uniform_register(4).amplitudes]
+        result = self.result(Trajectory((state_segment(registers),)))
+        rows = result.trajectory_populations
+        np.testing.assert_array_equal(rows, result.trajectory.rows())
+        np.testing.assert_array_equal(rows, [[1, 0, 0, 0, 0], [0] + [0.25] * 4])
+        assert result.trajectory_populations is rows
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.5
+        with pytest.raises(AttributeError):
+            result.trajectory_populations = rows
+
+    def test_needs_a_trajectory(self):
+        rows = np.array([uniform_register(4).populations] * 2)
+        with pytest.raises(TypeError):
+            self.result(rows)

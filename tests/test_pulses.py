@@ -22,7 +22,6 @@ from iongrover.pulses import (
     PulseShape,
     PulseSpec,
     build_global_pulse,
-    build_local_pulse,
     calibrate_generalized_pulse,
     detuning_for_phase,
     phase_from_detuning,
@@ -231,18 +230,18 @@ class TestPulseBuilders:
         assert pulse.detuning * pulse.shape.width == pytest.approx(0.589, abs=2e-3)
 
     def test_local_oracle(self):
-        pulse = build_local_pulse(3, 15)
+        pulse = build_global_pulse(local_chi(15, 3))
         np.testing.assert_allclose(pulse.chi.components, local_chi(15, 3).components)
         assert pulse.rms_peak == pytest.approx(2.0, rel=1e-12)
         assert pulse.detuning == 0.0
 
     def test_local_detuned(self):
-        pulse = build_local_pulse(3, 15, phase=0.661 * math.pi)
+        pulse = build_global_pulse(local_chi(15, 3), phase=0.661 * math.pi)
         assert pulse.detuning == pytest.approx(0.589, abs=2e-3)
 
     def test_local_bad_index(self):
         with pytest.raises(IndexError):
-            build_local_pulse(0, 15)
+            build_global_pulse(local_chi(15, 0))
 
 
 class TestSimulationConsistency:
