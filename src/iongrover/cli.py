@@ -5,8 +5,8 @@ JSON result/manifest files; nothing is rendered.  Runs are bit-for-bit
 reproducible: the only randomness anywhere is shot sampling, which is off
 unless a shot count is configured together with an explicit --seed.
 
-Exit codes: 0 success, 1 validation-suite failure, 2 bad config, 3 numerical
-failure.
+Exit codes: 0 success, 1 validation-suite failure, 2 bad config (a register
+too large for physical memory included), 3 numerical or internal failure.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import gc
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -33,6 +34,9 @@ from .pulses import NoSolutionError, rms_area
 
 FIG4_EPSILONS = [round(0.01 * i, 2) for i in range(21)]
 FIG4_IONS = [1, 5, 10]
+#: peak memory of ``run`` per ion: 750 to 1030 bytes at N = 2^18 and 2^20 in
+#: either mode, most of it the JSON text of the final state
+BYTES_PER_ION = 1024
 
 
 class ConfigError(ValueError):
@@ -86,9 +90,15 @@ def load_config(path: Path) -> SearchConfig:
         args = _arguments(raw, SearchConfig, "config")
         for key, cls in SECTIONS.items():
             args[key] = cls(**_arguments(args.get(key, {}), cls, key))
-        return SearchConfig(**args)
+        cfg = SearchConfig(**args)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
+    need = BYTES_PER_ION * cfg.n_ions  # checked before anything is allocated
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"n_ions = {cfg.n_ions} needs about {need / 2**30:.3g} GiB, "
+                          f"more than the {have / 2**30:.3g} GiB of physical memory")
+    return cfg
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -298,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: output not written: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"error: internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

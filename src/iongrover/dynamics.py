@@ -18,14 +18,15 @@ and resonance yields phase pi.
 Bright/dark reduction (Morris & Shore, PRA 27, 906 (1983)): the ancilla
 couples only to the bright ion state g/|g|, and the ion states orthogonal to
 it are dark and frozen.  A pulse is thus the 2x2 problem
-[[delta, f|g|/2], [f|g|/2, 0]] on (ancilla, bright); overlapping pulses act on
-span{ancilla, chi_1..chi_k}.  Fixed-step classical RK4 (bit-for-bit
-reproducible) is a polynomial in the stage Hamiltonians, so on this invariant
-space it is the same scheme as on the full register.  The one-step matrices of
-all steps are built at once and chained by a log-depth prefix product; the
-register is then rebuilt by a rank-r update, O(N) per pulse.  The recorded
-trajectory stays in the same form: the register before the pulse, the driven
-basis and the r driven components at each recorded step (``Trajectory``).
+[[delta, f|g|/2], [f|g|/2, 0]] on (ancilla, bright).  A whole schedule stays
+in span{ancilla, start state, chi_1..chi_K} (Biham et al., PRA 60, 2742
+(1999)), so a run is carried as r <= K + 2 coordinates in one orthonormal
+basis of that span (``subspace``): O(N) once, O(r) per step after.
+Fixed-step classical RK4 (bit-for-bit reproducible) is a polynomial in the
+stage Hamiltonians, so on this invariant space it is the same scheme as on
+the full register.  The one-step matrices of all steps are built at once and
+chained by a log-depth prefix product.  The recorded trajectory is the basis
+and the coordinates at each recorded step (``Trajectory``).
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .model import (
     RegisterState,
     Trajectory,
     check_number,
+    l2_norm,
     local_chi,
-    state_segment,
 )
 from .pulses import PulseShape, PulseSpec
 
@@ -129,100 +130,98 @@ def _chain(terms, t0, h, steps, stride):
     return marks, np.concatenate(out, axis=2)
 
 
-def _advance(y, q, marks, products, t0, h, times, segments):
-    """Apply chained reduced propagators to y (vector or matrix of columns).
-
-    The orthonormal columns of ``q`` span the driven states, ancilla first;
-    the rest of the register is dark.  Unless ``times`` is None, the times of
-    the recorded steps are appended to it and the ``Trajectory`` segment of
-    the leading column to ``segments``.
-    """
-    z = q.conj().T @ y
-    if times is not None:
-        lead = z if z.ndim == 1 else z[:, 0]
-        times.extend((t0 + marks * h).tolist())
-        segments.append((y if y.ndim == 1 else y[:, 0], q,
-                         np.einsum("ijm,j->mi", products, lead) - lead))
-    return y + q @ (products[:, :, -1] @ z - z)
+def _pulse_chain(strength, delta, shape, steps, window, stride=0):
+    """``_chain`` of one pulse on (ancilla, bright), in its own time (centered
+    at 0): the Hamiltonian [[delta, f|g|/2], [f|g|/2, 0]]."""
+    block = np.array([[0.0, strength / 2.0], [strength / 2.0, 0.0]])
+    return _chain([(block, delta, shape, 0.0, None)], -window * shape.width,
+                  2.0 * window * shape.width / steps, steps, stride)
 
 
-def _driven(directions):
-    """Isometry onto the ancilla followed by the given ion-space directions."""
-    q = np.zeros((directions.shape[0] + 1, directions.shape[1] + 1), dtype=complex)
-    q[0, 0] = 1.0
-    q[1:, 1:] = directions
-    return q
-
-
-def _integrate_pulse(y, couplings, delta, shape, steps, window, *,
-                     center=0.0, stride=0, times=None, segments=None, chains=None):
-    """Advance y (vector or matrix of columns) across one pulse window with RK4.
-
-    When ``stride`` > 0 the leading column is recorded every ``stride`` steps
-    and at the window end: times to ``times``, one segment to ``segments``.
-    ``chains`` caches the reduced propagators by (|g|, delta, shape, grid), so
-    pulses that differ only in their bright direction are integrated once.
-    """
+def _integrate_pulse(y, couplings, delta, shape, steps, window):
+    """Advance y (vector or matrix of columns) across one pulse window with RK4."""
     g = np.asarray(couplings, dtype=complex)
     strength = float(np.linalg.norm(g))
-    half = window * shape.width
-    h = 2.0 * window * shape.width / steps
-    chains = {} if chains is None else chains
-    key = (strength, delta, shape, steps, window, stride)
-    if key not in chains:  # in the pulse's own time, centered at 0
-        block = np.array([[0.0, strength / 2.0], [strength / 2.0, 0.0]])
-        chains[key] = _chain([(block, delta, shape, 0.0, None)], -half, h, steps, stride)
-    return _advance(y, _driven(g[:, None] / (strength or 1.0)), *chains[key],
-                    center - half, h, times if stride else None, segments)
+    q = np.eye(len(g) + 1, 2, dtype=complex)  # (ancilla, bright)
+    q[1:, 1] = g / (strength or 1.0)
+    product = _pulse_chain(strength, delta, shape, steps, window)[1][:, :, -1]
+    z = q.conj().T @ y
+    return y + q @ (product @ z - z)
 
 
-def _integrate_cluster(y, pulses, spans, cfg, stride, times, segments):
-    """Integrate pulses with overlapping windows under their summed Hamiltonian.
+def subspace(y, directions):
+    """Orthonormal basis q (N+1, r) of span{ancilla, ion part of y, directions},
+    ancilla first, with the r coordinates of y and of each ion-space direction.
 
-    One global grid, refined so the narrowest pulse keeps its step count,
-    runs on span{ancilla, chi_1..chi_k}; the basis is rank-revealing, so
-    repeated or dependent chis add no dimension.  Each pulse, detuning
-    included, acts only while a <= t <= b for its window (a, b).
+    Gram-Schmidt, applied twice, runs over the ion part of y and then the
+    unit ``directions``; a remainder below 1e-10 adds no column.  The
+    coordinates are the projection coefficients, summed pairwise, so they stay
+    exact where projecting the whole vector afterwards would cancel.
     """
-    lo = min(s[0] for s in spans)
-    hi = max(s[1] for s in spans)
-    base = 2.0 * cfg.window * min(p.shape.width for p in pulses)
-    steps = int(math.ceil(cfg.steps_per_pulse * (hi - lo) / base))
-    g = np.column_stack([p.couplings for p in pulses])
-    u, sv, _ = np.linalg.svd(g, full_matrices=False)
-    q = _driven(u[:, sv > sv[0] * max(g.shape) * np.finfo(float).eps])
-    terms = []
-    for p, span in zip(pulses, spans):
-        block = np.zeros((q.shape[1],) * 2, dtype=complex)
-        block[1:, 0] = q[1:, 1:].conj().T @ p.couplings / 2.0
-        block[0, 1:] = block[1:, 0].conj()
-        terms.append((block, p.detuning, p.shape, p.center, span))
-    h = (hi - lo) / steps
-    return _advance(y, q, *_chain(terms, lo, h, steps, stride), lo, h, times,
-                    segments)
+    ions = np.empty((len(directions) + 1, len(y) - 1), dtype=complex)  # q[1:, 1:].T
+    k, coords = 0, []
+    for v in [y[1:], *(d.components for d in directions)]:
+        w = np.array(v, dtype=complex)
+        c = np.zeros(len(directions) + 2, dtype=complex)
+        dual = ions[:k].conj()
+        for _ in range(2 if k else 0):
+            a = np.add.reduce(dual * w, axis=1)
+            w -= a @ ions[:k]
+            c[1:k + 1] += a
+        norm = l2_norm(w)
+        if norm > 1e-10:
+            ions[k], c[k + 1] = w / norm, norm
+            k += 1
+        coords.append(c)
+    q = np.eye(len(y), k + 1, dtype=complex)  # the ancilla, then the ion columns
+    q[1:, 1:] = ions[:k].T
+    coords[0][0] = y[0]
+    return q, coords[0][:k + 1], [c[:k + 1] for c in coords[1:]]
+
+
+def _windows(pulses, column, cfg, stride):
+    """Each integrated window as (start, step, recorded step counts, e, P): P
+    holds the running propagators on the orthonormal columns e of the run's
+    coordinates, where ``column`` maps each chi, by identity, to its own.
+
+    A pulse alone drives e = [e0, c_chi], by its (ancilla, bright) chain,
+    cached by (|g|, delta, shape).  Overlapping windows form one window on all
+    coordinates: a global grid, refined so the narrowest pulse keeps its step
+    count, with each pulse (detuning included) on only in its own span.
+    """
+    spans = [(p.center - cfg.window * p.shape.width,
+              p.center + cfg.window * p.shape.width) for p in pulses]
+    if any(a[1] > b[0] + 1e-12 for a, b in zip(spans, spans[1:])):
+        e = np.eye(len(column[id(pulses[0].chi)]))
+        lo, hi = min(s[0] for s in spans), max(s[1] for s in spans)
+        base = 2.0 * cfg.window * min(p.shape.width for p in pulses)
+        steps = int(math.ceil(cfg.steps_per_pulse * (hi - lo) / base))
+        terms = []
+        for p, span in zip(pulses, spans):
+            block = np.zeros(e.shape, dtype=complex)
+            block[:, 0] = p.rms_peak * column[id(p.chi)] / 2.0
+            block[0] = block[:, 0].conj()
+            terms.append((block, p.detuning, p.shape, p.center, span))
+        h = (hi - lo) / steps
+        marks, products = _chain(terms, lo, h, steps, stride)
+        yield lo, h, marks, e, products
+        return
+    chains: dict = {}
+    for p, (lo, _) in zip(pulses, spans):
+        key = (p.rms_peak, p.detuning, p.shape)
+        if key not in chains:
+            chains[key] = _pulse_chain(*key, cfg.steps_per_pulse, cfg.window, stride)
+        e = np.eye(len(column[id(p.chi)]), 2, dtype=complex)  # [e0, c_chi]
+        e[:, 1] = column[id(p.chi)]
+        yield (lo, 2.0 * cfg.window * p.shape.width / cfg.steps_per_pulse,
+               chains[key][0], e, chains[key][1])
 
 
 def evolve(state: RegisterState, spec: PulseSpec,
            cfg: IntegratorConfig | None = None) -> RegisterState:
     """Propagate a register state across the full pulse window (its center
-    only places the pulse in time, so it is ignored here).
-
-    Raises ``IntegrationError`` if the norm drifts beyond the configured
-    tolerance; drift inside the tolerance is repaired, never hidden above it.
-    """
-    cfg = cfg or IntegratorConfig()
-    if spec.n_ions != state.n_ions:
-        raise DimensionMismatchError(
-            f"pulse drives {spec.n_ions} ions but register has {state.n_ions}"
-        )
-    y = _integrate_pulse(state.amplitudes, spec.couplings, spec.detuning,
-                         spec.shape, cfg.steps_per_pulse, cfg.window)
-    drift = abs(float(np.linalg.norm(y)) - 1.0)
-    if not drift <= cfg.norm_tolerance:
-        raise IntegrationError(
-            f"norm drift {drift:.3e} exceeds tolerance {cfg.norm_tolerance:g}"
-        )
-    return RegisterState(y)
+    only places the pulse in time); ``IntegrationError`` as for a schedule."""
+    return evolve_schedule(state, [spec], cfg)[0]
 
 
 def propagator(spec: PulseSpec, cfg: IntegratorConfig | None = None,
@@ -267,52 +266,46 @@ def evolve_schedule(
 ):
     """Run a sequence of pulses; returns (final state, times, ``Trajectory``).
 
-    Non-overlapping windows (the default spacing) are integrated pulse by
-    pulse; nothing evolves between windows because the drive and its rotating
-    frame are only defined while a pulse is on.  If windows overlap, the
-    overlapping stretch is integrated under the summed pulse Hamiltonians on
-    a proportionally refined global grid (an exploration mode for studying
-    pulse-crowding effects).
+    The run is carried as its coordinates in the ``subspace`` of the state
+    and the distinct chis (by identity).  Non-overlapping windows (the default
+    spacing) are integrated pulse by pulse; nothing evolves between windows
+    because the drive and its rotating frame are only defined while a pulse
+    is on.  If windows overlap, the whole schedule is integrated under the
+    summed pulse Hamiltonians on a proportionally refined global grid (an
+    exploration mode for studying pulse-crowding effects).  A norm drift
+    beyond the configured tolerance per pulse raises ``IntegrationError``;
+    drift inside it is repaired, never hidden above it.
     """
     cfg = cfg or IntegratorConfig()
     pulses = sorted(pulses, key=lambda p: p.center)
     for p in pulses:
         if p.n_ions != state.n_ions:
             raise DimensionMismatchError("pulse and register sizes differ")
-    times: list[float] = []
-    segments: list = []
+    distinct = list({id(p.chi): p.chi for p in pulses}.values())
+    q, z, coords = subspace(state.amplitudes, distinct)
+    column = dict(zip(map(id, distinct), coords))
     stride = cfg.trajectory_stride if record else 0
-    y = state.amplitudes
+    times, rows = [np.zeros(0)], [np.zeros((0, len(z)))]
+    for t0, h, marks, e, products in _windows(pulses, column, cfg, stride):
+        w = e.conj().T @ z
+        zs = z + (np.einsum("ijm,j->mi", products, w) - w) @ e.T
+        if record:
+            if len(rows) == 1:  # the state at the start of the first window
+                times.append([t0])
+                rows.append(z[None])
+            times.append(t0 + marks * h)
+            rows.append(zs)
+        z = zs[-1]
 
-    spans = [(p.center - cfg.window * p.shape.width,
-              p.center + cfg.window * p.shape.width) for p in pulses]
-    overlap = any(spans[i][1] > spans[i + 1][0] + 1e-12 for i in range(len(spans) - 1))
-
-    if record and pulses:
-        times.append(spans[0][0])
-        segments.append(state_segment([y]))
-
-    if overlap:
-        y = _integrate_cluster(y, pulses, spans, cfg, stride,
-                               times if stride else None, segments)
-    else:
-        # oracle and global pulses share (|g|, delta), so a search integrates
-        # each distinct pulse once and applies it along every bright direction
-        chains: dict = {}
-        for p in pulses:
-            y = _integrate_pulse(y, p.couplings, p.detuning, p.shape,
-                                 cfg.steps_per_pulse, cfg.window, center=p.center,
-                                 stride=stride, times=times, segments=segments,
-                                 chains=chains)
-
-    drift = abs(float(np.linalg.norm(y)) - 1.0)
+    norm = float(np.linalg.norm(z))
+    drift = abs(norm - 1.0)
     budget = cfg.norm_tolerance * max(1, len(pulses))
     if not drift <= budget:
         raise IntegrationError(
             f"norm drift {drift:.3e} exceeds schedule budget {budget:g}"
         )
-    final = RegisterState(y / np.linalg.norm(y))
-    return final, np.asarray(times, dtype=float), Trajectory(tuple(segments))
+    return (RegisterState(q @ (z / norm)), np.concatenate(times),
+            Trajectory(q, np.concatenate(rows)))
 
 
 def hr_distance(candidate: Operator | Reflection | np.ndarray,

@@ -18,7 +18,7 @@ import numpy as np
 import numpy.random  # loaded lazily by numpy; here it loads with the package
 
 from . import imperfections
-from .dynamics import IntegrationError, evolve, evolve_schedule
+from .dynamics import IntegrationError, evolve, evolve_schedule, subspace
 from .householder import apply, generalized_hr
 from .model import (
     CouplingVector,
@@ -29,7 +29,6 @@ from .model import (
     basis_register,
     local_chi,
     marked_probability,
-    state_segment,
 )
 from .pulses import PulseShape, PulseSpec, detuning_for_phase
 
@@ -186,28 +185,34 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     }
 
     if cfg.mode == "ideal":
-        state = initialize(cfg)
-        registers = np.empty((plan.count + 1, cfg.n_ions + 1), dtype=complex)
-        registers[0] = state.amplitudes
-        for k, (oracle, reflection) in enumerate(plan.steps, start=1):
-            state = apply(reflection, apply(oracle, state))
-            registers[k] = state.amplitudes
+        # a search on r-1 virtual ions: the coordinates of the start in its
+        # subspace with the chis, reflected about the chis' coordinates
+        pair = plan.steps[0]  # every step repeats it
+        q, z, coords = subspace(initialize(cfg).amplitudes, [op.chi for op in pair])
+        oracle, reflection = (generalized_hr(CouplingVector(c[1:]), op.phi)
+                              for op, c in zip(pair, coords))
+        states = [RegisterState(z)]
+        for _ in plan.steps:
+            states.append(apply(reflection, apply(oracle, states[-1])))
         times = np.arange(plan.count + 1, dtype=float)
-        trajectory = Trajectory((state_segment(registers),))
+        trajectory = Trajectory(q, np.array([s.amplitudes for s in states]))
+        state = RegisterState(q @ states[-1].amplitudes)
     else:
-        schedule = [plan.init_pulse]
-        for oracle, reflection in plan.steps:
-            schedule.extend((oracle, reflection))
+        schedule = [plan.init_pulse, *(p for step in plan.steps for p in step)]
         state, times, trajectory = evolve_schedule(
             basis_register(cfg.n_ions, 0), schedule, cfg.integrator, record=True
         )
+    columns = trajectory.columns(cfg.marked_index)
     if not (np.all(np.isfinite(state.amplitudes)) and trajectory.is_finite()
-            and np.all(np.isfinite(trajectory.columns(cfg.marked_index)))):
+            and np.all(np.isfinite(columns))):
         raise IntegrationError("non-finite final state or trajectory")
+    # ideal: the last recorded row, which the final register may round apart
+    success = (min(1.0, float(columns[-1, 0])) if cfg.mode == "ideal"
+               else marked_probability(state, cfg.marked_index))
 
     return SearchResult(
         final_state=state,
-        success_probability=marked_probability(state, cfg.marked_index),
+        success_probability=success,
         trajectory_times=np.asarray(times, dtype=float),
         trajectory=trajectory,
         iterations_executed=plan.count,

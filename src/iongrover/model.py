@@ -47,13 +47,19 @@ def check_number(value: Any, what: str, integer: bool = False) -> None:
         raise ValueError(f"{what} must be {kind}, got {value!r}")
 
 
+def l2_norm(vec: np.ndarray) -> float:
+    """Norm of a contiguous complex vector, summed pairwise: the BLAS dot of
+    ``np.linalg.norm`` was 1e-12 off at N = 262,144."""
+    return float(np.sqrt(np.add.reduce(vec.view(float) ** 2)))
+
+
 def _unit_vector(values: Any, what: str, min_len: int) -> np.ndarray:
     vec = np.array(values, dtype=complex)
     if vec.ndim != 1:
         raise ValueError(f"{what} must be a 1-d vector, got shape {vec.shape}")
     if len(vec) < min_len:
         raise ValueError(f"{what} needs at least {min_len} components, got {len(vec)}")
-    norm = float(np.linalg.norm(vec))
+    norm = l2_norm(vec)
     if not abs(norm - 1.0) <= NORM_REPAIR_TOL:
         raise NormalizationError(
             f"{what} has norm {norm:.12g}; expected 1 within {NORM_REPAIR_TOL:g}"
@@ -256,70 +262,50 @@ def _squared(z: np.ndarray) -> np.ndarray:
     return np.square(out, out=out)
 
 
-def state_segment(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A ``Trajectory`` segment of rank 0: one row |y|^2 per register y, given
-    as the rows of a (rows, N+1) array."""
-    y = np.asarray(states, dtype=complex)
-    return y, np.zeros((y.shape[1], 0), dtype=complex), np.zeros((len(y), 0), dtype=complex)
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    """Population trace held in bright/dark form, one segment per integrated
-    window (a pulse, or a cluster of overlapping pulses).
+    """Population trace of a run, held in the run's invariant subspace.
 
-    A segment (y, q, w) stands for the rows |y + q w_m|^2: y is the register
-    before the window, the orthonormal columns of q span the states driven in
-    it (ancilla first), and row m of w holds the change of those components
-    at the m-th recorded step.  Registers recorded as they are (the start of
-    a schedule, the states of an ideal search) form a segment of rank 0 with
-    one y per row (``state_segment``).  Slot populations and row totals cost
-    O(rows x rank) for a window; ``rows`` builds the dense (rows, N+1) form.
+    The orthonormal columns of ``basis`` (N+1 x r, ancilla first) span every
+    state the run passes through, and row m of ``coords`` (M x r) is the m-th
+    recorded state in that basis, so trace row m is |basis @ coords[m]|^2.
+    Slot populations cost O(M r) and a row total is ||coords[m]||^2;
+    ``rows`` builds the dense (M, N+1) form.
     """
 
-    segments: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    #: ``columns`` by marked index: the finite-output gate and the CLI read them
-    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    basis: np.ndarray
+    coords: np.ndarray
 
     def __post_init__(self) -> None:
-        for segment in self.segments:
-            for part in segment:
-                part.setflags(write=False)
+        self.basis.setflags(write=False)
+        self.coords.setflags(write=False)
 
     def __len__(self) -> int:
-        return sum(len(w) for _, _, w in self.segments)
+        return len(self.coords)
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the segments' arrays."""
-        return sum(a.nbytes for segment in self.segments for a in segment)
+        """Bytes held by the basis and the coordinates."""
+        return self.basis.nbytes + self.coords.nbytes
 
     def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(y)) and np.all(np.isfinite(w))
-                   for y, _, w in self.segments)
+        return bool(np.isfinite(self.basis).all() and np.isfinite(self.coords).all())
 
     def slots(self, index) -> np.ndarray:
         """Populations of the indexed slots, one row per recorded sample."""
-        parts = [_squared(y[..., index] + w @ q[index].T) for y, q, w in self.segments]
-        return np.concatenate(parts) if parts else np.zeros((0, 0))
+        return _squared(self.coords @ self.basis[index].T)
 
     def totals(self) -> np.ndarray:
-        """Row sums |y|^2 + 2 Re<q^dag y, w_m> + |w_m|^2 (q is an isometry)."""
-        parts = [_squared(y).sum(axis=-1)
-                 + 2.0 * (w * (y @ q.conj()).conj()).real.sum(axis=-1)
-                 + _squared(w).sum(axis=-1) for y, q, w in self.segments]
-        return np.concatenate(parts) if parts else np.zeros(0)
+        """Row sums, ||coords[m]||^2 (the basis is an isometry)."""
+        return _squared(self.coords).sum(axis=-1)
 
     def columns(self, marked_index: int) -> np.ndarray:
         """Per row: the marked slot, the ancilla and the total of every other
-        slot, shape (rows, 3); computed once per marked index."""
-        if marked_index not in self._columns:
-            out = np.empty((len(self), 3))
-            out[:, :2] = self.slots([marked_index, 0])
-            out[:, 2] = self.totals() - out[:, 0] - out[:, 1]
-            out.setflags(write=False)
-            self._columns[marked_index] = out
-        return self._columns[marked_index]
+        slot, shape (rows, 3)."""
+        out = np.empty((len(self), 3))
+        out[:, :2] = self.slots([marked_index, 0])
+        out[:, 2] = self.totals() - out[:, 0] - out[:, 1]
+        return out
 
     def rows(self) -> np.ndarray:
         """Dense populations, one (N+1)-slot row per sample, ancilla first."""

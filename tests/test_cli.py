@@ -189,6 +189,42 @@ class TestOutputDirectory:
         assert taken.read_text() == "keep"
 
 
+class TestRegisterSize:
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    def test_beyond_physical_memory_exits_2_before_allocating(self, tmp_path, capsys,
+                                                              monkeypatch, mode):
+        import iongrover.imperfections as imperfections
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the beam profile was built for an oversized register")
+
+        monkeypatch.setattr(imperfections, "beam_factors", refuse)
+        cfg = write_config(tmp_path / "cfg.json", n_ions=10**17, marked_index=1,
+                           mode=mode)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config invalid: n_ions = 100000000000000000")
+        assert "physical memory" in err and err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestInternalFailure:
+    @pytest.mark.parametrize("error", [RuntimeError("broken invariant"),
+                                       MemoryError()], ids=lambda e: type(e).__name__)
+    def test_any_other_exception_exits_3_in_one_line(self, tmp_path, capsys,
+                                                     monkeypatch, error):
+        def fail(cfg):
+            raise error
+
+        monkeypatch.setattr(cli, "run_search", fail)
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: internal failure: {type(error).__name__}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestNonSechShape:
     def test_detuned_gaussian_search_refused(self, tmp_path, capsys):
         # the sech closed-form detuning gave p = 0.814 here, with exit 0
@@ -285,18 +321,16 @@ class TestConfigHardening:
     @staticmethod
     def run_with_poisoned_record(tmp_path, monkeypatch, part, value):
         """Exit code of a physical run whose trajectory record carries
-        ``value`` in slot or component 1 of part ``part`` of its second segment."""
+        ``value`` in column 1 of the second row of its basis or coordinates."""
         import iongrover.grover as grover
 
         real = grover.evolve_schedule
 
         def poisoned(*args, **kwargs):
             state, times, trajectory = real(*args, **kwargs)
-            segment = [a.copy() for a in trajectory.segments[1]]
-            segment[part][..., 1] = value
-            segments = list(trajectory.segments)
-            segments[1] = tuple(segment)
-            return state, times, Trajectory(tuple(segments))
+            basis, coords = trajectory.basis.copy(), trajectory.coords.copy()
+            {"basis": basis, "coords": coords}[part][1, 1] = value
+            return state, times, Trajectory(basis, coords)
 
         monkeypatch.setattr(grover, "evolve_schedule", poisoned)
         cfg = write_config(tmp_path / "cfg.json", mode="physical")
@@ -305,12 +339,13 @@ class TestConfigHardening:
 
     def test_non_finite_trajectory_exits_3_before_writing(self, tmp_path, monkeypatch):
         # NaN in a driven component at a recorded step
-        assert self.run_with_poisoned_record(tmp_path, monkeypatch, 2, np.nan) == 3
+        assert self.run_with_poisoned_record(tmp_path, monkeypatch, "coords",
+                                             np.nan) == 3
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("part, value", [
-        (0, np.nan),    # the register before a pulse
-        (2, 1e200),     # finite, but its population overflows
+        ("basis", np.nan),     # a basis direction of the run
+        ("coords", 1e200),     # finite, but its population overflows
     ])
     def test_poisoned_record_exits_3_before_writing(self, tmp_path, monkeypatch,
                                                     part, value):

@@ -166,6 +166,28 @@ class TestRunSearchIdeal:
         assert spread <= 1e-9
 
 
+class TestIdealRecord:
+    @pytest.mark.parametrize("n", [2, 15, 64, 257, 2048, 65536])
+    def test_every_iterate_matches_the_closed_form(self, n):
+        # the float closed form agrees with a 40-digit evaluation to ~1e-16
+        for m in sorted({1, 1 + n // 2, n}):
+            result = run_search(SearchConfig(n_ions=n, marked_index=m))
+            got = result.trajectory.slots(m)
+            expected = [closed_form(n, k) for k in range(result.iterations_executed + 1)]
+            assert np.abs(got - expected).max() <= 1e-14
+
+
+class TestRecordSize:
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    def test_record_is_o_of_n_plus_samples(self, mode):
+        # O(N + M r) bytes: one basis plus r coordinates per recorded sample
+        n = 65536
+        result = run_search(SearchConfig(n_ions=n, marked_index=7, mode=mode,
+                                         variant="deterministic"))
+        trajectory = result.trajectory
+        assert trajectory.nbytes <= 16 * 5 * (n + 1 + len(trajectory))
+
+
 class TestRunSearchPhysical:
     def test_probabilistic_n15_band(self):
         cfg = SearchConfig(n_ions=15, marked_index=8, mode="physical")

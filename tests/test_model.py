@@ -16,7 +16,6 @@ from iongrover.model import (
     basis_register,
     fidelity,
     marked_probability,
-    state_segment,
     uniform_register,
 )
 
@@ -162,7 +161,8 @@ class TestSearchResult:
                 final_state=state,
                 success_probability=0.5,
                 trajectory_times=np.array([0.0]),
-                trajectory=Trajectory((state_segment([state.amplitudes]),)),
+                trajectory=Trajectory(np.eye(5, dtype=complex),
+                                      np.array([state.amplitudes])),
                 iterations_executed=1,
                 parameters_used={"marked_index": 2},
             )
@@ -176,7 +176,7 @@ class TestSearchResult:
 
     def test_populations_are_the_cached_rows(self):
         registers = [basis_register(4, 0).amplitudes, uniform_register(4).amplitudes]
-        result = self.result(Trajectory((state_segment(registers),)))
+        result = self.result(Trajectory(np.eye(5, dtype=complex), np.array(registers)))
         rows = result.trajectory_populations
         np.testing.assert_array_equal(rows, result.trajectory.rows())
         np.testing.assert_array_equal(rows, [[1, 0, 0, 0, 0], [0] + [0.25] * 4])
