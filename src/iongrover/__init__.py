@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .dynamics import (
     IntegrationError,
-    IntegratorConfig,
     evolve,
     evolve_schedule,
     fit_hr_phase,
@@ -46,6 +45,7 @@ from .model import (
     CouplingVector,
     DimensionMismatchError,
     ImperfectionSettings,
+    IntegratorConfig,
     NormalizationError,
     PulseSettings,
     RegisterState,

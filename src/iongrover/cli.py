@@ -21,11 +21,12 @@ from pathlib import Path
 
 
 from . import __version__
-from .dynamics import IntegratorConfig, IntegrationError
+from .dynamics import IntegrationError
 from .grover import build_plan, detect, run_search, sample_detection
 from .imperfections import infidelity_sweep
 from .model import (
     ImperfectionSettings,
+    IntegratorConfig,
     PulseSettings,
     SearchConfig,
     SearchResult,
@@ -191,7 +192,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _pulse_timeline_columns(cfg: SearchConfig) -> list[list]:
     plan = build_plan(cfg)
-    pulses = [plan.init_pulse, *(p for step in plan.steps for p in step)]
+    pulses = plan.timeline()
     return [[str(i) for i in range(len(pulses))],
             ["init"] + ["oracle", "global"] * plan.count,
             [p.center for p in pulses], [p.shape.width for p in pulses],

@@ -32,7 +32,6 @@ and the coordinates at each recorded step (``Trajectory``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +40,7 @@ from .householder import Operator, Reflection
 from .model import (
     CouplingVector,
     DimensionMismatchError,
+    IntegratorConfig,
     RegisterState,
     Trajectory,
     check_number,
@@ -52,34 +52,6 @@ from .pulses import PulseShape, PulseSpec
 
 class IntegrationError(RuntimeError):
     """The integrator violated its norm or unitarity budget."""
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Fixed-step integrator settings.
-
-    ``window`` is the truncation half-width in units of the envelope width;
-    at the default 15 the discarded sech tail area is a few 1e-6 radians,
-    well below the operator tolerances used anywhere in the package.
-    """
-
-    steps_per_pulse: int = 4000
-    window: float = 15.0
-    norm_tolerance: float = 1e-9
-    trajectory_stride: int = 8
-
-    def __post_init__(self) -> None:
-        check_number(self.steps_per_pulse, "steps_per_pulse", integer=True)
-        check_number(self.trajectory_stride, "trajectory_stride", integer=True)
-        check_number(self.window, "window")
-        if self.steps_per_pulse < 16:
-            raise ValueError("need at least 16 steps per pulse")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
-        if not 0.0 < self.norm_tolerance <= 1e-9:
-            raise ValueError("norm tolerance must be in (0, 1e-9]")
-        if self.trajectory_stride < 1:
-            raise ValueError("trajectory stride must be at least 1")
 
 
 #: one-step matrices held in memory at once; longer grids are chained in

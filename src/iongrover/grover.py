@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 import numpy.random  # loaded lazily by numpy; here it loads with the package
 
 from . import imperfections
 from .dynamics import IntegrationError, evolve, evolve_schedule, subspace
-from .householder import apply, generalized_hr
+from .householder import Reflection, apply, generalized_hr
 from .model import (
     CouplingVector,
     RegisterState,
@@ -29,8 +28,9 @@ from .model import (
     basis_register,
     local_chi,
     marked_probability,
+    uniform_chi,
 )
-from .pulses import PulseShape, PulseSpec, detuning_for_phase
+from .pulses import PulseShape, PulseSpec, build_global_pulse, detuning_for_phase
 
 #: Detection flags the run when this much population never left the ancilla.
 RESIDUAL_FLAG_LEVEL = 0.01
@@ -66,27 +66,31 @@ def deterministic_params(n_ions: int, count: int | None = None) -> tuple[int, fl
 
 @dataclass(frozen=True)
 class IterationPlan:
-    """Resolved schedule: counts, phase, pulse strength and the materialized steps.
+    """Resolved schedule: the count, the phase and the one iteration.
 
-    ``steps`` holds one (oracle, reflection) pair per iteration, as exact
-    rank-1 reflections in ideal mode or pulse specs in physical mode;
-    ``init_pulse`` is set in physical mode only.  ``peak_coupling`` is the
-    rms Rabi peak of the 2-pi pulses: as configured, or the exact 2-pi area.
+    A search is ``init_pulse`` followed by ``count`` repeats of (``oracle``,
+    ``reflection``): exact rank-1 reflections in ideal mode, pulse specs
+    centered at t = 0 in physical mode, where ``timeline`` lays them out
+    ``spacing`` apart.  ``peak_coupling`` is the rms Rabi peak of the 2-pi
+    pulses: as configured, or the exact 2-pi area.
     """
 
-    variant: str
     count: int
     phi: float
     delta_t: float
     peak_coupling: float
-    init_pulse: PulseSpec | None
-    steps: tuple[tuple[Any, Any], ...]
+    oracle: Reflection | PulseSpec
+    reflection: Reflection | PulseSpec
+    init_pulse: PulseSpec | None = None
+    spacing: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError("iteration count must be at least 1")
-        if not 0.0 < self.phi <= math.pi:
-            raise ValueError("reflection phase must lie in (0, pi]")
+    def timeline(self) -> list[PulseSpec]:
+        """The physical schedule: the init pulse, then the 2 * count pulses of
+        the iterations, pulse k centered at (k + 1/2) * spacing.  Every oracle
+        pulse shares one chi object, and so does every reflection pulse."""
+        pulses = [self.init_pulse, *(self.oracle, self.reflection) * self.count]
+        return [PulseSpec(p.shape, p.chi, p.rms_peak, p.detuning,
+                          (0.5 + k) * self.spacing) for k, p in enumerate(pulses)]
 
 
 def _profile_factors(cfg: SearchConfig) -> np.ndarray:
@@ -105,36 +109,21 @@ def _resolve_phase(cfg: SearchConfig) -> tuple[int, float, float]:
 
 def _reflection_chi(cfg: SearchConfig, factors: np.ndarray) -> CouplingVector:
     if cfg.imperfection.reflection == "uniform":
-        return CouplingVector(np.ones(cfg.n_ions) / math.sqrt(cfg.n_ions))
+        return uniform_chi(cfg.n_ions)
     return CouplingVector(factors / np.linalg.norm(factors))
 
 
 def build_plan(cfg: SearchConfig) -> IterationPlan:
-    """Materialize the iteration schedule for a config."""
+    """Resolve the iteration of a config: its reflections, or its pulses."""
     count, phi, delta_t = _resolve_phase(cfg)
     factors = _profile_factors(cfg)
-    refl_chi = _reflection_chi(cfg, factors)
-    oracle_chi = local_chi(cfg.n_ions, cfg.marked_index)
+    chis = (local_chi(cfg.n_ions, cfg.marked_index), _reflection_chi(cfg, factors))
     shape = PulseShape(cfg.pulse.shape, cfg.pulse.width)
     peak = cfg.pulse.peak_coupling or 2.0 * math.pi / shape.integral()
-
     if cfg.mode == "ideal":
-        oracle = generalized_hr(oracle_chi, phi)
-        reflection = generalized_hr(refl_chi, phi)
-        return IterationPlan(cfg.variant, count, phi, delta_t, peak, None,
-                             tuple((oracle, reflection) for _ in range(count)))
+        return IterationPlan(count, phi, delta_t, peak,
+                             *(generalized_hr(chi, phi) for chi in chis))
 
-    if cfg.pulse.shape != "sech" and phi != math.pi:
-        # the detuning comes from the sech closed form (phase_from_detuning)
-        raise ValueError(
-            f"a {cfg.pulse.shape!r} pulse cannot realize the planned reflection "
-            f"phase {phi / math.pi:.4f}*pi: detuned pulses are calibrated for "
-            "sech only, so a physical search with a non-sech shape must run at "
-            "phase pi, as the probabilistic variant does")
-    width = cfg.pulse.width
-    spacing = cfg.pulse.spacing * width
-    delta = delta_t / width
-    centers = [(0.5 + i) * spacing for i in range(2 * count + 1)]
     norm = float(np.linalg.norm(factors))
     # Same beam as the global pulse at half the Rabi frequency; calibrated
     # means the power is trimmed for an exact rms-pi transfer, uncalibrated
@@ -142,13 +131,10 @@ def build_plan(cfg: SearchConfig) -> IterationPlan:
     init_peak = peak / 2.0
     if cfg.imperfection.calibration == "uncalibrated":
         init_peak *= norm / math.sqrt(cfg.n_ions)
-    init = PulseSpec(shape, CouplingVector(factors / norm), init_peak, detuning=0.0,
-                     center=centers[0])
-    steps = tuple(
-        (PulseSpec(shape, oracle_chi, peak, detuning=delta, center=centers[1 + 2 * k]),
-         PulseSpec(shape, refl_chi, peak, detuning=delta, center=centers[2 + 2 * k]))
-        for k in range(count))
-    return IterationPlan(cfg.variant, count, phi, delta_t, peak, init, steps)
+    init = PulseSpec(shape, CouplingVector(factors / norm), init_peak)
+    return IterationPlan(count, phi, delta_t, peak,
+                         *(build_global_pulse(chi, phi, shape, peak) for chi in chis),
+                         init, cfg.pulse.spacing * cfg.pulse.width)
 
 
 def initialize(cfg: SearchConfig) -> RegisterState:
@@ -187,20 +173,19 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     if cfg.mode == "ideal":
         # a search on r-1 virtual ions: the coordinates of the start in its
         # subspace with the chis, reflected about the chis' coordinates
-        pair = plan.steps[0]  # every step repeats it
+        pair = plan.oracle, plan.reflection
         q, z, coords = subspace(initialize(cfg).amplitudes, [op.chi for op in pair])
         oracle, reflection = (generalized_hr(CouplingVector(c[1:]), op.phi)
                               for op, c in zip(pair, coords))
         states = [RegisterState(z)]
-        for _ in plan.steps:
+        for _ in range(plan.count):
             states.append(apply(reflection, apply(oracle, states[-1])))
         times = np.arange(plan.count + 1, dtype=float)
         trajectory = Trajectory(q, np.array([s.amplitudes for s in states]))
         state = RegisterState(q @ states[-1].amplitudes)
     else:
-        schedule = [plan.init_pulse, *(p for step in plan.steps for p in step)]
         state, times, trajectory = evolve_schedule(
-            basis_register(cfg.n_ions, 0), schedule, cfg.integrator, record=True
+            basis_register(cfg.n_ions, 0), plan.timeline(), cfg.integrator, record=True
         )
     columns = trajectory.columns(cfg.marked_index)
     if not (np.all(np.isfinite(state.amplitudes)) and trajectory.is_finite()

@@ -8,12 +8,19 @@ seen by the edge ions, with the center of the chain normalized to 1.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CouplingVector, ImperfectionSettings, RegisterState, SearchConfig
+from .model import (
+    CouplingVector,
+    ImperfectionSettings,
+    IntegratorConfig,
+    RegisterState,
+    SearchConfig,
+)
 
 FLAT = 1e-12
 
@@ -91,10 +98,7 @@ def infidelity_sweep(
     epsilons: list[float],
     steps: int,
     mode: str = "physical",
-    calibration: str = "calibrated",
-    scaling: str = "field",
     reflection: str = "adapted",
-    steps_per_pulse: int = 4000,
     jobs: int = 1,
 ) -> list[SweepRow]:
     """Infidelity table over a (epsilon, marked ion) grid.
@@ -103,21 +107,15 @@ def infidelity_sweep(
     pool of at most one worker per cell and per CPU, and are merged back in
     grid order, so the output is identical for any worker count.
     """
-    import os
-
-    from .dynamics import IntegratorConfig
-
     if steps < 1:
         raise ValueError("need at least one search step")
     if jobs < 1:
         raise ValueError(f"need at least one job, got {jobs}")
-    integrator = IntegratorConfig(steps_per_pulse=steps_per_pulse,
-                                  trajectory_stride=1000)
+    integrator = IntegratorConfig(trajectory_stride=1000)
     cells = [
         SearchConfig(n_ions=n_ions, marked_index=m, mode=mode, iterations=steps,
-                     imperfection=ImperfectionSettings(
-                         epsilon=float(eps), scaling=scaling,
-                         calibration=calibration, reflection=reflection),
+                     imperfection=ImperfectionSettings(epsilon=float(eps),
+                                                       reflection=reflection),
                      integrator=integrator)
         for eps in epsilons
         for m in marked

@@ -11,12 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .dynamics import IntegratorConfig
 
 #: Norm errors up to this are treated as accumulated float noise and silently
 #: repaired by renormalization; anything larger is rejected as a likely bug.
@@ -27,6 +24,7 @@ VALID_VARIANTS = ("probabilistic", "deterministic")
 VALID_SCALINGS = ("field", "intensity")
 VALID_CALIBRATIONS = ("calibrated", "uncalibrated")
 VALID_REFLECTIONS = ("adapted", "uniform")
+VALID_SHAPES = ("sech", "gaussian")
 
 
 class DimensionMismatchError(ValueError):
@@ -171,7 +169,7 @@ class PulseSettings:
     peak_coupling: float | None = None
 
     def __post_init__(self) -> None:
-        if self.shape not in ("sech", "gaussian"):
+        if self.shape not in VALID_SHAPES:
             raise ValueError(f"unknown pulse shape {self.shape!r}")
         for name in ("width", "spacing", "peak_coupling"):
             check_number(getattr(self, name), name)
@@ -215,6 +213,34 @@ class ImperfectionSettings:
 
 
 @dataclass(frozen=True)
+class IntegratorConfig:
+    """Fixed-step integrator settings.
+
+    ``window`` is the truncation half-width in units of the envelope width;
+    at the default 15 the discarded sech tail area is a few 1e-6 radians,
+    well below the operator tolerances used anywhere in the package.
+    """
+
+    steps_per_pulse: int = 4000
+    window: float = 15.0
+    norm_tolerance: float = 1e-9
+    trajectory_stride: int = 8
+
+    def __post_init__(self) -> None:
+        check_number(self.steps_per_pulse, "steps_per_pulse", integer=True)
+        check_number(self.trajectory_stride, "trajectory_stride", integer=True)
+        check_number(self.window, "window")
+        if self.steps_per_pulse < 16:
+            raise ValueError("need at least 16 steps per pulse")
+        if self.window <= 0:
+            raise ValueError("window must be positive")
+        if not 0.0 < self.norm_tolerance <= 1e-9:
+            raise ValueError("norm tolerance must be in (0, 1e-9]")
+        if self.trajectory_stride < 1:
+            raise ValueError("trajectory stride must be at least 1")
+
+
+@dataclass(frozen=True)
 class SearchConfig:
     """Complete description of one search experiment."""
 
@@ -225,7 +251,7 @@ class SearchConfig:
     iterations: int | None = None
     pulse: PulseSettings = field(default_factory=PulseSettings)
     imperfection: ImperfectionSettings = field(default_factory=ImperfectionSettings)
-    integrator: IntegratorConfig | None = None
+    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     shots: int | None = None
 
     def __post_init__(self) -> None:
@@ -250,10 +276,6 @@ class SearchConfig:
             and len(self.imperfection.custom_factors) != self.n_ions
         ):
             raise ValueError("custom factor vector length must equal n_ions")
-        if self.integrator is None:
-            from .dynamics import IntegratorConfig  # deferred: avoids module cycle
-
-            object.__setattr__(self, "integrator", IntegratorConfig())
 
 
 def _squared(z: np.ndarray) -> np.ndarray:

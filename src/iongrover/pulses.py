@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CouplingVector, check_number, local_chi
+from .model import VALID_SHAPES, CouplingVector, check_number, local_chi
 
 
 class NoSolutionError(ValueError):
@@ -32,40 +32,24 @@ class PulseShape:
     """Dimensionless envelope f(t) with unit peak, symmetric about t = 0.
 
     ``width`` is the characteristic time T: sech uses f = sech(t/T), gaussian
-    uses f = exp(-(t/T)^2).  A tabulated shape interpolates linearly between
-    the given samples and is zero outside them.
+    uses f = exp(-(t/T)^2).
     """
 
     kind: str
     width: float
-    times: tuple[float, ...] | None = None
-    values: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("sech", "gaussian", "tabulated"):
+        if self.kind not in VALID_SHAPES:
             raise ValueError(f"unknown pulse shape {self.kind!r}")
         check_number(self.width, "pulse width")
         if not self.width > 0:
             raise ValueError("pulse width must be positive")
-        if self.kind == "tabulated":
-            if self.times is None or self.values is None:
-                raise ValueError("tabulated shape needs times and values")
-            times = tuple(float(t) for t in self.times)
-            values = tuple(float(v) for v in self.values)
-            if len(times) != len(values) or len(times) < 2:
-                raise ValueError("tabulated shape needs matching sample arrays")
-            if not all(map(math.isfinite, times + values)) or min(values) < 0:
-                raise ValueError("envelope samples must be finite and nonnegative")
-            object.__setattr__(self, "times", times)
-            object.__setattr__(self, "values", values)
 
     def envelope(self, t):
         """Evaluate f(t); accepts scalars or arrays."""
         if self.kind == "sech":
             return 1.0 / np.cosh(np.asarray(t) / self.width)
-        if self.kind == "gaussian":
-            return np.exp(-((np.asarray(t) / self.width) ** 2))
-        return np.interp(np.asarray(t), self.times, self.values, left=0.0, right=0.0)
+        return np.exp(-((np.asarray(t) / self.width) ** 2))
 
     def integral(self, window: float | None = None) -> float:
         """Integral of f over [-window*T, window*T], full line when window is None."""
@@ -75,17 +59,9 @@ class PulseShape:
             x = math.exp(-window)
             # full-line pi*T minus the two tails 2*T*atan(e^-w) each
             return self.width * (math.pi - 4.0 * math.atan(x))
-        if self.kind == "gaussian":
-            if window is None:
-                return math.sqrt(math.pi) * self.width
-            return math.sqrt(math.pi) * self.width * math.erf(window)
-        lo, hi = self.times[0], self.times[-1]
-        if window is not None:
-            lo, hi = max(lo, -window * self.width), min(hi, window * self.width)
-        if hi <= lo:
-            return 0.0
-        y = self.envelope(np.linspace(lo, hi, 4097))  # trapezoid rule, uniform grid
-        return float((hi - lo) / 4096 * (y.sum() - 0.5 * (y[0] + y[-1])))
+        if window is None:
+            return math.sqrt(math.pi) * self.width
+        return math.sqrt(math.pi) * self.width * math.erf(window)
 
 
 @dataclass(frozen=True)
@@ -175,21 +151,24 @@ def detuning_for_phase(phi: float, l: int = 1) -> float:
 def build_global_pulse(
     chi: CouplingVector,
     phase: float = math.pi,
-    shape: str = "sech",
-    width: float = 1.0,
+    shape: PulseShape = PulseShape("sech", 1.0),
     peak_coupling: float | None = None,
-    center: float = 0.0,
 ) -> PulseSpec:
-    """Rms-area-2*pi pulse on the whole chain realizing M(chi; phase).
+    """Pulse along chi realizing M(chi; phase), centered at t = 0.
 
-    ``phase = pi`` gives the resonant standard reflection for any envelope.
-    Other phases set the detuning via the sech closed form, so they hold for
-    sech only (use ``calibrate_generalized_pulse`` for non-sech envelopes).
+    The rms peak defaults to the exact 2*pi area.  ``phase = pi`` gives the
+    resonant standard reflection for any envelope.  Other phases set the
+    detuning by the sech closed form, so they are refused for any other
+    envelope (``calibrate_generalized_pulse`` calibrates those).
     """
-    shp = PulseShape(shape, width)
-    peak = peak_coupling if peak_coupling is not None else 2.0 * math.pi / shp.integral()
+    if shape.kind != "sech" and phase != math.pi:
+        raise ValueError(f"a {shape.kind!r} pulse cannot realize phase "
+                         f"{phase / math.pi:.4f}*pi: the detuning is calibrated "
+                         "for sech only, so other envelopes run at phase pi")
+    if peak_coupling is None:
+        peak_coupling = 2.0 * math.pi / shape.integral()
     delta_t = 0.0 if phase == math.pi else detuning_for_phase(phase, 1)
-    return PulseSpec(shp, chi, peak, detuning=delta_t / width, center=center)
+    return PulseSpec(shape, chi, peak_coupling, detuning=delta_t / shape.width)
 
 
 def calibrate_generalized_pulse(

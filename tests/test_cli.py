@@ -470,13 +470,14 @@ def reference_trajectory_rows(result, marked_index):
 
 def reference_pulse_timeline_rows(cfg):
     plan = cli.build_plan(cfg)
-    rows = [[0, "init", plan.init_pulse.center, plan.init_pulse.shape.width,
+    spacing = cfg.pulse.spacing * cfg.pulse.width
+    rows = [[0, "init", 0.5 * spacing, plan.init_pulse.shape.width,
              rms_area(plan.init_pulse), plan.init_pulse.detuning]]
-    for k, (oracle, reflection) in enumerate(plan.steps, start=1):
-        rows.append([2 * k - 1, "oracle", oracle.center, oracle.shape.width,
-                     rms_area(oracle), oracle.detuning])
-        rows.append([2 * k, "global", reflection.center, reflection.shape.width,
-                     rms_area(reflection), reflection.detuning])
+    for k in range(1, plan.count + 1):
+        for i, kind, pulse in ((2 * k - 1, "oracle", plan.oracle),
+                               (2 * k, "global", plan.reflection)):
+            rows.append([i, kind, (i + 0.5) * spacing, pulse.shape.width,
+                         rms_area(pulse), pulse.detuning])
     return [[str(r[0]), r[1], r[2], r[3], r[4], r[5]] for r in rows]
 
 

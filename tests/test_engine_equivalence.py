@@ -312,11 +312,11 @@ def search_with_dense_rows(cfg):
     if cfg.mode == "ideal":
         state = initialize(cfg)
         rows = [state.populations]
-        for oracle, reflection in plan.steps:
-            state = apply(reflection, apply(oracle, state))
+        for _ in range(plan.count):
+            state = apply(plan.reflection, apply(plan.oracle, state))
             rows.append(state.populations)
         return run_search(cfg), np.array(rows)
-    schedule = [plan.init_pulse, *(p for step in plan.steps for p in step)]
+    schedule = plan.timeline()
     integrator = cfg.integrator
     y = basis_register(cfg.n_ions, 0).amplitudes
     rows = [np.abs(y) ** 2]

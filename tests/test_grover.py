@@ -212,7 +212,7 @@ class TestRunSearchPhysical:
         n, m = 5, 2
         cfg = SearchConfig(n_ions=n, marked_index=m, mode="physical")
         plan = build_plan(cfg)
-        for pulse in plan.steps[0]:
+        for pulse in (plan.oracle, plan.reflection):
             u = propagator(hamiltonian_from_pulse(pulse), cfg.integrator)
             assert hr_distance(u, generalized_hr(pulse.chi, math.pi)) <= 1e-5
         ideal = run_search(SearchConfig(n_ions=n, marked_index=m))
@@ -289,16 +289,28 @@ class TestPlan:
                            variant="deterministic")
         plan = build_plan(cfg)
         assert plan.count == 3
-        assert plan.init_pulse.center == pytest.approx(15.0)
-        centers = [p.center for pair in plan.steps for p in pair]
-        np.testing.assert_allclose(centers, [45, 75, 105, 135, 165, 195])
-        assert plan.init_pulse.detuning == 0.0
-        for oracle, reflection in plan.steps:
-            assert oracle.detuning == pytest.approx(plan.delta_t)
-            assert reflection.detuning == pytest.approx(plan.delta_t)
+        timeline = plan.timeline()
+        assert len(timeline) == 2 * plan.count + 1
+        # bit for bit: every center is (k + 1/2) * spacing * width
+        assert [p.center for p in timeline] == [
+            (k + 0.5) * (cfg.pulse.spacing * cfg.pulse.width)
+            for k in range(2 * plan.count + 1)]
+        np.testing.assert_allclose([p.center for p in timeline],
+                                   [15, 45, 75, 105, 135, 165, 195])
+        assert timeline[0].chi is plan.init_pulse.chi
+        assert timeline[0].detuning == 0.0
+        assert timeline[0].rms_peak == plan.init_pulse.rms_peak
+        oracles, reflections = timeline[1::2], timeline[2::2]
+        # evolve_schedule keys chis by identity: one object per kind of pulse
+        assert all(p.chi is plan.oracle.chi for p in oracles)
+        assert all(p.chi is plan.reflection.chi for p in reflections)
+        assert plan.oracle.chi is not plan.reflection.chi
+        for p in timeline[1:]:
+            assert p.detuning == pytest.approx(plan.delta_t)
+            assert p.rms_peak == plan.peak_coupling
 
     def test_ideal_plan_holds_operators(self):
         plan = build_plan(SearchConfig(n_ions=5, marked_index=2))
-        oracle, reflection = plan.steps[0]
+        oracle, reflection = plan.oracle, plan.reflection
         assert oracle.matrix.shape == (6, 6)
         assert reflection.matrix.shape == (6, 6)
