@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 from scipy.optimize import brentq
 
 from iongrover.dynamics import (
@@ -15,7 +16,13 @@ from iongrover.dynamics import (
     propagator,
 )
 from iongrover.householder import generalized_hr, standard_hr
-from iongrover.model import CouplingVector, local_chi, uniform_chi
+from iongrover.model import (
+    VALID_SHAPES,
+    CouplingVector,
+    PulseSettings,
+    local_chi,
+    uniform_chi,
+)
 from iongrover.pulses import (
     NoSolutionError,
     PulseShape,
@@ -56,6 +63,24 @@ class TestPulseShape:
     def test_non_finite_or_non_number_width_rejected(self, width):
         with pytest.raises(ValueError):
             PulseShape("sech", width)
+
+    @pytest.mark.parametrize("kind", VALID_SHAPES)
+    @pytest.mark.parametrize("window", [2.0, 6.0])
+    def test_windowed_integral_matches_scipy_trapezoid(self, kind, window):
+        shape = PulseShape(kind, 1.3)
+        fine = np.linspace(-window * shape.width, window * shape.width, 200001)
+        expected = float(trapezoid(shape.envelope(fine), fine))
+        assert shape.integral(window) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", VALID_SHAPES + ("tabulated", "square"))
+    def test_settings_and_shape_accept_the_same_kinds(self, kind):
+        if kind in VALID_SHAPES:
+            assert PulseShape(kind, 1.0).kind == PulseSettings(shape=kind).shape == kind
+            return
+        with pytest.raises(ValueError, match="unknown pulse shape"):
+            PulseShape(kind, 1.0)
+        with pytest.raises(ValueError, match="unknown pulse shape"):
+            PulseSettings(shape=kind)
 
 
 class TestPulseSpecGates:
