@@ -31,6 +31,7 @@ and the coordinates at each recorded step (``Trajectory``).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -102,12 +103,17 @@ def _chain(terms, t0, h, steps, stride):
     return marks, np.concatenate(out, axis=2)
 
 
-def _pulse_chain(strength, delta, shape, steps, window, stride=0):
+@functools.lru_cache(maxsize=32)  # a search has two or three distinct pulses
+def _pulse_chain(strength, delta, shape, steps, window, stride):
     """``_chain`` of one pulse on (ancilla, bright), in its own time (centered
-    at 0): the Hamiltonian [[delta, f|g|/2], [f|g|/2, 0]]."""
+    at 0): the Hamiltonian [[delta, f|g|/2], [f|g|/2, 0]].  Memoized for the
+    process, so its arrays are shared by every caller and read-only."""
     block = np.array([[0.0, strength / 2.0], [strength / 2.0, 0.0]])
-    return _chain([(block, delta, shape, 0.0, None)], -window * shape.width,
-                  2.0 * window * shape.width / steps, steps, stride)
+    chain = _chain([(block, delta, shape, 0.0, None)], -window * shape.width,
+                   2.0 * window * shape.width / steps, steps, stride)
+    for a in chain:
+        a.setflags(write=False)
+    return chain
 
 
 def _integrate_pulse(y, couplings, delta, shape, steps, window):
@@ -116,7 +122,7 @@ def _integrate_pulse(y, couplings, delta, shape, steps, window):
     strength = float(np.linalg.norm(g))
     q = np.eye(len(g) + 1, 2, dtype=complex)  # (ancilla, bright)
     q[1:, 1] = g / (strength or 1.0)
-    product = _pulse_chain(strength, delta, shape, steps, window)[1][:, :, -1]
+    product = _pulse_chain(strength, delta, shape, steps, window, 0)[1][:, :, -1]
     z = q.conj().T @ y
     return y + q @ (product @ z - z)
 
@@ -156,10 +162,10 @@ def _windows(pulses, column, cfg, stride):
     holds the running propagators on the orthonormal columns e of the run's
     coordinates, where ``column`` maps each chi, by identity, to its own.
 
-    A pulse alone drives e = [e0, c_chi], by its (ancilla, bright) chain,
-    cached by (|g|, delta, shape).  Overlapping windows form one window on all
-    coordinates: a global grid, refined so the narrowest pulse keeps its step
-    count, with each pulse (detuning included) on only in its own span.
+    A pulse alone drives e = [e0, c_chi], by its (ancilla, bright) chain from
+    the process memo ``_pulse_chain``.  Overlapping windows form one window on
+    all coordinates: a global grid, refined so the narrowest pulse keeps its
+    step count, with each pulse (detuning included) on only in its own span.
     """
     spans = [(p.center - cfg.window * p.shape.width,
               p.center + cfg.window * p.shape.width) for p in pulses]
@@ -178,15 +184,13 @@ def _windows(pulses, column, cfg, stride):
         marks, products = _chain(terms, lo, h, steps, stride)
         yield lo, h, marks, e, products
         return
-    chains: dict = {}
     for p, (lo, _) in zip(pulses, spans):
-        key = (p.rms_peak, p.detuning, p.shape)
-        if key not in chains:
-            chains[key] = _pulse_chain(*key, cfg.steps_per_pulse, cfg.window, stride)
+        marks, products = _pulse_chain(p.rms_peak, p.detuning, p.shape,
+                                       cfg.steps_per_pulse, cfg.window, stride)
         e = np.eye(len(column[id(p.chi)]), 2, dtype=complex)  # [e0, c_chi]
         e[:, 1] = column[id(p.chi)]
         yield (lo, 2.0 * cfg.window * p.shape.width / cfg.steps_per_pulse,
-               chains[key][0], e, chains[key][1])
+               marks, e, products)
 
 
 def evolve(state: RegisterState, spec: PulseSpec,

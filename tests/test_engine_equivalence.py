@@ -27,6 +27,7 @@ from iongrover.dynamics import (
 )
 from iongrover.model import (
     CouplingVector,
+    ImperfectionSettings,
     PulseSettings,
     RegisterState,
     SearchConfig,
@@ -39,6 +40,17 @@ from iongrover.pulses import PulseShape, PulseSpec
 SECH = PulseShape("sech", 1.0)
 GAUSS = PulseShape("gaussian", 1.3)
 EQUIVALENCE_TOL = 1e-12
+
+
+@pytest.fixture
+def chained(monkeypatch):
+    """The arguments of every ``_chain`` call, counted from an empty
+    ``_pulse_chain`` memo (it is process-wide, so earlier tests fill it)."""
+    dynamics._pulse_chain.cache_clear()
+    calls = []
+    real_chain = dynamics._chain
+    monkeypatch.setattr(dynamics, "_chain", lambda *a: calls.append(a) or real_chain(*a))
+    return calls
 
 
 def coupling_matrix(couplings):
@@ -194,14 +206,10 @@ class TestDenseEquivalence:
         # the ions are dark, and only the ancilla picks up the detuning phase
         np.testing.assert_array_equal(got[1:], y[1:])
 
-    def test_schedule_reuses_one_integration_per_distinct_pulse(self, monkeypatch):
+    def test_schedule_reuses_one_integration_per_distinct_pulse(self, chained):
         # oracle and global pulses differ in direction only: one integration
         # serves both, and the schedule still matches pulse-by-pulse dense
         # integration
-        chained = []
-        real_chain = dynamics._chain
-        monkeypatch.setattr(dynamics, "_chain",
-                            lambda *a: chained.append(a) or real_chain(*a))
         n = 15
         cfg = IntegratorConfig(steps_per_pulse=1000, trajectory_stride=9)
         pulses = [PulseSpec(SECH, uniform_chi(n), 1.0, center=15.0)]
@@ -284,6 +292,46 @@ class TestDenseEquivalence:
         final, _, _ = evolve_schedule(start, pulses, cfg)
         y = dense_overlap(start.amplitudes.copy(), pulses, cfg, 0, [], [])
         assert np.abs(final.amplitudes - y / np.linalg.norm(y)).max() <= EQUIVALENCE_TOL
+
+
+class TestPulseChainMemo:
+    """``_pulse_chain`` is one memo per process, shared by every schedule."""
+
+    @pytest.mark.parametrize("stride", [0, 8, 1000])
+    def test_hit_is_bitwise_a_recomputation(self, chained, stride):
+        args = (2.0, 0.589, SECH, 4000, 15.0, stride)
+        first = dynamics._pulse_chain(*args)
+        hit = dynamics._pulse_chain(*args)
+        assert len(chained) == 1
+        assert hit[0] is first[0] and hit[1] is first[1]
+        cold = dynamics._pulse_chain.__wrapped__(*args)
+        for got, ref in zip(hit, cold):
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+
+    def test_returned_arrays_are_read_only(self):
+        marks, products = dynamics._pulse_chain(2.0, 0.0, SECH, 800, 15.0, 8)
+        with pytest.raises(ValueError):
+            marks[0] = 0
+        with pytest.raises(ValueError):
+            products[0, 0, 0] = 0.0
+
+    def test_sweep_cells_share_two_integrations(self, chained):
+        # fig4 cells differ only in the beam profile, that is in chi: the init
+        # pulse and the 2-pi pulse are integrated once for the whole sweep
+        def cell(eps):
+            return run_search(SearchConfig(
+                n_ions=20, marked_index=5, mode="physical", iterations=3,
+                imperfection=ImperfectionSettings(epsilon=eps),
+                integrator=IntegratorConfig(trajectory_stride=1000)))
+
+        warm = [cell(eps).success_probability for eps in (0.0, 0.1)]
+        assert len(chained) == 2
+        cold = []
+        for eps in (0.0, 0.1):
+            dynamics._pulse_chain.cache_clear()
+            cold.append(cell(eps).success_probability)
+        assert warm == cold
 
 
 def reduced_cases():

@@ -113,6 +113,14 @@ class TestSweep:
         for a, b in zip(serial, parallel):
             assert a == b
 
+    def test_physical_sweep_jobs_merge(self):
+        # workers may start with the parent's warm pulse-chain memo (fork)
+        eps = [0.0, 0.1]
+        serial = infidelity_sweep(6, [1, 3], eps, steps=1, mode="physical")
+        parallel = infidelity_sweep(6, [1, 3], eps, steps=1, mode="physical", jobs=2)
+        assert len(serial) == 4
+        assert serial == parallel
+
     def test_uniform_reflection_option(self):
         rows = infidelity_sweep(10, [2], [0.1], steps=2, mode="ideal",
                                 reflection="uniform")
