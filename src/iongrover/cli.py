@@ -15,6 +15,7 @@ import argparse
 import gc
 import hashlib
 import json
+import locale  # argparse's gettext loads it per parser; here it loads with the package
 import os
 import sys
 from pathlib import Path
@@ -279,8 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("--figure", required=True, choices=("fig3", "fig4"))
     rep_p.add_argument("--out", required=True, help="output directory")
     rep_p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for sweep cells (at most one per "
-                            "cell and per CPU)")
+                       help="accepted and checked (at least 1) but has no effect: "
+                            "sweep cells run in this process")
     rep_p.set_defaults(func=_cmd_reproduce)
 
     val_p = sub.add_parser("validate", help="run the self-check suite")

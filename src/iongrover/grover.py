@@ -107,31 +107,30 @@ def _resolve_phase(cfg: SearchConfig) -> tuple[int, float, float]:
     return cfg.iterations or iteration_count(cfg.n_ions), math.pi, 0.0
 
 
-def _reflection_chi(cfg: SearchConfig, factors: np.ndarray) -> CouplingVector:
-    if cfg.imperfection.reflection == "uniform":
-        return uniform_chi(cfg.n_ions)
-    return CouplingVector(factors / np.linalg.norm(factors))
-
-
 def build_plan(cfg: SearchConfig) -> IterationPlan:
     """Resolve the iteration of a config: its reflections, or its pulses."""
     count, phi, delta_t = _resolve_phase(cfg)
     factors = _profile_factors(cfg)
-    chis = (local_chi(cfg.n_ions, cfg.marked_index), _reflection_chi(cfg, factors))
+    norm = float(np.linalg.norm(factors))
+    # evolve_schedule keys chis by identity: the init beam and the adapted
+    # reflection share this object, so the run's basis needs no third chi
+    profile = CouplingVector(factors / norm)
+    chis = (local_chi(cfg.n_ions, cfg.marked_index),
+            uniform_chi(cfg.n_ions) if cfg.imperfection.reflection == "uniform"
+            else profile)
     shape = PulseShape(cfg.pulse.shape, cfg.pulse.width)
     peak = cfg.pulse.peak_coupling or 2.0 * math.pi / shape.integral()
     if cfg.mode == "ideal":
         return IterationPlan(count, phi, delta_t, peak,
                              *(generalized_hr(chi, phi) for chi in chis))
 
-    norm = float(np.linalg.norm(factors))
     # Same beam as the global pulse at half the Rabi frequency; calibrated
     # means the power is trimmed for an exact rms-pi transfer, uncalibrated
     # leaves it at the uniform-beam setting.
     init_peak = peak / 2.0
     if cfg.imperfection.calibration == "uncalibrated":
         init_peak *= norm / math.sqrt(cfg.n_ions)
-    init = PulseSpec(shape, CouplingVector(factors / norm), init_peak)
+    init = PulseSpec(shape, profile, init_peak)
     return IterationPlan(count, phi, delta_t, peak,
                          *(build_global_pulse(chi, phi, shape, peak) for chi in chis),
                          init, cfg.pulse.spacing * cfg.pulse.width)

@@ -8,18 +8,20 @@ seen by the edge ions, with the center of the chain normalized to 1.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .householder import apply, standard_hr
 from .model import (
     CouplingVector,
     ImperfectionSettings,
     IntegratorConfig,
     RegisterState,
     SearchConfig,
+    local_chi,
+    marked_probability,
+    uniform_chi,
 )
 
 FLAT = 1e-12
@@ -82,16 +84,6 @@ class SweepRow:
     infidelity: float
 
 
-def _sweep_cell(cfg: SearchConfig) -> SweepRow:
-    # Worker entry point; the import sits here because grover itself imports
-    # this module, and the function must stay top-level for the process pool.
-    from .grover import run_search
-
-    result = run_search(cfg)
-    return SweepRow(cfg.imperfection.epsilon, cfg.marked_index,
-                    1.0 - result.success_probability)
-
-
 def infidelity_sweep(
     n_ions: int,
     marked: list[int],
@@ -101,12 +93,16 @@ def infidelity_sweep(
     reflection: str = "adapted",
     jobs: int = 1,
 ) -> list[SweepRow]:
-    """Infidelity table over a (epsilon, marked ion) grid.
+    """Infidelity table over a (epsilon, marked ion) grid, in grid order.
 
-    Cells are independent searches; with ``jobs`` > 1 they run in a process
-    pool of at most one worker per cell and per CPU, and are merged back in
-    grid order, so the output is identical for any worker count.
+    The cells run one after another in this process, each an independent
+    search of well under a millisecond once its two pulses are memoized.
+    ``jobs`` selects nothing: it is checked (at least 1) and otherwise
+    ignored, kept only for the callers that still pass it.
     """
+    # deferred: grover imports this module
+    from .grover import run_search
+
     if steps < 1:
         raise ValueError("need at least one search step")
     if jobs < 1:
@@ -120,11 +116,8 @@ def infidelity_sweep(
         for eps in epsilons
         for m in marked
     ]
-    jobs = min(jobs, len(cells), os.cpu_count() or 1)
-    if jobs <= 1:
-        return [_sweep_cell(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_sweep_cell, cells))
+    return [SweepRow(c.imperfection.epsilon, c.marked_index,
+                     1.0 - run_search(c).success_probability) for c in cells]
 
 
 def adapted_advantage(
@@ -143,9 +136,6 @@ def adapted_advantage(
     the horizon is long enough for the adapted peaks to sample near pi/2,
     hence the generous default.
     """
-    from .householder import apply, standard_hr
-    from .model import local_chi, marked_probability, uniform_chi
-
     factors = beam_factors(n_ions, epsilon, scaling)
     start = register_from_factors(factors, calibrated=True)
     oracle = standard_hr(local_chi(n_ions, marked_index))

@@ -360,51 +360,20 @@ class TestJobs:
                      "--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("jobs, cpus, cells, expected", [
-        (64, 3, 6, 3),   # clamped to the CPU count
-        (64, 8, 2, 2),   # clamped to the cell count
-        (2, 8, 6, 2),    # honoured
-        (4, 1, 6, None),  # one CPU: no pool at all
-    ])
-    def test_pool_size_is_clamped(self, monkeypatch, jobs, cpus, cells, expected):
-        import os
-
-        import iongrover.imperfections as imperfections
-
-        created = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(imperfections, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        rows = imperfections.infidelity_sweep(5, [1, 2], [0.0, 0.1, 0.2][: cells // 2],
-                                              steps=1, mode="ideal", jobs=jobs)
-        assert len(rows) == cells
-        assert created == ([] if expected is None else [expected])
-
 
 IMPORT_PROBE = """
 import gc, json, sys
 
+UNUSED = ("scipy", "concurrent", "multiprocessing")
+
 def heavy():
-    return {m for m in sys.modules if m.split(".")[0] == "scipy"
+    return {m for m in sys.modules if m.split(".")[0] in UNUSED + ("locale",)
             or m.split(".")[:2] in (["numpy", "ma"], ["numpy", "random"])}
 
 import iongrover.cli
 from iongrover.cli import main
 
-found = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+found = {"import": sorted(m for m in sys.modules if m.split(".")[0] in UNUSED)}
 for name, argv in json.loads(sys.argv[1]):
     before = heavy()
     code = main(argv)
@@ -416,8 +385,10 @@ print(json.dumps(found))
 
 class TestImportHygiene:
     def test_commands_import_no_heavy_module(self, tmp_path):
-        # scipy is needed by calibrate_generalized_pulse only, and numpy.ma and
-        # numpy.random must load with the package, not inside a timed command;
+        # scipy is needed by calibrate_generalized_pulse only, no command starts
+        # a process pool (concurrent.*, multiprocessing.*), and numpy.ma,
+        # numpy.random and locale (argparse's gettext) must load with the
+        # package, not inside a timed command;
         # main freezes the import's objects, so no command's collection scans them
         import os
         import subprocess
@@ -433,6 +404,8 @@ class TestImportHygiene:
             ["run_physical", ["run", "--config", str(physical), "--out", str(tmp_path / "p")]],
             ["run_ideal", ["run", "--config", str(ideal), "--out", str(tmp_path / "i")]],
             ["fig3", ["reproduce", "--figure", "fig3", "--out", str(tmp_path / "f")]],
+            ["fig4", ["reproduce", "--figure", "fig4", "--jobs", "2",
+                      "--out", str(tmp_path / "g")]],
             ["validate", ["validate", "--suite", "fast", "--out", str(tmp_path / "v")]],
         ]
         src = str(Path(iongrover.__file__).resolve().parents[1])

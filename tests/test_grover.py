@@ -309,6 +309,22 @@ class TestPlan:
             assert p.detuning == pytest.approx(plan.delta_t)
             assert p.rms_peak == plan.peak_coupling
 
+    @pytest.mark.parametrize("reflection", ["adapted", "uniform"])
+    def test_adapted_reflection_shares_the_init_chi(self, reflection):
+        # evolve_schedule keys chis by identity: with the adapted reflection the
+        # run spans {ancilla, mark, profile}, with the uniform one a fourth chi
+        cfg = SearchConfig(n_ions=20, marked_index=5, mode="physical",
+                           imperfection=ImperfectionSettings(epsilon=0.1,
+                                                             reflection=reflection))
+        plan = build_plan(cfg)
+        shared = plan.init_pulse.chi is plan.reflection.chi
+        assert shared == (reflection == "adapted")
+        if not shared:
+            np.testing.assert_allclose(plan.reflection.chi.components,
+                                       np.full(20, 1 / math.sqrt(20)))
+        rank = 3 if shared else 4
+        assert run_search(cfg).trajectory.basis.shape == (21, rank)
+
     def test_ideal_plan_holds_operators(self):
         plan = build_plan(SearchConfig(n_ions=5, marked_index=2))
         oracle, reflection = plan.oracle, plan.reflection

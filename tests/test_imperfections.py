@@ -106,20 +106,24 @@ class TestSweep:
     def test_sweep_grid_order_and_jobs_merge(self):
         eps = [0.0, 0.05, 0.1]
         serial = infidelity_sweep(6, [1, 3], eps, steps=1, mode="ideal")
-        parallel = infidelity_sweep(6, [1, 3], eps, steps=1, mode="ideal", jobs=2)
+        two_jobs = infidelity_sweep(6, [1, 3], eps, steps=1, mode="ideal", jobs=2)
         assert [(r.epsilon, r.marked_index) for r in serial] == [
             (e, m) for e in eps for m in (1, 3)
         ]
-        for a, b in zip(serial, parallel):
+        for a, b in zip(serial, two_jobs):
             assert a == b
 
     def test_physical_sweep_jobs_merge(self):
-        # workers may start with the parent's warm pulse-chain memo (fork)
         eps = [0.0, 0.1]
         serial = infidelity_sweep(6, [1, 3], eps, steps=1, mode="physical")
-        parallel = infidelity_sweep(6, [1, 3], eps, steps=1, mode="physical", jobs=2)
+        two_jobs = infidelity_sweep(6, [1, 3], eps, steps=1, mode="physical", jobs=2)
         assert len(serial) == 4
-        assert serial == parallel
+        assert serial == two_jobs
+
+    @pytest.mark.parametrize("kwargs", [{"jobs": 0}, {"steps": 0}])
+    def test_sweep_rejects_counts_below_one(self, kwargs):
+        with pytest.raises(ValueError, match="at least one"):
+            infidelity_sweep(6, [1], [0.0], **{"steps": 1, **kwargs})
 
     def test_uniform_reflection_option(self):
         rows = infidelity_sweep(10, [2], [0.1], steps=2, mode="ideal",
