@@ -31,7 +31,7 @@ def main() -> int:
         cfg = SearchConfig(n_ions=15, marked_index=8, mode="physical",
                            pulse=PulseSettings(spacing=spacing))
         result = run_search(cfg)
-        peak = float(np.max(result.trajectory_populations[:, 8]))
+        peak = float(np.max(result.trajectory.slots(8)))
         print(f"spacing {spacing:5.1f}T: final {result.success_probability:.5f}"
               f"  peak {peak:.5f}")
         lines.append(",".join(format(v, ".17g")

@@ -83,7 +83,7 @@ def load_config(path: Path) -> SearchConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     version = raw.pop("schema_version", 1)
-    if version != 1:
+    if type(version) is not int or version != 1:  # JSON true and 1.0 both equal 1
         raise ConfigError(f"unsupported schema_version {version!r}")
     for key in ("n_ions", "marked_index"):
         if key not in raw:

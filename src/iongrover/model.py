@@ -10,7 +10,6 @@ amplitude arrays are frozen after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -197,6 +196,7 @@ class ImperfectionSettings:
     custom_factors: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        check_number(self.epsilon, "epsilon")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
         if self.scaling not in VALID_SCALINGS:
@@ -206,10 +206,12 @@ class ImperfectionSettings:
         if self.reflection not in VALID_REFLECTIONS:
             raise ValueError(f"reflection must be one of {VALID_REFLECTIONS}")
         if self.custom_factors is not None:
-            factors = tuple(float(f) for f in self.custom_factors)
+            factors = tuple(self.custom_factors)
+            for f in factors:
+                check_number(f, "custom factor")
             if not factors or not all(0 < f <= 1 for f in factors):
                 raise ValueError("custom factors must lie in (0, 1]")
-            object.__setattr__(self, "custom_factors", factors)
+            object.__setattr__(self, "custom_factors", tuple(map(float, factors)))
 
 
 @dataclass(frozen=True)
@@ -230,6 +232,7 @@ class IntegratorConfig:
         check_number(self.steps_per_pulse, "steps_per_pulse", integer=True)
         check_number(self.trajectory_stride, "trajectory_stride", integer=True)
         check_number(self.window, "window")
+        check_number(self.norm_tolerance, "norm_tolerance")
         if self.steps_per_pulse < 16:
             raise ValueError("need at least 16 steps per pulse")
         if self.window <= 0:
@@ -291,8 +294,7 @@ class Trajectory:
     The orthonormal columns of ``basis`` (N+1 x r, ancilla first) span every
     state the run passes through, and row m of ``coords`` (M x r) is the m-th
     recorded state in that basis, so trace row m is |basis @ coords[m]|^2.
-    Slot populations cost O(M r) and a row total is ||coords[m]||^2;
-    ``rows`` builds the dense (M, N+1) form.
+    Slot populations cost O(M r) and a row total is ||coords[m]||^2.
     """
 
     basis: np.ndarray
@@ -329,10 +331,6 @@ class Trajectory:
         out[:, 2] = self.totals() - out[:, 0] - out[:, 1]
         return out
 
-    def rows(self) -> np.ndarray:
-        """Dense populations, one (N+1)-slot row per sample, ancilla first."""
-        return self.slots(slice(None))
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -364,11 +362,3 @@ class SearchResult:
         times = np.asarray(self.trajectory_times, dtype=float)
         times.setflags(write=False)
         object.__setattr__(self, "trajectory_times", times)
-
-    @cached_property
-    def trajectory_populations(self) -> np.ndarray:
-        """Dense read-only populations, one (N+1)-slot row per sample, ancilla
-        first; built on first read."""
-        rows = self.trajectory.rows()
-        rows.setflags(write=False)
-        return rows

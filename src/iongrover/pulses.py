@@ -4,17 +4,18 @@ A pulse with rms area 2*pi*l and a constant detuning delta realizes a
 generalized Householder reflection whose phase depends only on the
 dimensionless product delta*T.  For the sech envelope the map is the closed
 form ``phase_from_detuning``; for other envelopes the (area, detuning) pair
-is calibrated numerically against the integrated propagator.
+is calibrated numerically on the pulse's 2x2 (ancilla, bright) chain.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import VALID_SHAPES, CouplingVector, check_number, local_chi
+from .model import VALID_SHAPES, CouplingVector, check_number
 
 
 class NoSolutionError(ValueError):
@@ -159,7 +160,8 @@ def build_global_pulse(
     The rms peak defaults to the exact 2*pi area.  ``phase = pi`` gives the
     resonant standard reflection for any envelope.  Other phases set the
     detuning by the sech closed form, so they are refused for any other
-    envelope (``calibrate_generalized_pulse`` calibrates those).
+    envelope (``calibrate_generalized_pulse`` calibrates those on the pulse's
+    2x2 chain).
     """
     if shape.kind != "sech" and phase != math.pi:
         raise ValueError(f"a {shape.kind!r} pulse cannot realize phase "
@@ -180,44 +182,36 @@ def calibrate_generalized_pulse(
 ) -> PulseSpec:
     """Numerically calibrate (area, detuning) of a non-sech generalized reflection.
 
-    Nested root-finding against the integrated propagator: the inner loop picks
-    the pulse area that closes the ancilla leakage at a trial detuning, the
-    outer loop moves the detuning until the fitted reflection phase matches.
-    The sech solution seeds the search bracket.
+    A 2-D Newton solve with finite-difference Jacobians on the window
+    product P of the (ancilla, bright) chain, seeded by the sech solution.
+    Both residuals are signed, so their roots are crossings: the phase error
+    arg P[1, 1] - phase, and the leakage Im(P[0, 1] e^{i delta w T}), where
+    w T is the half window.  tr H = delta gives det P = e^{-2 i delta w T},
+    so e^{i delta w T} P is special unitary, and a real coupling on an
+    envelope symmetric in time makes it symmetric: its off-diagonal element
+    is imaginary.
     """
-    from scipy.optimize import brentq, minimize_scalar  # heavy; only needed here
-
     from . import dynamics  # deferred: dynamics depends on this module
 
     if not 0.0 < phase < math.pi:
         raise NoSolutionError("calibration targets phases strictly inside (0, pi)")
     shp = PulseShape(shape, width)
-    probe_chi = local_chi(2, 1)
-    cfg = dynamics.IntegratorConfig(steps_per_pulse=coarse_steps)
-    area_lo, area_hi = 1.2 * math.pi, 3.2 * math.pi
+    window = dynamics.IntegratorConfig().window
 
-    # probes only steer the root finder, so they run coarse and with a loose
-    # unitarity gate; the returned pulse is exact to the solver precision
-    def probe(area: float, delta_t: float):
-        spec = PulseSpec(shp, probe_chi, area / shp.integral(), detuning=delta_t / width)
-        return dynamics.propagator(spec, cfg, unitarity_tol=1e-2)
+    def residuals(x):
+        area, delta_t = x
+        # the uncached chain: probes must not evict the process memo's pulses
+        p = dynamics._pulse_chain.__wrapped__(area / shp.integral(), delta_t / width,
+                                              shp, coarse_steps, window, 0)[1][:, :, -1]
+        return np.array([(p[0, 1] * cmath.exp(1j * delta_t * window)).imag,
+                         math.remainder(cmath.phase(p[1, 1]) - phase, 2.0 * math.pi)])
 
-    def best_area(delta_t: float) -> float:
-        res = minimize_scalar(
-            lambda area: 1.0 - abs(probe(area, delta_t).matrix[1, 1]),
-            bounds=(area_lo, area_hi), method="bounded", options={"xatol": 1e-10},
-        )
-        return float(res.x)
-
-    def fitted_phase(delta_t: float) -> float:
-        return float(np.angle(probe(best_area(delta_t), delta_t).matrix[1, 1]))
-
-    seed = detuning_for_phase(phase, 1)
-    lo, hi = 0.05 * seed, 8.0 * seed + 4.0
-    while fitted_phase(hi) > phase:
-        hi *= 2.0
-        if hi > 1e3:
-            raise NoSolutionError(f"no detuning found for phase {phase!r}")
-    delta_t = float(brentq(lambda x: fitted_phase(x) - phase, lo, hi, xtol=1e-10))
-    area = best_area(delta_t)
-    return PulseSpec(shp, chi, area / shp.integral(), detuning=delta_t / width)
+    x = np.array([2.0 * math.pi, detuning_for_phase(phase, 1)])
+    for _ in range(32):  # sech and Gaussian need at most 10 from 0.1*pi up
+        r = residuals(x)
+        if np.abs(r).max() <= 1e-12 and x[0] > 0.0:
+            return PulseSpec(shp, chi, float(x[0]) / shp.integral(),
+                             detuning=float(x[1]) / width)
+        jac = np.column_stack([(residuals(x + 1e-7 * e) - r) / 1e-7 for e in np.eye(2)])
+        x = x - np.linalg.solve(jac, r)
+    raise NoSolutionError(f"no (area, detuning) found for phase {phase!r}")

@@ -84,10 +84,10 @@ def _probabilistic_closed_form(n_max: int) -> CheckResult:
         cfg = model.SearchConfig(n_ions=n, marked_index=1 + n // 2)
         result = grover.run_search(cfg)
         theta = math.asin(1.0 / math.sqrt(n))
+        marked = result.trajectory.slots(cfg.marked_index)
         for k in range(1, result.iterations_executed + 1):
             expected = math.sin((2 * k + 1) * theta) ** 2
-            got = result.trajectory_populations[k, cfg.marked_index]
-            worst = max(worst, abs(got - expected))
+            worst = max(worst, abs(marked[k] - expected))
     return _check("probabilistic_closed_form", worst, 1e-12,
                   f"max |p_k - sin^2((2k+1) theta)|, N=2..{n_max}")
 

@@ -287,6 +287,10 @@ class TestConfigHardening:
         {"integrator": {"trajectory_stride": False}},
         {"pulse": {"width": "1.0"}},
         {"pulse": {"peak_coupling": True}},
+        {"schema_version": True},
+        {"imperfection": {"epsilon": False}},
+        {"imperfection": {"custom_factors": [True] * 6}},
+        {"integrator": {"norm_tolerance": True}},
     ])
     def test_non_integral_or_mistyped_values_exit_2(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
@@ -383,20 +387,57 @@ print(json.dumps(found))
 """
 
 
+SCIPY_BLOCKED_PROBE = """
+import json, math, sys
+
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+
+from iongrover.cli import main
+from iongrover.dynamics import IntegratorConfig, fit_hr_phase, hr_distance, propagator
+from iongrover.householder import generalized_hr
+from iongrover.model import CouplingVector
+from iongrover.pulses import calibrate_generalized_pulse
+
+code = main(["validate", "--suite", "fast", "--out", sys.argv[1]])
+phi, chi = 0.661 * math.pi, CouplingVector([0.5, 0.5, math.sqrt(0.5)])
+u = propagator(calibrate_generalized_pulse(chi, phi, "gaussian"),
+               IntegratorConfig(steps_per_pulse=6000))
+print(json.dumps([code, hr_distance(u, generalized_hr(chi, phi)),
+                  abs(fit_hr_phase(u, chi) - phi)]))
+"""
+
+
+def run_probe(probe, *args):
+    """Run a probe script on this package in a fresh interpreter; its last
+    stdout line, parsed as JSON."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import iongrover
+
+    src = str(Path(iongrover.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestImportHygiene:
+    def test_runs_without_scipy(self, tmp_path):
+        # the fast self-checks and a Gaussian calibration, as in the slow
+        # calibration test, with scipy unimportable
+        code, distance, phase_error = run_probe(SCIPY_BLOCKED_PROBE, str(tmp_path / "v"))
+        assert code == 0
+        assert distance < 1e-5
+        assert phase_error < 1e-6
+
     def test_commands_import_no_heavy_module(self, tmp_path):
-        # scipy is needed by calibrate_generalized_pulse only, no command starts
-        # a process pool (concurrent.*, multiprocessing.*), and numpy.ma,
-        # numpy.random and locale (argparse's gettext) must load with the
-        # package, not inside a timed command;
+        # scipy is a test oracle only, no command starts a process pool
+        # (concurrent.*, multiprocessing.*), and numpy.ma, numpy.random and
+        # locale (argparse's gettext) must load with the package, not inside a
+        # timed command;
         # main freezes the import's objects, so no command's collection scans them
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import iongrover
-
         physical = write_config(tmp_path / "physical.json", n_ions=15, marked_index=8,
                                 mode="physical", variant="deterministic")
         ideal = write_config(tmp_path / "ideal.json", n_ions=64, marked_index=8)
@@ -408,13 +449,7 @@ class TestImportHygiene:
                       "--out", str(tmp_path / "g")]],
             ["validate", ["validate", "--suite", "fast", "--out", str(tmp_path / "v")]],
         ]
-        src = str(Path(iongrover.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
-            capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        found = json.loads(proc.stdout.splitlines()[-1])
+        found = run_probe(IMPORT_PROBE, json.dumps(commands))
         assert found.pop("import") == []
         assert found.pop("frozen") is True
         assert found == {name: [0, []] for name, _ in commands}
@@ -434,7 +469,7 @@ def reference_write_csv(path, header, rows):
 def reference_trajectory_rows(result, marked_index):
     """The trajectory rows as they were computed from the dense populations."""
     rows = []
-    for t, pops in zip(result.trajectory_times, result.trajectory_populations):
+    for t, pops in zip(result.trajectory_times, result.trajectory.slots(slice(None))):
         p_marked = pops[marked_index]
         p_slot0 = pops[0]
         rows.append([t, p_marked, p_slot0, float(pops.sum()) - p_marked - p_slot0])
@@ -505,9 +540,9 @@ class TestBulkCsvWriter:
             (tmp_path / "ref.csv").read_bytes()
 
 
-class TestNoDenseTrajectoryPath:
-    """Commands write trajectories from the reduced record: with the dense
-    builder made to raise, they still succeed."""
+class TestCommandTrajectories:
+    """The searches behind the commands record one row per time, and each
+    row carries the register's whole norm."""
 
     @pytest.fixture
     def searches(self, monkeypatch):
@@ -518,37 +553,21 @@ class TestNoDenseTrajectoryPath:
         return results
 
     @staticmethod
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense trajectory rows built on the command path")
-
-    def check_dense_rows_on_read(self, results):
+    def check_rows(results):
         for result in results:
-            rows = result.trajectory_populations
-            assert rows.shape == (len(result.trajectory_times),
-                                  result.final_state.n_ions + 1)
-            assert not rows.flags.writeable
-            np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
+            trajectory = result.trajectory
+            assert len(trajectory) == len(result.trajectory_times)
+            assert trajectory.basis.shape[0] == result.final_state.n_ions + 1
+            np.testing.assert_allclose(trajectory.totals(), 1.0, atol=1e-9)
 
-    def test_guard_is_armed(self, monkeypatch):
-        result = cli.run_search(SearchConfig(n_ions=4, marked_index=2))
-        with monkeypatch.context() as guard:
-            guard.setattr(Trajectory, "rows", self.refuse)
-            with pytest.raises(AssertionError):
-                result.trajectory_populations
-
-    def test_run_physical_n256(self, tmp_path, monkeypatch, searches):
+    def test_run_physical_n256(self, tmp_path, searches):
         cfg = write_config(tmp_path / "cfg.json", n_ions=256, marked_index=77,
                            mode="physical", variant="deterministic")
-        with monkeypatch.context() as guard:
-            guard.setattr(Trajectory, "rows", self.refuse)
-            assert main(["run", "--config", str(cfg), "--out",
-                         str(tmp_path / "out")]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert len(searches) == 1
-        self.check_dense_rows_on_read(searches)
+        self.check_rows(searches)
 
-    def test_reproduce_fig3(self, tmp_path, monkeypatch, searches):
-        with monkeypatch.context() as guard:
-            guard.setattr(Trajectory, "rows", self.refuse)
-            assert main(["reproduce", "--figure", "fig3", "--out", str(tmp_path)]) == 0
+    def test_reproduce_fig3(self, tmp_path, searches):
+        assert main(["reproduce", "--figure", "fig3", "--out", str(tmp_path)]) == 0
         assert len(searches) == 2
-        self.check_dense_rows_on_read(searches)
+        self.check_rows(searches)

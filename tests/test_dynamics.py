@@ -229,7 +229,7 @@ class TestSchedule:
             manual = evolve(manual, p)  # evolve ignores the center
         assert fidelity(final, manual) > 1 - 1e-12
         assert times[0] == 0.0 and times[-1] == pytest.approx(60.0)
-        assert pops.rows().shape[1] == 4
+        assert pops.slots(slice(None)).shape[1] == 4
 
     def test_overlapping_windows_use_summed_hamiltonian(self):
         # two simultaneous half-strength pulses on the same chi act like one

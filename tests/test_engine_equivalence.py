@@ -229,7 +229,7 @@ class TestDenseEquivalence:
                                       times=ref_t, pops=ref_p)
         assert np.abs(final.amplitudes - y / np.linalg.norm(y)).max() <= EQUIVALENCE_TOL
         np.testing.assert_array_equal(times, ref_t)
-        assert np.abs(pops.rows() - np.asarray(ref_p)).max() <= EQUIVALENCE_TOL
+        assert np.abs(pops.slots(slice(None)) - np.asarray(ref_p)).max() <= EQUIVALENCE_TOL
 
     @pytest.mark.parametrize("n", [2, 15])
     def test_overlapping_detuned_cluster(self, n):
@@ -270,7 +270,7 @@ class TestDenseEquivalence:
         y = dense_overlap(y, pulses, cfg, 13, ref_t, ref_p)
         assert np.abs(final.amplitudes - y / np.linalg.norm(y)).max() <= EQUIVALENCE_TOL
         np.testing.assert_array_equal(times, ref_t)
-        assert np.abs(pops.rows() - np.asarray(ref_p)).max() <= EQUIVALENCE_TOL
+        assert np.abs(pops.slots(slice(None)) - np.asarray(ref_p)).max() <= EQUIVALENCE_TOL
 
     @pytest.mark.parametrize("steps,stride", [(4000, 0), (4000, 160), (4000, 3), (7, 7)])
     def test_chain_marks(self, steps, stride):
@@ -402,8 +402,8 @@ class TestReducedTrajectory:
         columns = trajectory.columns(m)
         assert np.abs(columns[:, :2] - dense[:, [m, 0]]).max() <= tol
         assert np.abs(columns[:, 2] - other).max() <= max(tol, 1e-13)
-        # and the dense rows built on first read
-        assert np.abs(result.trajectory_populations - dense).max() <= tol
+        # and every slot at once
+        assert np.abs(trajectory.slots(slice(None)) - dense).max() <= tol
 
 
 def rosen_zener_window(alpha, t, width):

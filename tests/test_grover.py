@@ -144,12 +144,9 @@ class TestRunSearchIdeal:
     @pytest.mark.parametrize("n", [2, 7, 23, 40, 64])
     def test_trajectory_matches_closed_form(self, n):
         result = run_search(SearchConfig(n_ions=n, marked_index=1))
-        m = 1
+        marked = result.trajectory.slots(1)
         for k in range(result.iterations_executed + 1):
-            expected = closed_form(n, k)
-            assert result.trajectory_populations[k, m] == pytest.approx(
-                expected, abs=1e-12
-            )
+            assert marked[k] == pytest.approx(closed_form(n, k), abs=1e-12)
 
     def test_iteration_override(self):
         result = run_search(SearchConfig(n_ions=15, marked_index=8, iterations=5))
@@ -245,12 +242,11 @@ class TestRunSearchPhysical:
     def test_trajectory_shape(self):
         cfg = SearchConfig(n_ions=4, marked_index=2, mode="physical")
         result = run_search(cfg)
-        assert result.trajectory_populations.shape[1] == 5
-        assert len(result.trajectory_times) == len(result.trajectory_populations)
+        assert result.trajectory.slots(slice(None)).shape[1] == 5
+        assert len(result.trajectory_times) == len(result.trajectory)
         assert np.all(np.diff(result.trajectory_times) > 0)
         # populations always sum to one along the trace
-        sums = result.trajectory_populations.sum(axis=1)
-        np.testing.assert_allclose(sums, 1.0, atol=1e-9)
+        np.testing.assert_allclose(result.trajectory.totals(), 1.0, atol=1e-9)
 
 
 class TestDetection:

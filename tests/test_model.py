@@ -174,17 +174,12 @@ class TestSearchResult:
                             trajectory_times=np.arange(2.0), trajectory=trajectory,
                             iterations_executed=1, parameters_used={"marked_index": 2})
 
-    def test_populations_are_the_cached_rows(self):
+    def test_trajectory_slots_and_totals(self):
         registers = [basis_register(4, 0).amplitudes, uniform_register(4).amplitudes]
         result = self.result(Trajectory(np.eye(5, dtype=complex), np.array(registers)))
-        rows = result.trajectory_populations
-        np.testing.assert_array_equal(rows, result.trajectory.rows())
-        np.testing.assert_array_equal(rows, [[1, 0, 0, 0, 0], [0] + [0.25] * 4])
-        assert result.trajectory_populations is rows
-        with pytest.raises(ValueError):
-            rows[0, 0] = 0.5
-        with pytest.raises(AttributeError):
-            result.trajectory_populations = rows
+        np.testing.assert_array_equal(result.trajectory.slots(slice(None)),
+                                      [[1, 0, 0, 0, 0], [0] + [0.25] * 4])
+        np.testing.assert_array_equal(result.trajectory.totals(), [1, 1])
 
     def test_needs_a_trajectory(self):
         rows = np.array([uniform_register(4).populations] * 2)

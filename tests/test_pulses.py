@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 from scipy.optimize import brentq
 
+from iongrover import dynamics
 from iongrover.dynamics import (
     HamiltonianSpec,
     IntegratorConfig,
@@ -22,6 +23,7 @@ from iongrover.model import (
     PulseSettings,
     local_chi,
     uniform_chi,
+    uniform_register,
 )
 from iongrover.pulses import (
     NoSolutionError,
@@ -280,3 +282,34 @@ class TestSimulationConsistency:
                        IntegratorConfig(steps_per_pulse=6000))
         assert hr_distance(u, generalized_hr(chi, phi)) < 1e-5
         assert fit_hr_phase(u, chi) == pytest.approx(phi, abs=1e-6)
+
+
+class TestCalibration:
+    """The Newton calibrator against the sech closed form, and the Gaussian
+    solution the nested scipy root finder it replaced selected."""
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.661, 0.9])
+    def test_sech_matches_closed_form(self, fraction):
+        phi = fraction * math.pi
+        pulse = calibrate_generalized_pulse(CouplingVector([0.6, 0.8]), phi, "sech")
+        assert rms_area(pulse) == pytest.approx(2 * math.pi, rel=2e-6)
+        assert abs(pulse.detuning - detuning_for_phase(phi, 1)) <= 1e-5
+
+    def test_gaussian_reference_branch(self):
+        # rms_peak and detuning of the scipy solver, whose area bracket was
+        # (1.2 pi, 3.2 pi); other branches also close the leakage
+        pulse = calibrate_generalized_pulse(local_chi(2, 1), 0.661 * math.pi)
+        assert abs(pulse.rms_peak - 3.3974833) <= 1e-6
+        assert abs(pulse.detuning - 1.0594504) <= 1e-6
+        assert pulse.shape == PulseShape("gaussian", 1.0)
+
+    def test_probes_leave_the_pulse_memo_alone(self):
+        dynamics.evolve(uniform_register(3), build_global_pulse(uniform_chi(3)))
+        before = dynamics._pulse_chain.cache_info()
+        calibrate_generalized_pulse(uniform_chi(3), 0.661 * math.pi)
+        assert dynamics._pulse_chain.cache_info() == before
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi, -0.5, 4.0])
+    def test_phase_outside_the_open_interval(self, phi):
+        with pytest.raises(NoSolutionError):
+            calibrate_generalized_pulse(uniform_chi(3), phi)
