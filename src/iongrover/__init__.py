@@ -35,7 +35,6 @@ from .householder import (
 )
 from .imperfections import (
     SweepRow,
-    adapted_chi,
     adapted_advantage,
     beam_factors,
     infidelity_sweep,
@@ -63,11 +62,9 @@ from .pulses import (
     PulseShape,
     PulseSpec,
     build_global_pulse,
-    calibrate_generalized_pulse,
     detuning_for_phase,
     phase_from_detuning,
     rms_area,
-    wrap_phase,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

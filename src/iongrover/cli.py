@@ -152,6 +152,8 @@ def _manifest(out_dir: Path, command: str, arguments: dict, resolved: dict,
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     cfg = load_config(Path(args.config))
     if cfg.shots is not None and args.seed is None:
         raise ConfigError("shot sampling requires an explicit --seed")

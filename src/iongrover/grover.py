@@ -30,7 +30,7 @@ from .model import (
     marked_probability,
     uniform_chi,
 )
-from .pulses import PulseShape, PulseSpec, build_global_pulse, detuning_for_phase
+from .pulses import PulseShape, PulseSpec, build_global_pulse
 
 #: Detection flags the run when this much population never left the ancilla.
 RESIDUAL_FLAG_LEVEL = 0.01
@@ -71,8 +71,8 @@ class IterationPlan:
     A search is ``init_pulse`` followed by ``count`` repeats of (``oracle``,
     ``reflection``): exact rank-1 reflections in ideal mode, pulse specs
     centered at t = 0 in physical mode, where ``timeline`` lays them out
-    ``spacing`` apart.  ``peak_coupling`` is the rms Rabi peak of the 2-pi
-    pulses: as configured, or the exact 2-pi area.
+    ``spacing`` apart.  ``delta_t`` and ``peak_coupling`` (the rms Rabi peak)
+    are the reflection pulse's, as built or calibrated, in either mode.
     """
 
     count: int
@@ -100,16 +100,12 @@ def _profile_factors(cfg: SearchConfig) -> np.ndarray:
     return imperfections.beam_factors(cfg.n_ions, imp.epsilon, imp.scaling)
 
 
-def _resolve_phase(cfg: SearchConfig) -> tuple[int, float, float]:
-    if cfg.variant == "deterministic":
-        count, phi = deterministic_params(cfg.n_ions, cfg.iterations)
-        return count, phi, 0.0 if phi == math.pi else detuning_for_phase(phi, 1)
-    return cfg.iterations or iteration_count(cfg.n_ions), math.pi, 0.0
-
-
 def build_plan(cfg: SearchConfig) -> IterationPlan:
-    """Resolve the iteration of a config: its reflections, or its pulses."""
-    count, phi, delta_t = _resolve_phase(cfg)
+    """Resolve the iteration of a config: its reflections, or its pulses;
+    in either mode the plan reports the pulses' detuning and rms peak."""
+    count, phi = (deterministic_params(cfg.n_ions, cfg.iterations)
+                  if cfg.variant == "deterministic"
+                  else (cfg.iterations or iteration_count(cfg.n_ions), math.pi))
     factors = _profile_factors(cfg)
     norm = float(np.linalg.norm(factors))
     # evolve_schedule keys chis by identity: the init beam and the adapted
@@ -119,20 +115,21 @@ def build_plan(cfg: SearchConfig) -> IterationPlan:
             uniform_chi(cfg.n_ions) if cfg.imperfection.reflection == "uniform"
             else profile)
     shape = PulseShape(cfg.pulse.shape, cfg.pulse.width)
-    peak = cfg.pulse.peak_coupling or 2.0 * math.pi / shape.integral()
+    oracle, reflection = (build_global_pulse(chi, phi, shape, cfg.pulse.peak_coupling,
+                                             cfg.integrator) for chi in chis)
+    delta_t = reflection.detuning * shape.width
     if cfg.mode == "ideal":
-        return IterationPlan(count, phi, delta_t, peak,
+        return IterationPlan(count, phi, delta_t, reflection.rms_peak,
                              *(generalized_hr(chi, phi) for chi in chis))
 
-    # Same beam as the global pulse at half the Rabi frequency; calibrated
+    # Same beam as a resonant 2-pi pulse at half the Rabi frequency; calibrated
     # means the power is trimmed for an exact rms-pi transfer, uncalibrated
     # leaves it at the uniform-beam setting.
-    init_peak = peak / 2.0
+    init_peak = (cfg.pulse.peak_coupling or 2.0 * math.pi / shape.integral()) / 2.0
     if cfg.imperfection.calibration == "uncalibrated":
         init_peak *= norm / math.sqrt(cfg.n_ions)
     init = PulseSpec(shape, profile, init_peak)
-    return IterationPlan(count, phi, delta_t, peak,
-                         *(build_global_pulse(chi, phi, shape, peak) for chi in chis),
+    return IterationPlan(count, phi, delta_t, reflection.rms_peak, oracle, reflection,
                          init, cfg.pulse.spacing * cfg.pulse.width)
 
 

@@ -68,7 +68,7 @@ def register_from_factors(factors: np.ndarray, calibrated: bool = True) -> Regis
                                          math.sin(half_area) * f / norm)))
 
 
-def adapted_chi(register: RegisterState) -> CouplingVector:
+def _adapted_chi(register: RegisterState) -> CouplingVector:
     """Reflection vector matched to the register's ion amplitude distribution."""
     ions = register.amplitudes[1:]
     norm = float(np.linalg.norm(ions))
@@ -140,7 +140,7 @@ def adapted_advantage(
     start = register_from_factors(factors, calibrated=True)
     oracle = standard_hr(local_chi(n_ions, marked_index))
     best = []
-    for chi in (adapted_chi(start), uniform_chi(n_ions)):
+    for chi in (_adapted_chi(start), uniform_chi(n_ions)):
         reflection = standard_hr(chi)
         state = start
         top = 0.0

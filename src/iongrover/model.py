@@ -157,9 +157,9 @@ def marked_probability(state: RegisterState, marked_index: int) -> float:
 class PulseSettings:
     """Defaults for the laser pulses used by a search run.
 
-    ``peak_coupling`` is the rms Rabi peak of the 2-pi pulses; left as None it
-    resolves to 2/width (the exact 2-pi area for a sech envelope).  ``spacing``
-    is the distance between consecutive pulse centers, in units of the width.
+    ``peak_coupling``, the rms Rabi peak, defaults to the exact 2-pi area
+    2*pi/integral(f); a detuned non-sech pulse is calibrated instead.
+    ``spacing`` is the distance between pulse centers, in units of the width.
     """
 
     shape: str = "sech"

@@ -3,26 +3,27 @@
 A pulse with rms area 2*pi*l and a constant detuning delta realizes a
 generalized Householder reflection whose phase depends only on the
 dimensionless product delta*T.  For the sech envelope the map is the closed
-form ``phase_from_detuning``; for other envelopes the (area, detuning) pair
-is calibrated numerically on the pulse's 2x2 (ancilla, bright) chain.
+form ``phase_from_detuning``; ``build_global_pulse`` calibrates the (area,
+detuning) pair of any other envelope on its 2x2 (ancilla, bright) chain.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import VALID_SHAPES, CouplingVector, check_number
+from .model import VALID_SHAPES, CouplingVector, IntegratorConfig, check_number
 
 
 class NoSolutionError(ValueError):
     """The requested reflection phase is not attainable at the given area."""
 
 
-def wrap_phase(phi: float) -> float:
+def _wrap_phase(phi: float) -> float:
     """Reduce an angle to the principal branch (-pi, pi]."""
     r = math.remainder(phi, 2.0 * math.pi)
     return r + 2.0 * math.pi if r <= -math.pi else r
@@ -101,7 +102,7 @@ def rms_area(pulse: PulseSpec, window: float | None = None) -> float:
 
 def phase_from_detuning(delta_t: float, l: int = 1) -> float:
     """Reflection phase of a sech pulse with rms area 2*pi*l at detuning delta*T
-    (sech only: other envelopes map delta*T to other phases).
+    (other envelopes map delta*T to other phases).
 
     phi = 2 * sum_{j=0}^{l-1} arg(delta*T + i(2j+1)), reduced to (-pi, pi].
     Resonance gives phi = pi for odd l and phi = 0 for even l.
@@ -109,7 +110,7 @@ def phase_from_detuning(delta_t: float, l: int = 1) -> float:
     if l < 1:
         raise ValueError(f"area index l must be a positive integer, got {l}")
     raw = 2.0 * sum(math.atan2(2 * j + 1, delta_t) for j in range(l))
-    return wrap_phase(raw)
+    return _wrap_phase(raw)
 
 
 def detuning_for_phase(phi: float, l: int = 1) -> float:
@@ -154,39 +155,38 @@ def build_global_pulse(
     phase: float = math.pi,
     shape: PulseShape = PulseShape("sech", 1.0),
     peak_coupling: float | None = None,
+    integrator: IntegratorConfig | None = None,
 ) -> PulseSpec:
     """Pulse along chi realizing M(chi; phase), centered at t = 0.
 
-    The rms peak defaults to the exact 2*pi area.  ``phase = pi`` gives the
-    resonant standard reflection for any envelope.  Other phases set the
-    detuning by the sech closed form, so they are refused for any other
-    envelope (``calibrate_generalized_pulse`` calibrates those on the pulse's
-    2x2 chain).
+    Sech and resonant (phase pi) pulses take the closed-form detuning and
+    ``peak_coupling``, by default the exact 2*pi area.  Any other pulse gets
+    both from a calibration on the ``integrator`` grid, so it is an exact
+    reflection on the chain a run integrates; a configured peak is refused.
     """
-    if shape.kind != "sech" and phase != math.pi:
-        raise ValueError(f"a {shape.kind!r} pulse cannot realize phase "
-                         f"{phase / math.pi:.4f}*pi: the detuning is calibrated "
-                         "for sech only, so other envelopes run at phase pi")
-    if peak_coupling is None:
-        peak_coupling = 2.0 * math.pi / shape.integral()
-    delta_t = 0.0 if phase == math.pi else detuning_for_phase(phase, 1)
-    return PulseSpec(shape, chi, peak_coupling, detuning=delta_t / shape.width)
+    if shape.kind == "sech" or phase == math.pi:
+        if peak_coupling is None:
+            peak_coupling = 2.0 * math.pi / shape.integral()
+        delta_t = 0.0 if phase == math.pi else detuning_for_phase(phase, 1)
+        return PulseSpec(shape, chi, peak_coupling, detuning=delta_t / shape.width)
+    if peak_coupling is not None:
+        raise ValueError(f"peak_coupling cannot be set for a detuned {shape.kind!r} "
+                         "pulse: its calibration fixes the area")
+    cfg = integrator or IntegratorConfig()
+    peak, detuning = _calibrate(shape, phase, cfg.steps_per_pulse, cfg.window)
+    return PulseSpec(shape, chi, peak, detuning=detuning)
 
 
-def calibrate_generalized_pulse(
-    chi: CouplingVector,
-    phase: float,
-    shape: str = "gaussian",
-    width: float = 1.0,
-    coarse_steps: int = 1500,
-) -> PulseSpec:
-    """Numerically calibrate (area, detuning) of a non-sech generalized reflection.
+@functools.lru_cache(maxsize=32)
+def _calibrate(shape: PulseShape, phase: float, steps: int, window: float):
+    """(rms peak, detuning) realizing ``phase`` on the ``steps``-step RK4
+    chain over the half window ``window * T``.
 
-    A 2-D Newton solve with finite-difference Jacobians on the window
-    product P of the (ancilla, bright) chain, seeded by the sech solution.
-    Both residuals are signed, so their roots are crossings: the phase error
-    arg P[1, 1] - phase, and the leakage Im(P[0, 1] e^{i delta w T}), where
-    w T is the half window.  tr H = delta gives det P = e^{-2 i delta w T},
+    A 2-D Newton solve in (area, delta*T) with finite-difference Jacobians on
+    the window product P of the (ancilla, bright) chain, seeded by the sech
+    solution.  Both residuals are signed, so their roots are crossings: the
+    phase error arg P[1, 1] - phase, and the leakage Im(P[0, 1] e^{i delta w T}),
+    where w T is the half window.  tr H = delta gives det P = e^{-2 i delta w T},
     so e^{i delta w T} P is special unitary, and a real coupling on an
     envelope symmetric in time makes it symmetric: its off-diagonal element
     is imaginary.
@@ -195,14 +195,13 @@ def calibrate_generalized_pulse(
 
     if not 0.0 < phase < math.pi:
         raise NoSolutionError("calibration targets phases strictly inside (0, pi)")
-    shp = PulseShape(shape, width)
-    window = dynamics.IntegratorConfig().window
 
     def residuals(x):
         area, delta_t = x
         # the uncached chain: probes must not evict the process memo's pulses
-        p = dynamics._pulse_chain.__wrapped__(area / shp.integral(), delta_t / width,
-                                              shp, coarse_steps, window, 0)[1][:, :, -1]
+        p = dynamics._pulse_chain.__wrapped__(area / shape.integral(),
+                                              delta_t / shape.width, shape, steps,
+                                              window, 0)[1][:, :, -1]
         return np.array([(p[0, 1] * cmath.exp(1j * delta_t * window)).imag,
                          math.remainder(cmath.phase(p[1, 1]) - phase, 2.0 * math.pi)])
 
@@ -210,8 +209,7 @@ def calibrate_generalized_pulse(
     for _ in range(32):  # sech and Gaussian need at most 10 from 0.1*pi up
         r = residuals(x)
         if np.abs(r).max() <= 1e-12 and x[0] > 0.0:
-            return PulseSpec(shp, chi, float(x[0]) / shp.integral(),
-                             detuning=float(x[1]) / width)
+            return float(x[0]) / shape.integral(), float(x[1]) / shape.width
         jac = np.column_stack([(residuals(x + 1e-7 * e) - r) / 1e-7 for e in np.eye(2)])
         x = x - np.linalg.solve(jac, r)
     raise NoSolutionError(f"no (area, detuning) found for phase {phase!r}")

@@ -6,7 +6,7 @@ import pytest
 
 from iongrover import cli
 from iongrover.cli import main
-from iongrover.grover import run_search
+from iongrover.grover import build_plan, run_search
 from iongrover.imperfections import SweepRow
 from iongrover.model import SearchConfig, Trajectory
 from iongrover.pulses import rms_area
@@ -86,6 +86,20 @@ class TestRunCommand:
         result = json.loads((out / "result.json").read_text())
         assert result["shots"]["count"] == 100
         assert sum(result["shots"]["ion_counts"]) + result["shots"]["no_click"] == 100
+
+    def test_negative_seed_rejected_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # it once ran the search and created --out before the seed was checked
+        def fail(cfg):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "run_search", fail)
+        cfg = write_config(tmp_path / "cfg.json", shots=100)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--seed", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config invalid: --seed") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_numerical_failure_exit_3(self, tmp_path):
         cfg = write_config(
@@ -226,15 +240,49 @@ class TestInternalFailure:
 
 
 class TestNonSechShape:
-    def test_detuned_gaussian_search_refused(self, tmp_path, capsys):
-        # the sech closed-form detuning gave p = 0.814 here, with exit 0
+    def test_detuned_gaussian_search_runs(self, tmp_path):
+        # the sech closed-form detuning gave p = 0.814 here; the calibrated
+        # pulse is what the run reports
         cfg = write_config(tmp_path / "cfg.json", n_ions=5, marked_index=2,
                            mode="physical", variant="deterministic",
                            pulse={"shape": "gaussian"})
         out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        used = result["parameters_used"]
+        assert used["phi"] < 0.5 * math.pi
+        reflection = build_plan(cli.load_config(cfg)).reflection
+        assert used["delta_t"] == reflection.detuning * reflection.shape.width
+        assert used["peak_coupling"] == reflection.rms_peak
+        assert 1.0 - result["success_probability"] <= 1e-9
+
+    def test_detuned_gaussian_peak_coupling_refused(self, tmp_path, capsys):
+        # the calibration fixes the area of a detuned non-sech pulse
+        cfg = write_config(tmp_path / "cfg.json", n_ions=5, marked_index=2,
+                           mode="physical", variant="deterministic",
+                           pulse={"shape": "gaussian", "peak_coupling": 3.0})
+        out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "sech only" in err and "'gaussian'" in err
+        assert err.startswith("error: config invalid: peak_coupling")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("iterations, code", [(40, 0), (55, 3)])
+    def test_small_phase_calibration(self, tmp_path, capsys, iterations, code):
+        # 40 iterations match at phi = 0.048*pi; at 0.035*pi (55) the Newton
+        # solve finds no root within its 32 steps
+        cfg = write_config(tmp_path / "cfg.json", n_ions=15, marked_index=8,
+                           mode="physical", variant="deterministic",
+                           iterations=iterations, pulse={"shape": "gaussian"})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            result = json.loads((out / "result.json").read_text())
+            assert 1.0 - result["success_probability"] <= 1e-9
+            return
+        assert err.startswith("error: numerical failure: no (area, detuning)")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("variant, iterations",
@@ -396,13 +444,18 @@ from iongrover.cli import main
 from iongrover.dynamics import IntegratorConfig, fit_hr_phase, hr_distance, propagator
 from iongrover.householder import generalized_hr
 from iongrover.model import CouplingVector
-from iongrover.pulses import calibrate_generalized_pulse
+from iongrover.pulses import PulseShape, build_global_pulse
 
-code = main(["validate", "--suite", "fast", "--out", sys.argv[1]])
+out, config = sys.argv[1:]
+code = main(["validate", "--suite", "fast", "--out", out])
+run_code = main(["run", "--config", config, "--out", out + "-run"])
+with open(out + "-run/result.json") as fh:
+    p = json.load(fh)["success_probability"]
 phi, chi = 0.661 * math.pi, CouplingVector([0.5, 0.5, math.sqrt(0.5)])
-u = propagator(calibrate_generalized_pulse(chi, phi, "gaussian"),
-               IntegratorConfig(steps_per_pulse=6000))
-print(json.dumps([code, hr_distance(u, generalized_hr(chi, phi)),
+pulse = build_global_pulse(chi, phi, PulseShape("gaussian", 1.0),
+                           integrator=IntegratorConfig(steps_per_pulse=1500))
+u = propagator(pulse, IntegratorConfig(steps_per_pulse=6000))
+print(json.dumps([code, run_code, 1.0 - p, hr_distance(u, generalized_hr(chi, phi)),
                   abs(fit_hr_phase(u, chi) - phi)]))
 """
 
@@ -425,10 +478,15 @@ def run_probe(probe, *args):
 
 class TestImportHygiene:
     def test_runs_without_scipy(self, tmp_path):
-        # the fast self-checks and a Gaussian calibration, as in the slow
-        # calibration test, with scipy unimportable
-        code, distance, phase_error = run_probe(SCIPY_BLOCKED_PROBE, str(tmp_path / "v"))
-        assert code == 0
+        # the fast self-checks, a deterministic Gaussian search and a Gaussian
+        # calibration, as in the slow calibration test, with scipy unimportable
+        gaussian = write_config(tmp_path / "gaussian.json", n_ions=15, marked_index=8,
+                                mode="physical", variant="deterministic",
+                                pulse={"shape": "gaussian"})
+        code, run_code, infidelity, distance, phase_error = run_probe(
+            SCIPY_BLOCKED_PROBE, str(tmp_path / "v"), str(gaussian))
+        assert code == run_code == 0
+        assert infidelity <= 1e-9
         assert distance < 1e-5
         assert phase_error < 1e-6
 

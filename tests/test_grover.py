@@ -17,6 +17,7 @@ from iongrover.householder import generalized_hr
 from iongrover.imperfections import beam_factors
 from iongrover.model import (
     ImperfectionSettings,
+    PulseSettings,
     SearchConfig,
     basis_register,
     fidelity,
@@ -248,6 +249,20 @@ class TestRunSearchPhysical:
         # populations always sum to one along the trace
         np.testing.assert_allclose(result.trajectory.totals(), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_deterministic_gaussian_unit_fidelity(self, n):
+        # every reflection is one calibrated Gaussian pulse, detuned to the
+        # matched phase
+        cfg = SearchConfig(n_ions=n, marked_index=1 + n // 2, mode="physical",
+                           variant="deterministic",
+                           pulse=PulseSettings(shape="gaussian"))
+        result = run_search(cfg)
+        assert 1.0 - result.success_probability <= 1e-9
+        plan = build_plan(cfg)
+        assert plan.reflection.shape.kind == "gaussian"
+        assert plan.phi == deterministic_params(n)[1]
+        assert plan.reflection.detuning == plan.oracle.detuning
+
 
 class TestDetection:
     def test_deterministic_final_state(self):
@@ -320,6 +335,20 @@ class TestPlan:
                                        np.full(20, 1 / math.sqrt(20)))
         rank = 3 if shared else 4
         assert run_search(cfg).trajectory.basis.shape == (21, rank)
+
+    def test_both_modes_report_the_reflection_pulse(self):
+        settings = PulseSettings(shape="gaussian", width=1.3)
+        plans = [build_plan(SearchConfig(n_ions=15, marked_index=8, mode=mode,
+                                         variant="deterministic", pulse=settings))
+                 for mode in ("ideal", "physical")]
+        pulse = plans[1].reflection
+        for plan in plans:
+            assert plan.delta_t == pulse.detuning * 1.3
+            assert plan.peak_coupling == pulse.rms_peak
+        # the init pulse keeps the rms-pi area the calibration does not set
+        assert plans[1].init_pulse.rms_peak * pulse.shape.integral() == pytest.approx(
+            math.pi, rel=1e-12)
+        assert abs(pulse.rms_peak * pulse.shape.integral() - 2 * math.pi) > 0.1
 
     def test_ideal_plan_holds_operators(self):
         plan = build_plan(SearchConfig(n_ions=5, marked_index=2))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from iongrover.imperfections import (
+    _adapted_chi,
     adapted_advantage,
-    adapted_chi,
     beam_factors,
     infidelity_sweep,
     register_from_factors,
@@ -48,23 +48,23 @@ class TestBeamFactors:
 class TestAdaptedChi:
     def test_uniform_register_gives_w_vector(self):
         reg = register_from_factors(np.ones(6))
-        np.testing.assert_allclose(adapted_chi(reg).components,
+        np.testing.assert_allclose(_adapted_chi(reg).components,
                                    np.full(6, 1 / math.sqrt(6)), atol=1e-15)
 
     def test_already_normalized_passthrough(self):
         reg = RegisterState(np.array([0.0, 0.6, 0.8]))
-        np.testing.assert_allclose(adapted_chi(reg).components, [0.6, 0.8],
+        np.testing.assert_allclose(_adapted_chi(reg).components, [0.6, 0.8],
                                    atol=1e-15)
 
     def test_beam_profiled_register(self):
         factors = beam_factors(20, 0.1)
         reg = register_from_factors(factors)
-        np.testing.assert_allclose(adapted_chi(reg).components,
+        np.testing.assert_allclose(_adapted_chi(reg).components,
                                    factors / np.linalg.norm(factors), atol=1e-12)
 
     def test_zero_register_rejected(self):
         with pytest.raises(ValueError):
-            adapted_chi(RegisterState(np.eye(5)[0]))
+            _adapted_chi(RegisterState(np.eye(5)[0]))
 
 
 class TestPerturbedRegister:

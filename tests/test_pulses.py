@@ -29,13 +29,15 @@ from iongrover.pulses import (
     NoSolutionError,
     PulseShape,
     PulseSpec,
+    _calibrate,
+    _wrap_phase,
     build_global_pulse,
-    calibrate_generalized_pulse,
     detuning_for_phase,
     phase_from_detuning,
     rms_area,
-    wrap_phase,
 )
+
+GAUSS = PulseShape("gaussian", 1.0)
 
 
 class TestPulseShape:
@@ -187,7 +189,7 @@ class TestDetuningForPhase:
         # near pi the root is finite; for tiny phases delta*T ~ 2 l^2 / phi
         for phi in (math.pi, math.nextafter(math.pi, 0.0)):
             phase = phase_from_detuning(detuning_for_phase(phi, l), l)
-            assert abs(wrap_phase(phase - phi)) <= 1e-13  # pi and -pi are one phase
+            assert abs(_wrap_phase(phase - phi)) <= 1e-13  # pi and -pi are one phase
         for phi in (1e-9, 1e-160, 1e-300):
             assert detuning_for_phase(phi, l) == pytest.approx(2 * l * l / phi, rel=1e-12)
 
@@ -199,9 +201,9 @@ class TestDetuningForPhase:
             detuning_for_phase(phi, l)
 
     def test_wrap_phase_branch(self):
-        assert wrap_phase(math.pi) == pytest.approx(math.pi)
-        assert wrap_phase(-math.pi) == pytest.approx(math.pi)
-        assert wrap_phase(2.5 * math.pi) == pytest.approx(0.5 * math.pi)
+        assert _wrap_phase(math.pi) == pytest.approx(math.pi)
+        assert _wrap_phase(-math.pi) == pytest.approx(math.pi)
+        assert _wrap_phase(2.5 * math.pi) == pytest.approx(0.5 * math.pi)
 
 
 class TestPulseBuilders:
@@ -239,15 +241,29 @@ class TestPulseBuilders:
         with pytest.raises(IndexError):
             build_global_pulse(local_chi(15, 0))
 
-    def test_detuned_non_sech_refused(self):
-        # the sech detuning on a Gaussian envelope realized 0.812*pi, not 0.661*pi
-        gaussian = PulseShape("gaussian", 1.0)
-        with pytest.raises(ValueError, match="sech only"):
-            build_global_pulse(uniform_chi(15), 0.661 * math.pi, gaussian)
-        pulse = build_global_pulse(uniform_chi(15), math.pi, gaussian)
-        assert pulse.shape == gaussian
+    def test_resonant_non_sech_keeps_the_two_pi_area(self):
+        pulse = build_global_pulse(uniform_chi(15), math.pi, GAUSS)
+        assert pulse.shape == GAUSS
         assert pulse.detuning == 0.0
         assert rms_area(pulse) == pytest.approx(2 * math.pi, rel=1e-12)
+        assert build_global_pulse(uniform_chi(15), math.pi, GAUSS, 3.0).rms_peak == 3.0
+
+    def test_detuned_non_sech_is_calibrated_on_the_integrator_grid(self):
+        # the sech detuning on a Gaussian envelope realized 0.812*pi, not 0.661*pi
+        phi = 0.661 * math.pi
+        for cfg in (None, IntegratorConfig(steps_per_pulse=3000, window=10.0)):
+            pulse = build_global_pulse(uniform_chi(15), phi, GAUSS, integrator=cfg)
+            cfg = cfg or IntegratorConfig()
+            assert (pulse.rms_peak, pulse.detuning) == _calibrate(
+                GAUSS, phi, cfg.steps_per_pulse, cfg.window)
+            # an exact reflection on the chain that integrator runs
+            u = propagator(pulse, cfg)
+            assert hr_distance(u, generalized_hr(pulse.chi, phi)) < 1e-9
+
+    def test_detuned_non_sech_refuses_a_peak_coupling(self):
+        with pytest.raises(ValueError, match="peak_coupling") as info:
+            build_global_pulse(uniform_chi(15), 0.661 * math.pi, GAUSS, 3.0)
+        assert not isinstance(info.value, NoSolutionError)
 
 
 class TestSimulationConsistency:
@@ -277,7 +293,8 @@ class TestSimulationConsistency:
     def test_gaussian_calibration(self):
         phi = 0.661 * math.pi
         chi = CouplingVector([0.5, 0.5, math.sqrt(0.5)])
-        pulse = calibrate_generalized_pulse(chi, phi, shape="gaussian")
+        pulse = build_global_pulse(chi, phi, GAUSS,
+                                   integrator=IntegratorConfig(steps_per_pulse=1500))
         u = propagator(hamiltonian_from_pulse(pulse),
                        IntegratorConfig(steps_per_pulse=6000))
         assert hr_distance(u, generalized_hr(chi, phi)) < 1e-5
@@ -285,31 +302,46 @@ class TestSimulationConsistency:
 
 
 class TestCalibration:
-    """The Newton calibrator against the sech closed form, and the Gaussian
-    solution the nested scipy root finder it replaced selected."""
+    """The Newton calibrator behind ``build_global_pulse`` against the sech
+    closed form, and the Gaussian solution the nested scipy root finder it
+    replaced selected."""
 
     @pytest.mark.parametrize("fraction", [0.5, 0.661, 0.9])
     def test_sech_matches_closed_form(self, fraction):
         phi = fraction * math.pi
-        pulse = calibrate_generalized_pulse(CouplingVector([0.6, 0.8]), phi, "sech")
-        assert rms_area(pulse) == pytest.approx(2 * math.pi, rel=2e-6)
-        assert abs(pulse.detuning - detuning_for_phase(phi, 1)) <= 1e-5
+        shape = PulseShape("sech", 1.0)
+        peak, detuning = _calibrate(shape, phi, 1500, 15.0)
+        assert peak * shape.integral() == pytest.approx(2 * math.pi, rel=2e-6)
+        assert abs(detuning - detuning_for_phase(phi, 1)) <= 1e-5
 
     def test_gaussian_reference_branch(self):
         # rms_peak and detuning of the scipy solver, whose area bracket was
         # (1.2 pi, 3.2 pi); other branches also close the leakage
-        pulse = calibrate_generalized_pulse(local_chi(2, 1), 0.661 * math.pi)
+        pulse = build_global_pulse(local_chi(2, 1), 0.661 * math.pi, GAUSS,
+                                   integrator=IntegratorConfig(steps_per_pulse=1500))
         assert abs(pulse.rms_peak - 3.3974833) <= 1e-6
         assert abs(pulse.detuning - 1.0594504) <= 1e-6
-        assert pulse.shape == PulseShape("gaussian", 1.0)
+        assert pulse.shape == GAUSS
 
     def test_probes_leave_the_pulse_memo_alone(self):
         dynamics.evolve(uniform_register(3), build_global_pulse(uniform_chi(3)))
+        _calibrate.cache_clear()
         before = dynamics._pulse_chain.cache_info()
-        calibrate_generalized_pulse(uniform_chi(3), 0.661 * math.pi)
+        build_global_pulse(uniform_chi(3), 0.661 * math.pi, GAUSS)
+        assert _calibrate.cache_info().misses == 1  # the solve ran
         assert dynamics._pulse_chain.cache_info() == before
+
+    def test_one_solve_per_shape_phase_and_grid(self):
+        _calibrate.cache_clear()
+        pulses = [build_global_pulse(chi, 0.7 * math.pi, GAUSS)
+                  for chi in (uniform_chi(3), local_chi(3, 2), uniform_chi(5))]
+        assert _calibrate.cache_info().misses == 1
+        assert len({(p.rms_peak, p.detuning) for p in pulses}) == 1
 
     @pytest.mark.parametrize("phi", [0.0, math.pi, -0.5, 4.0])
     def test_phase_outside_the_open_interval(self, phi):
         with pytest.raises(NoSolutionError):
-            calibrate_generalized_pulse(uniform_chi(3), phi)
+            _calibrate(GAUSS, phi, 1500, 15.0)
+        if phi != math.pi:  # phase pi is the resonant pulse, no calibration
+            with pytest.raises(NoSolutionError):
+                build_global_pulse(uniform_chi(3), phi, GAUSS)
