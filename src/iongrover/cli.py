@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .dynamics import IntegrationError
-from .grover import build_plan, detect, run_search, sample_detection
+from .grover import build_plan, count_and_phase, detect, run_search, sample_detection
 from .imperfections import infidelity_sweep
 from .model import (
     ImperfectionSettings,
@@ -39,6 +39,10 @@ FIG4_IONS = [1, 5, 10]
 #: peak memory of ``run`` per ion: 750 to 1030 bytes at N = 2^18 and 2^20 in
 #: either mode, most of it the JSON text of the final state
 BYTES_PER_ION = 1024
+#: peak memory of ``run`` per trajectory row, above that of a short run: 486
+#: bytes (physical) and 433 (ideal) at N = 15 and 10^6 rows
+BYTES_PER_ROW = 512
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class ConfigError(ValueError):
@@ -95,11 +99,15 @@ def load_config(path: Path) -> SearchConfig:
         cfg = SearchConfig(**args)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    need = BYTES_PER_ION * cfg.n_ions  # checked before anything is allocated
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ConfigError(f"n_ions = {cfg.n_ions} needs about {need / 2**30:.3g} GiB, "
-                          f"more than the {have / 2**30:.3g} GiB of physical memory")
+    # checked before anything is allocated: the register and the record
+    count, integ = count_and_phase(cfg)[0], cfg.integrator
+    rows = (count + 1 if cfg.mode == "ideal" else
+            (2 * count + 1) * -(-integ.steps_per_pulse // integ.trajectory_stride) + 1)
+    need = BYTES_PER_ION * cfg.n_ions + BYTES_PER_ROW * rows
+    if need > PHYSICAL_MEMORY:
+        raise ConfigError(f"n_ions = {cfg.n_ions} with a trajectory record of {rows} "
+                          f"rows needs about {need / 2**30:.3g} GiB, more than the "
+                          f"{PHYSICAL_MEMORY / 2**30:.3g} GiB of physical memory")
     return cfg
 
 

@@ -1,9 +1,10 @@
 """End-to-end search orchestration: init, iteration schedule, detection.
 
 A search is init followed by repeated (oracle, global reflection) pairs.
-In ideal mode the reflections are exact operators; in physical mode every
-reflection is one laser pulse and the whole schedule is integrated as
-time-dependent dynamics.  The probabilistic variant uses resonant pulses
+Every reflection is one laser pulse, and both modes read one plan of them:
+ideal mode applies the exact reflections about the pulses' chis at the plan's
+phase, physical mode integrates the whole schedule as time-dependent
+dynamics.  The probabilistic variant uses resonant pulses
 (reflection phase pi); the deterministic variant detunes both pulses of each
 iteration to the matched phase that makes the final fidelity exactly one.
 """
@@ -18,7 +19,7 @@ import numpy.random  # loaded lazily by numpy; here it loads with the package
 
 from . import imperfections
 from .dynamics import IntegrationError, evolve, evolve_schedule, subspace
-from .householder import Reflection, apply, generalized_hr
+from .householder import apply, generalized_hr
 from .model import (
     CouplingVector,
     RegisterState,
@@ -64,25 +65,33 @@ def deterministic_params(n_ions: int, count: int | None = None) -> tuple[int, fl
     return count, phi
 
 
+def count_and_phase(cfg: SearchConfig) -> tuple[int, float]:
+    """Iteration count and reflection phase of a config: the matched pair of
+    the deterministic variant, else the requested (default optimal) count at
+    phase pi."""
+    if cfg.variant == "deterministic":
+        return deterministic_params(cfg.n_ions, cfg.iterations)
+    return cfg.iterations or iteration_count(cfg.n_ions), math.pi
+
+
 @dataclass(frozen=True)
 class IterationPlan:
-    """Resolved schedule: the count, the phase and the one iteration.
+    """Resolved schedule: the count, the phase and the pulses of one iteration.
 
     A search is ``init_pulse`` followed by ``count`` repeats of (``oracle``,
-    ``reflection``): exact rank-1 reflections in ideal mode, pulse specs
-    centered at t = 0 in physical mode, where ``timeline`` lays them out
-    ``spacing`` apart.  ``delta_t`` and ``peak_coupling`` (the rms Rabi peak)
-    are the reflection pulse's, as built or calibrated, in either mode.
+    ``reflection``), pulses centered at t = 0 that realize the reflections
+    about their chis at phase ``phi``, the same in either mode.  Physical mode
+    integrates the ``timeline``, which lays them out ``spacing`` apart; ideal
+    mode reads only the chis and ``phi``.  A run reports the ``reflection``
+    pulse's detuning and rms peak, as built or calibrated.
     """
 
     count: int
     phi: float
-    delta_t: float
-    peak_coupling: float
-    oracle: Reflection | PulseSpec
-    reflection: Reflection | PulseSpec
-    init_pulse: PulseSpec | None = None
-    spacing: float = 0.0
+    init_pulse: PulseSpec
+    oracle: PulseSpec
+    reflection: PulseSpec
+    spacing: float
 
     def timeline(self) -> list[PulseSpec]:
         """The physical schedule: the init pulse, then the 2 * count pulses of
@@ -101,11 +110,10 @@ def _profile_factors(cfg: SearchConfig) -> np.ndarray:
 
 
 def build_plan(cfg: SearchConfig) -> IterationPlan:
-    """Resolve the iteration of a config: its reflections, or its pulses;
-    in either mode the plan reports the pulses' detuning and rms peak."""
-    count, phi = (deterministic_params(cfg.n_ions, cfg.iterations)
-                  if cfg.variant == "deterministic"
-                  else (cfg.iterations or iteration_count(cfg.n_ions), math.pi))
+    """Resolve the pulses of a config, one plan for both modes: the init beam
+    along the (possibly profile-shaped) beam, the oracle on the marked ion,
+    and the global reflection along the adapted profile or the uniform beam."""
+    count, phi = count_and_phase(cfg)
     factors = _profile_factors(cfg)
     norm = float(np.linalg.norm(factors))
     # evolve_schedule keys chis by identity: the init beam and the adapted
@@ -117,20 +125,14 @@ def build_plan(cfg: SearchConfig) -> IterationPlan:
     shape = PulseShape(cfg.pulse.shape, cfg.pulse.width)
     oracle, reflection = (build_global_pulse(chi, phi, shape, cfg.pulse.peak_coupling,
                                              cfg.integrator) for chi in chis)
-    delta_t = reflection.detuning * shape.width
-    if cfg.mode == "ideal":
-        return IterationPlan(count, phi, delta_t, reflection.rms_peak,
-                             *(generalized_hr(chi, phi) for chi in chis))
-
     # Same beam as a resonant 2-pi pulse at half the Rabi frequency; calibrated
     # means the power is trimmed for an exact rms-pi transfer, uncalibrated
     # leaves it at the uniform-beam setting.
     init_peak = (cfg.pulse.peak_coupling or 2.0 * math.pi / shape.integral()) / 2.0
     if cfg.imperfection.calibration == "uncalibrated":
         init_peak *= norm / math.sqrt(cfg.n_ions)
-    init = PulseSpec(shape, profile, init_peak)
-    return IterationPlan(count, phi, delta_t, reflection.rms_peak, oracle, reflection,
-                         init, cfg.pulse.spacing * cfg.pulse.width)
+    return IterationPlan(count, phi, PulseSpec(shape, profile, init_peak), oracle,
+                         reflection, cfg.pulse.spacing * cfg.pulse.width)
 
 
 def initialize(cfg: SearchConfig) -> RegisterState:
@@ -155,8 +157,8 @@ def run_search(cfg: SearchConfig) -> SearchResult:
         "variant": cfg.variant,
         "iterations": plan.count,
         "phi": plan.phi,
-        "delta_t": plan.delta_t,
-        "peak_coupling": plan.peak_coupling,
+        "delta_t": plan.reflection.detuning * plan.reflection.shape.width,
+        "peak_coupling": plan.reflection.rms_peak,
         "pulse_shape": cfg.pulse.shape,
         "pulse_width": cfg.pulse.width,
         "pulse_spacing": cfg.pulse.spacing,
@@ -169,10 +171,10 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     if cfg.mode == "ideal":
         # a search on r-1 virtual ions: the coordinates of the start in its
         # subspace with the chis, reflected about the chis' coordinates
-        pair = plan.oracle, plan.reflection
-        q, z, coords = subspace(initialize(cfg).amplitudes, [op.chi for op in pair])
-        oracle, reflection = (generalized_hr(CouplingVector(c[1:]), op.phi)
-                              for op, c in zip(pair, coords))
+        q, z, coords = subspace(initialize(cfg).amplitudes,
+                                [plan.oracle.chi, plan.reflection.chi])
+        oracle, reflection = (generalized_hr(CouplingVector(c[1:]), plan.phi)
+                              for c in coords)
         states = [RegisterState(z)]
         for _ in range(plan.count):
             states.append(apply(reflection, apply(oracle, states[-1])))

@@ -1,4 +1,4 @@
-"""Inhomogeneous-beam models, adapted reflection vectors and robustness sweeps.
+"""Inhomogeneous-beam models and the robustness studies run on them.
 
 Ion positions are abstract uniformly spaced coordinates x_n in [-1, 1]; the
 spatial beam profile is parametrized purely by the coupling deficit epsilon
@@ -12,19 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .householder import apply, standard_hr
-from .model import (
-    CouplingVector,
-    ImperfectionSettings,
-    IntegratorConfig,
-    RegisterState,
-    SearchConfig,
-    local_chi,
-    marked_probability,
-    uniform_chi,
-)
-
-FLAT = 1e-12
+from .model import ImperfectionSettings, IntegratorConfig, RegisterState, SearchConfig
 
 
 def beam_factors(n_ions: int, epsilon: float, scaling: str = "field") -> np.ndarray:
@@ -66,15 +54,6 @@ def register_from_factors(factors: np.ndarray, calibrated: bool = True) -> Regis
     half_area = math.pi * norm / (2.0 * math.sqrt(len(f)))
     return RegisterState(np.concatenate(([math.cos(half_area)],
                                          math.sin(half_area) * f / norm)))
-
-
-def _adapted_chi(register: RegisterState) -> CouplingVector:
-    """Reflection vector matched to the register's ion amplitude distribution."""
-    ions = register.amplitudes[1:]
-    norm = float(np.linalg.norm(ions))
-    if norm < FLAT:
-        raise ValueError("cannot adapt to an empty register")
-    return CouplingVector(ions / norm)
 
 
 @dataclass(frozen=True)
@@ -129,23 +108,21 @@ def adapted_advantage(
 ) -> tuple[float, float]:
     """Best success probability over step counts: adapted chi vs uniform chi.
 
-    Exact operator algebra on the profile-shaped register.  The adapted
-    reflection turns the search into a clean two-level rotation whose peak
-    approaches 1, while the uniform reflection is capped by the register's
-    overlap with its rotation plane; the ordering only becomes visible once
-    the horizon is long enough for the adapted peaks to sample near pi/2,
-    hence the generous default.
+    Two ideal searches of ``max_steps`` iterations on the profile-shaped
+    register, one per global reflection, each read off its trajectory record.
+    The adapted reflection turns the search into a clean two-level rotation
+    whose peak approaches 1, while the uniform reflection is capped by the
+    register's overlap with its rotation plane; the ordering only becomes
+    visible once the horizon is long enough for the adapted peaks to sample
+    near pi/2, hence the generous default.
     """
-    factors = beam_factors(n_ions, epsilon, scaling)
-    start = register_from_factors(factors, calibrated=True)
-    oracle = standard_hr(local_chi(n_ions, marked_index))
+    from .grover import run_search  # deferred: grover imports this module
+
     best = []
-    for chi in (_adapted_chi(start), uniform_chi(n_ions)):
-        reflection = standard_hr(chi)
-        state = start
-        top = 0.0
-        for _ in range(max_steps):
-            state = apply(reflection, apply(oracle, state))
-            top = max(top, marked_probability(state, marked_index))
-        best.append(top)
+    for reflection in ("adapted", "uniform"):
+        imperfection = ImperfectionSettings(epsilon=epsilon, scaling=scaling,
+                                            reflection=reflection)
+        trajectory = run_search(SearchConfig(n_ions, marked_index, iterations=max_steps,
+                                             imperfection=imperfection)).trajectory
+        best.append(min(1.0, float(trajectory.slots(marked_index)[1:].max())))
     return best[0], best[1]

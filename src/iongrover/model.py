@@ -36,12 +36,15 @@ class NormalizationError(ValueError):
 
 def check_number(value: Any, what: str, integer: bool = False) -> None:
     """Reject bools, non-numbers, NaN and infinities, and for counts and
-    indices any non-integer; None (an unset optional field) passes."""
+    indices any non-integer or one beyond int64, the range of numpy's counts
+    and indices; None (an unset optional field) passes."""
     kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
     if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)
                               or not (integer or np.isfinite(value))):
         kind = "an integer" if integer else "a finite number"
         raise ValueError(f"{what} must be {kind}, got {value!r}")
+    if integer and value is not None and value > 2**63 - 1:
+        raise ValueError(f"{what} must be at most 2**63 - 1, got {value!r}")
 
 
 def l2_norm(vec: np.ndarray) -> float:

@@ -223,6 +223,31 @@ class TestRegisterSize:
         assert not out.exists()
 
 
+class TestRecordMemory:
+    @pytest.mark.parametrize("overrides", [
+        {"n_ions": 15, "marked_index": 8, "mode": "physical",
+         "integrator": {"steps_per_pulse": 2**31, "trajectory_stride": 1}},
+        {"iterations": 10**12},
+    ], ids=["physical-steps", "ideal-iterations"])
+    def test_oversized_record_is_refused_by_load_config(self, tmp_path, overrides):
+        with pytest.raises(cli.ConfigError, match="trajectory record"):
+            cli.load_config(write_config(tmp_path / "cfg.json", **overrides))
+
+    def test_record_beyond_physical_memory_exits_2(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # 7 pulses of 4000 recorded steps and the start row: 28,001 rows
+        monkeypatch.setattr(cli, "PHYSICAL_MEMORY", 4 * 2**20)
+        cfg = write_config(tmp_path / "cfg.json", n_ions=15, marked_index=8,
+                           mode="physical", variant="deterministic",
+                           integrator={"trajectory_stride": 1})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config invalid: n_ions = 15 with a trajectory "
+                              "record of 28001 rows") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestInternalFailure:
     @pytest.mark.parametrize("error", [RuntimeError("broken invariant"),
                                        MemoryError()], ids=lambda e: type(e).__name__)
@@ -351,6 +376,21 @@ class TestConfigHardening:
         cfg = write_config(tmp_path / "cfg.json", **{section: value})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        {"shots": 2**63},
+        {"mode": "physical", "integrator": {"trajectory_stride": 2**63}},
+        {"mode": "physical", "variant": "deterministic", "iterations": 2**63},
+    ], ids=["shots", "trajectory_stride", "iterations"])
+    def test_counts_beyond_int64_exit_2(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config invalid: ") and err.count("\n") == 1
+        assert "at most 2**63 - 1" in err
+        assert not out.exists()
 
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n_ions=6.0, iterations=2.0)

@@ -16,7 +16,7 @@ from scipy.special import gamma, hyp2f1
 
 from iongrover import dynamics
 from iongrover.grover import build_plan, initialize, run_search
-from iongrover.householder import apply
+from iongrover.householder import apply, generalized_hr
 from iongrover.dynamics import (
     HamiltonianSpec,
     IntegratorConfig,
@@ -354,14 +354,17 @@ def reduced_cases():
 
 def search_with_dense_rows(cfg):
     """A search plus its population rows from the full-register references:
-    |state|^2 of every ideal iterate by ``apply``, or the dense RK4 state at
-    every recorded step of the schedule."""
+    |state|^2 of every ideal iterate by ``apply`` of the full-register
+    reflections about the plan's chis, or the dense RK4 state at every
+    recorded step of the schedule."""
     plan = build_plan(cfg)
     if cfg.mode == "ideal":
+        oracle, reflection = (generalized_hr(pulse.chi, plan.phi)
+                              for pulse in (plan.oracle, plan.reflection))
         state = initialize(cfg)
         rows = [state.populations]
         for _ in range(plan.count):
-            state = apply(plan.reflection, apply(plan.oracle, state))
+            state = apply(reflection, apply(oracle, state))
             rows.append(state.populations)
         return run_search(cfg), np.array(rows)
     schedule = plan.timeline()

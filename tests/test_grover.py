@@ -164,6 +164,31 @@ class TestRunSearchIdeal:
         assert spread <= 1e-9
 
 
+class TestReducedReflections:
+    @pytest.mark.parametrize("cfg", [
+        SearchConfig(n_ions=15, marked_index=8),
+        SearchConfig(n_ions=2048, marked_index=7, variant="deterministic"),
+        SearchConfig(n_ions=20, marked_index=5, imperfection=ImperfectionSettings(
+            epsilon=0.2, reflection="uniform", calibration="uncalibrated")),
+    ], ids=["N15", "N2048-deterministic", "N20-uniform"])
+    def test_an_ideal_search_builds_two_reflections_on_virtual_ions(self, cfg,
+                                                                     monkeypatch):
+        # the plan holds pulses; only the reduced oracle and reflection are
+        # operators, on r - 1 <= 3 virtual ions
+        import iongrover.grover as grover
+
+        chis = []
+
+        def recording(chi, phi):
+            chis.append(chi)
+            return generalized_hr(chi, phi)
+
+        monkeypatch.setattr(grover, "generalized_hr", recording)
+        grover.run_search(cfg)
+        assert len(chis) == 2
+        assert all(chi.n_ions <= 3 for chi in chis)
+
+
 class TestIdealRecord:
     @pytest.mark.parametrize("n", [2, 15, 64, 257, 2048, 65536])
     def test_every_iterate_matches_the_closed_form(self, n):
@@ -317,8 +342,8 @@ class TestPlan:
         assert all(p.chi is plan.reflection.chi for p in reflections)
         assert plan.oracle.chi is not plan.reflection.chi
         for p in timeline[1:]:
-            assert p.detuning == pytest.approx(plan.delta_t)
-            assert p.rms_peak == plan.peak_coupling
+            assert p.detuning == pytest.approx(plan.reflection.detuning)
+            assert p.rms_peak == plan.reflection.rms_peak
 
     @pytest.mark.parametrize("reflection", ["adapted", "uniform"])
     def test_adapted_reflection_shares_the_init_chi(self, reflection):
@@ -338,20 +363,37 @@ class TestPlan:
 
     def test_both_modes_report_the_reflection_pulse(self):
         settings = PulseSettings(shape="gaussian", width=1.3)
-        plans = [build_plan(SearchConfig(n_ions=15, marked_index=8, mode=mode,
-                                         variant="deterministic", pulse=settings))
-                 for mode in ("ideal", "physical")]
-        pulse = plans[1].reflection
-        for plan in plans:
-            assert plan.delta_t == pulse.detuning * 1.3
-            assert plan.peak_coupling == pulse.rms_peak
+        cfgs = [SearchConfig(n_ions=15, marked_index=8, mode=mode,
+                             variant="deterministic", pulse=settings)
+                for mode in ("ideal", "physical")]
+        pulse = build_plan(cfgs[1]).reflection
+        for cfg in cfgs:
+            used = run_search(cfg).parameters_used
+            assert used["delta_t"] == pulse.detuning * 1.3
+            assert used["peak_coupling"] == pulse.rms_peak
         # the init pulse keeps the rms-pi area the calibration does not set
-        assert plans[1].init_pulse.rms_peak * pulse.shape.integral() == pytest.approx(
-            math.pi, rel=1e-12)
+        assert build_plan(cfgs[1]).init_pulse.rms_peak * pulse.shape.integral() == (
+            pytest.approx(math.pi, rel=1e-12))
         assert abs(pulse.rms_peak * pulse.shape.integral() - 2 * math.pi) > 0.1
 
-    def test_ideal_plan_holds_operators(self):
-        plan = build_plan(SearchConfig(n_ions=5, marked_index=2))
-        oracle, reflection = plan.oracle, plan.reflection
-        assert oracle.matrix.shape == (6, 6)
-        assert reflection.matrix.shape == (6, 6)
+    @pytest.mark.parametrize("variant, pulse, imperfection", [
+        ("probabilistic", PulseSettings(), ImperfectionSettings()),
+        ("deterministic", PulseSettings(shape="gaussian", width=1.3),
+         ImperfectionSettings()),
+        ("probabilistic", PulseSettings(spacing=12.0),
+         ImperfectionSettings(epsilon=0.2, reflection="uniform",
+                              calibration="uncalibrated")),
+    ], ids=["sech", "gaussian-deterministic", "uniform-uncalibrated"])
+    def test_both_modes_hold_the_same_pulses(self, variant, pulse, imperfection):
+        ideal, physical = (
+            build_plan(SearchConfig(n_ions=15, marked_index=8, mode=mode,
+                                    variant=variant, pulse=pulse,
+                                    imperfection=imperfection))
+            for mode in ("ideal", "physical"))
+        assert (ideal.count, ideal.phi, ideal.spacing) == (
+            physical.count, physical.phi, physical.spacing)
+        for name in ("init_pulse", "oracle", "reflection"):
+            a, b = getattr(ideal, name), getattr(physical, name)
+            assert (a.shape, a.rms_peak, a.detuning, a.center) == (
+                b.shape, b.rms_peak, b.detuning, b.center), name
+            np.testing.assert_array_equal(a.chi.components, b.chi.components)

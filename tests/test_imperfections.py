@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from iongrover.imperfections import (
-    _adapted_chi,
     adapted_advantage,
     beam_factors,
     infidelity_sweep,
     register_from_factors,
 )
-from iongrover.model import ImperfectionSettings, RegisterState, SearchConfig
-from iongrover.grover import run_search
+from iongrover.model import ImperfectionSettings, SearchConfig
+from iongrover.grover import build_plan, run_search
 
 
 class TestBeamFactors:
@@ -46,25 +45,26 @@ class TestBeamFactors:
 
 
 class TestAdaptedChi:
+    """The adapted global reflection of a plan follows the beam profile."""
+
+    @staticmethod
+    def reflection_chi(n_ions, **imperfection):
+        cfg = SearchConfig(n_ions=n_ions, marked_index=1,
+                           imperfection=ImperfectionSettings(**imperfection))
+        return build_plan(cfg).reflection.chi.components
+
     def test_uniform_register_gives_w_vector(self):
-        reg = register_from_factors(np.ones(6))
-        np.testing.assert_allclose(_adapted_chi(reg).components,
+        np.testing.assert_allclose(self.reflection_chi(6, epsilon=0.0),
                                    np.full(6, 1 / math.sqrt(6)), atol=1e-15)
 
     def test_already_normalized_passthrough(self):
-        reg = RegisterState(np.array([0.0, 0.6, 0.8]))
-        np.testing.assert_allclose(_adapted_chi(reg).components, [0.6, 0.8],
-                                   atol=1e-15)
+        np.testing.assert_allclose(self.reflection_chi(2, custom_factors=[0.6, 0.8]),
+                                   [0.6, 0.8], atol=1e-15)
 
     def test_beam_profiled_register(self):
         factors = beam_factors(20, 0.1)
-        reg = register_from_factors(factors)
-        np.testing.assert_allclose(_adapted_chi(reg).components,
+        np.testing.assert_allclose(self.reflection_chi(20, epsilon=0.1),
                                    factors / np.linalg.norm(factors), atol=1e-12)
-
-    def test_zero_register_rejected(self):
-        with pytest.raises(ValueError):
-            _adapted_chi(RegisterState(np.eye(5)[0]))
 
 
 class TestPerturbedRegister:
@@ -132,7 +132,31 @@ class TestSweep:
         assert rows[0].infidelity != adapted[0].infidelity
 
 
+def dense_advantage(n_ions, epsilon, marked_index, max_steps=1000):
+    """adapted_advantage in raw numpy: full-register reflections on the
+    profile-shaped register, the best marked population over the steps."""
+    x = (2.0 * np.arange(1, n_ions + 1) - n_ions - 1) / (n_ions - 1)
+    start = (1.0 - epsilon) ** (x**2)
+    start /= np.linalg.norm(start)
+    eye = np.eye(n_ions)
+    oracle = eye - 2.0 * np.outer(eye[marked_index - 1], eye[marked_index - 1])
+    best = []
+    for chi in (start, np.full(n_ions, 1.0 / math.sqrt(n_ions))):
+        step = (eye - 2.0 * np.outer(chi, chi)) @ oracle
+        state, top = start, 0.0
+        for _ in range(max_steps):
+            state = step @ state
+            top = max(top, state[marked_index - 1] ** 2)
+        best.append(top)
+    return best[0], best[1]
+
+
 class TestAdaptedAdvantage:
+    @pytest.mark.parametrize("eps, m", [(0.05, 1), (0.2, 5), (0.3, 10)])
+    def test_matches_dense_reference(self, eps, m):
+        np.testing.assert_allclose(adapted_advantage(20, eps, m),
+                                   dense_advantage(20, eps, m), rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
     @pytest.mark.parametrize("m", [1, 5, 10])
     def test_adapted_beats_uniform_at_optimal_steps(self, eps, m):
