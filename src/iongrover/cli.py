@@ -20,6 +20,7 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 
 from . import __version__
 from .dynamics import IntegrationError
@@ -36,12 +37,17 @@ from .pulses import NoSolutionError, rms_area
 
 FIG4_EPSILONS = [round(0.01 * i, 2) for i in range(21)]
 FIG4_IONS = [1, 5, 10]
-#: peak memory of ``run`` per ion: 750 to 1030 bytes at N = 2^18 and 2^20 in
-#: either mode, most of it the JSON text of the final state
+#: peak memory of ``run`` per ion, its whole peak RSS over N (the highest of
+#: three runs): 537 and 421 bytes in ideal mode at N = 2^18 and 2^20, 996 and
+#: 505 in physical mode, whose peak also holds a trajectory record of 402,501
+#: and 804,501 rows
 BYTES_PER_ION = 1024
 #: peak memory of ``run`` per trajectory row, above that of a short run: 486
 #: bytes (physical) and 433 (ideal) at N = 15 and 10^6 rows
 BYTES_PER_ROW = 512
+#: RK4 steps a pulse may take: about 7.5 s for each distinct 2x2 pulse chain
+#: at 0.75 us a step
+MAX_STEPS_PER_PULSE = 10**7
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
@@ -99,7 +105,8 @@ def load_config(path: Path) -> SearchConfig:
         cfg = SearchConfig(**args)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    # checked before anything is allocated: the register and the record
+    # checked before anything is allocated or integrated: the register, the
+    # record and the integration work
     count, integ = count_and_phase(cfg)[0], cfg.integrator
     rows = (count + 1 if cfg.mode == "ideal" else
             (2 * count + 1) * -(-integ.steps_per_pulse // integ.trajectory_stride) + 1)
@@ -108,6 +115,9 @@ def load_config(path: Path) -> SearchConfig:
         raise ConfigError(f"n_ions = {cfg.n_ions} with a trajectory record of {rows} "
                           f"rows needs about {need / 2**30:.3g} GiB, more than the "
                           f"{PHYSICAL_MEMORY / 2**30:.3g} GiB of physical memory")
+    if integ.steps_per_pulse > MAX_STEPS_PER_PULSE:
+        raise ConfigError(f"steps_per_pulse = {integ.steps_per_pulse} is above the "
+                          f"budget of {MAX_STEPS_PER_PULSE} RK4 steps per pulse")
     return cfg
 
 
@@ -129,8 +139,55 @@ def _write_csv(path: Path, header: list[str], columns: list[list]) -> None:
     _write_text(path, ",".join(header) + "\n" + (row + "\n") * rows % tuple(cells))
 
 
+def _has_array(value) -> bool:
+    return isinstance(value, np.ndarray) or (
+        isinstance(value, dict) and any(map(_has_array, value.values())))
+
+
+def _json_list(item: str, count: int, indent: str) -> str:
+    """A list of ``count`` copies of the template ``item`` at ``indent``, laid
+    out as json.dumps(..., indent=2) lays out a list."""
+    if not count:
+        return "[]"
+    return "[\n" + ",\n".join([indent + "  " + item] * count) + "\n" + indent + "]"
+
+
+def _json_text(value, indent: str = "") -> str:
+    """The text json.dumps(value, indent=2, sort_keys=True) writes for
+    ``value`` at ``indent``, arrays written as their tolist().
+
+    A finite float64 or int64 array of one or two dimensions formats each
+    distinct value (by bit pattern, so -0.0 stays apart from 0.0) once, with
+    the repr json uses, and fills a repeated template with one % call.  Every
+    other value goes to json.dumps, its newlines re-indented: a JSON string
+    never holds a raw newline."""
+    if isinstance(value, np.ndarray):
+        if (value.dtype in (np.float64, np.int64) and value.ndim in (1, 2)
+                and np.isfinite(value).all()):
+            keys = value.view(np.int64).ravel()
+            unique, inverse = np.unique(keys, return_inverse=True)
+            text = map(float.__repr__ if value.dtype == np.float64 else int.__repr__,
+                       unique.view(value.dtype).tolist())
+            cells = np.array(list(text), dtype=object)[inverse].tolist()
+            template = "%s"
+            for depth in range(value.ndim, 0, -1):
+                template = _json_list(template, value.shape[depth - 1],
+                                      indent + "  " * (depth - 1))
+            return template % tuple(cells)
+        value = value.tolist()
+    if not (isinstance(value, dict) and _has_array(value)):
+        text = json.dumps(value, indent=2, sort_keys=True)
+        return text.replace("\n", "\n" + indent) if indent else text
+    inner = indent + "  "
+    items = [f"{inner}{json.dumps(key)}: {_json_text(value[key], inner)}"
+             for key in sorted(value)]
+    return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write json.dumps(payload, indent=2, sort_keys=True) and a newline,
+    numpy arrays in the payload written as their tolist()."""
+    _write_text(path, _json_text(payload) + "\n")
 
 
 def _trajectory_columns(result: SearchResult, marked_index: int) -> list[list]:
@@ -179,9 +236,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "found": detection.found,
             "residual": detection.residual,
             "residual_flagged": detection.residual_flagged,
-            "probabilities": detection.probabilities.tolist(),
+            "probabilities": detection.probabilities,
         },
-        "final_state": [[z.real, z.imag] for z in result.final_state.amplitudes],
+        "final_state": result.final_state.amplitudes.view(np.float64).reshape(-1, 2),
     }
     if cfg.shots is not None:
         counts = sample_detection(result.final_state, cfg.shots, args.seed)
@@ -189,7 +246,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "count": cfg.shots,
             "seed": args.seed,
             "no_click": int(counts[0]),
-            "ion_counts": counts[1:].tolist(),
+            "ion_counts": counts[1:],
         }
     result_path = out_dir / "result.json"
     _write_json(result_path, payload)

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from iongrover import cli
 from iongrover.cli import main
@@ -392,6 +395,33 @@ class TestConfigHardening:
         assert "at most 2**63 - 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"mode": "physical", "variant": "deterministic"},
+        {"mode": "ideal", "pulse": {"shape": "gaussian"}},  # calibrates on the grid
+    ], ids=["physical", "ideal-gaussian"])
+    def test_integration_work_beyond_budget_exits_2(self, tmp_path, capsys,
+                                                    monkeypatch, overrides):
+        # 2^40 steps a pulse, one recorded row each: within memory, but days of RK4
+        def refuse(cfg):
+            raise AssertionError("a search started beyond the step budget")
+
+        monkeypatch.setattr(cli, "run_search", refuse)
+        cfg = write_config(tmp_path / "cfg.json", n_ions=15, marked_index=8,
+                           integrator={"steps_per_pulse": 2**40,
+                                       "trajectory_stride": 2**40}, **overrides)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config invalid: steps_per_pulse = 1099511627776 "
+                              "is above the budget") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_step_budget_is_inclusive(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", mode="physical",
+                           integrator={"steps_per_pulse": cli.MAX_STEPS_PER_PULSE,
+                                       "trajectory_stride": cli.MAX_STEPS_PER_PULSE})
+        assert cli.load_config(cfg).integrator.steps_per_pulse == cli.MAX_STEPS_PER_PULSE
+
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n_ions=6.0, iterations=2.0)
         out = tmp_path / "out"
@@ -669,3 +699,112 @@ class TestCommandTrajectories:
         assert main(["reproduce", "--figure", "fig3", "--out", str(tmp_path)]) == 0
         assert len(searches) == 2
         self.check_rows(searches)
+
+
+def as_lists(value):
+    """``value`` with every numpy array replaced by its tolist()."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: as_lists(v) for k, v in value.items()}
+    return value
+
+
+class TestJsonWriter:
+    """``cli._write_json`` writes the bytes of the stdlib's
+    json.dumps(payload, indent=2, sort_keys=True) and a newline, arrays as
+    their tolist()."""
+
+    @staticmethod
+    def assert_stdlib_bytes(tmp_path, payload):
+        cli._write_json(tmp_path / "got.json", payload)
+        expected = json.dumps(as_lists(payload), indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "got.json").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("payload", [
+        {"zeros": np.array([0.0, -0.0, 1.0, -0.0, 0.0])},
+        {"empty": np.array([]), "one": np.array([0.25]), "int_one": np.array([7]),
+         "no_rows": np.zeros((0, 2)), "empty_rows": np.zeros((3, 0))},
+        {"rows": np.array([[0.5, -0.0], [1 / 3, 0.5], [0.5, -0.0]])},
+        {"ints": np.array([0, -1, 2**63 - 1, -2**63, 0], dtype=np.int64),
+         "int_rows": np.arange(-4, 2, dtype=np.int64).reshape(3, 2)},
+        {"tiny": np.array([5e-324, -5e-324, 2.2250738585072014e-308,
+                           1e-310, 1e300, -1e300, 1e16, 1e-5, 0.1])},
+        {"nan": np.array([1.0, np.nan, 1.0]), "inf": np.array([[np.inf, -np.inf]])},
+        {"z": {"deep": {"a": np.array([1.5, 1.5]), "b": None, "c": True},
+               "list": [{"q": False, "r": [1, 2.5, None]}, {}], "empty": {}},
+         "text": "line\nbreak \"quoted\" é ∑ \t", "f": 0.1, "i": -3, "none": None,
+         "a": np.array([2.5])},
+        {"float32": np.array([0.1, 0.5], dtype=np.float32),
+         "bools": np.array([True, False]), "cube": np.zeros((2, 1, 2))},
+    ], ids=["signed-zeros", "empty-and-single", "rows", "int64", "extremes",
+            "non-finite", "nested", "other-arrays"])
+    def test_same_bytes_as_stdlib(self, tmp_path, payload):
+        self.assert_stdlib_bytes(tmp_path, payload)
+
+    def test_array_free_payload_is_one_stdlib_call(self, monkeypatch):
+        calls = []
+        real = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda obj, **kw: calls.append(obj)
+                            or real(obj, **kw))
+        payload = {"b": [1, {"c": 0.5}], "a": {"d": "x"}}
+        assert cli._json_text(payload) == real(payload, indent=2, sort_keys=True)
+        assert calls == [payload]
+
+    def test_each_distinct_value_is_formatted_once(self, monkeypatch):
+        formatted = []
+
+        class Float:  # stands in for the builtin inside cli
+            @staticmethod
+            def __repr__(x):
+                formatted.append(x)
+                return repr(x)
+
+        monkeypatch.setattr(cli, "float", Float, raising=False)
+        payload = {"p": np.full(4096, 1 / 3), "q": np.array([[0.5, -0.0]] * 100)}
+        text = cli._json_text(payload)
+        assert sorted(map(repr, formatted)) == ["-0.0", "0.3333333333333333", "0.5"]
+        assert text == json.dumps(as_lists(payload), indent=2, sort_keys=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=st.recursive(
+        st.dictionaries(st.text(max_size=4), st.one_of(
+            st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
+            st.text(max_size=6),
+            hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, min_side=0,
+                                                    max_side=4),
+                       elements=st.floats(allow_subnormal=True)),
+            hnp.arrays(np.int64, hnp.array_shapes(max_dims=2, min_side=0,
+                                                  max_side=4)),
+            hnp.arrays(np.float64, st.integers(0, 12),
+                       elements=st.sampled_from([0.0, -0.0, 0.1, 1e300, 5e-324])),
+        ), max_size=4),
+        lambda children: st.dictionaries(st.text(max_size=4), children, max_size=3),
+        max_leaves=12))
+    def test_nested_payloads_match_stdlib(self, payload):
+        expected = json.dumps(as_lists(payload), indent=2, sort_keys=True)
+        assert cli._json_text(payload) == expected
+
+
+class TestRunJsonContract:
+    def test_ideal_n2048_run_with_shots(self, tmp_path):
+        import hashlib
+
+        cfg = write_config(tmp_path / "cfg.json", n_ions=2048, marked_index=1234,
+                           variant="deterministic", shots=1000)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
+        for name in ("result.json", "manifest.json"):
+            text = (out / name).read_bytes().decode("ascii")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        result = json.loads((out / "result.json").read_text())
+        assert len(result["final_state"]) == 2049
+        assert len(result["detection"]["probabilities"]) == 2048
+        shots = result["shots"]
+        assert len(shots["ion_counts"]) == 2048
+        assert shots["no_click"] + sum(shots["ion_counts"]) == 1000
+        manifest = json.loads((out / "manifest.json").read_text())
+        for entry in manifest["outputs"]:
+            data = (out / entry["path"]).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+            assert entry["bytes"] == len(data)
