@@ -24,9 +24,10 @@ in span{ancilla, start state, chi_1..chi_K} (Biham et al., PRA 60, 2742
 basis of that span (``subspace``): O(N) once, O(r) per step after.
 Fixed-step classical RK4 (bit-for-bit reproducible) is a polynomial in the
 stage Hamiltonians, so on this invariant space it is the same scheme as on
-the full register.  The one-step matrices of all steps are built at once and
-chained by a log-depth prefix product.  The recorded trajectory is the basis
-and the coordinates at each recorded step (``Trajectory``).
+the full register.  The one-step matrices of a chunk are built at once,
+multiplied by pairwise trees between recorded steps and chained by a log-depth
+prefix scan over those segments.  The recorded trajectory is the basis and the
+coordinates at each recorded step (``Trajectory``).
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ CHUNK_STEPS = 2048
 
 
 def _matmul(a, b):
-    """Products of stacked r x r matrices laid out (r, r, steps)."""
-    return np.einsum("ikn,kjn->ijn", a, b)
+    """Products of stacked r x r matrices laid out (r, r, ...steps)."""
+    return np.einsum("ik...,kj...->ij...", a, b)
 
 
 def _chain(terms, t0, h, steps, stride):
@@ -72,6 +73,11 @@ def _chain(terms, t0, h, steps, stride):
     center, span); a span (a, b) switches its pulse on for a <= t <= b only.
     Returns the recorded step counts (every ``stride`` steps, and the last)
     and the products up to each of them, shape (r, r, len(marks)).
+
+    Only these are formed: pairwise trees multiply the steps up to each mark
+    and each chunk's end, and a Hillis-Steele scan chains those segments.  This
+    is the association, so the bits, of a scan of every step at stride 0 and at
+    a power of two dividing ``CHUNK_STEPS`` and ``steps``; elsewhere, rounding.
     """
     eye = np.eye(len(terms[0][0]))[:, :, None]
 
@@ -83,6 +89,12 @@ def _chain(terms, t0, h, steps, stride):
             out[0, 0] += delta * on
         return (-1j * h) * out
 
+    def tree(x):  # x[..., -1] becomes the product along x's last axis
+        x, d = x[..., ::-1], 1  # paired from the end, as the scan pairs them
+        while d < x.shape[-1]:
+            x[..., :-d:2 * d] = _matmul(x[..., :-d:2 * d], x[..., d::2 * d])
+            d *= 2
+
     marks = np.append(np.arange(stride or steps, steps, stride or steps), steps)
     carry, out = eye, []
     for first in range(0, steps, CHUNK_STEPS):
@@ -92,14 +104,20 @@ def _chain(terms, t0, h, steps, stride):
         k3 = _matmul(mid, eye + k2 / 2.0)
         k4 = _matmul(stage(grid + h), eye + k3)
         m = eye + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        d = 1  # Hillis-Steele scan: m[..., k] becomes the product of steps <= k
-        while d < len(grid):
+        picked = marks[(marks > first) & (marks <= first + len(grid))]
+        ends = picked - first - 1  # segment ends: the marks and the last step
+        ends = np.append(ends[ends < len(grid) - 1], len(grid) - 1)
+        a, b = ends[0] + 1, ends[:-1].max(initial=ends[0]) + 1
+        tree(m[:, :, :a])  # the segments: first, those a stride long, last
+        tree(m[:, :, a:b].reshape(eye.shape[:2] + (-1, stride or 1)))
+        tree(m[:, :, b:])
+        m, d = m.take(ends, 2), 1
+        while d < len(ends):  # Hillis-Steele scan over the segment products
             m[:, :, d:] = _matmul(m[:, :, d:], m[:, :, :-d])
             d *= 2
         m = _matmul(m, carry)
         carry = m[:, :, -1:]
-        picked = marks[(marks > first) & (marks <= first + len(grid))]
-        out.append(m[:, :, picked - first - 1])
+        out.append(m[:, :, :len(picked)])
     return marks, np.concatenate(out, axis=2)
 
 

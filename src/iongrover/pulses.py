@@ -211,5 +211,7 @@ def _calibrate(shape: PulseShape, phase: float, steps: int, window: float):
         if np.abs(r).max() <= 1e-12 and x[0] > 0.0:
             return float(x[0]) / shape.integral(), float(x[1]) / shape.width
         jac = np.column_stack([(residuals(x + 1e-7 * e) - r) / 1e-7 for e in np.eye(2)])
+        if not abs(np.linalg.det(jac)) > 0.0:  # a flat or non-finite residual
+            break
         x = x - np.linalg.solve(jac, r)
     raise NoSolutionError(f"no (area, detuning) found for phase {phase!r}")

@@ -188,6 +188,14 @@ class TestValidateCommand:
         assert report["passed"] is True
         assert all(c["margin"] >= 0 for c in report["checks"])
 
+    def test_full_suite_passes(self, tmp_path):
+        out = tmp_path / "val"
+        assert main(["validate", "--suite", "full", "--out", str(out)]) == 0
+        report = json.loads((out / "validation_report.json").read_text())
+        assert report["passed"] is True
+        assert len(report["checks"]) == 12
+        assert all(c["passed"] and c["margin"] >= 0 for c in report["checks"])
+
 
 class TestOutputDirectory:
     @pytest.mark.parametrize("command", [
@@ -312,6 +320,18 @@ class TestNonSechShape:
         assert err.startswith("error: numerical failure: no (area, detuning)")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_flat_calibration_is_a_numerical_failure(self, tmp_path, capsys):
+        # a window of 0.01 T leaves the chain near the identity, so the Newton
+        # Jacobian is singular; numpy's "Singular matrix" once exited 2 as a
+        # config error
+        cfg = write_config(tmp_path / "cfg.json", n_ions=4, marked_index=2,
+                           variant="deterministic", pulse={"shape": "gaussian"},
+                           integrator={"window": 0.01, "steps_per_pulse": 16})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure: no (area, detuning)")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("variant, iterations",
                              [("probabilistic", None), ("deterministic", 1)])
@@ -808,3 +828,79 @@ class TestRunJsonContract:
             data = (out / entry["path"]).read_bytes()
             assert entry["sha256"] == hashlib.sha256(data).hexdigest()
             assert entry["bytes"] == len(data)
+
+
+def optional_keys(**entries):
+    return st.fixed_dictionaries({}, optional=entries)
+
+
+@st.composite
+def run_configs(draw):
+    """JSON run configs, mostly valid, small enough for a quick physical run."""
+    n = draw(st.integers(1, 32))
+    return draw(st.fixed_dictionaries(
+        {"n_ions": st.just(n), "marked_index": st.integers(-1, n)},
+        optional={
+            "mode": st.sampled_from(["ideal", "physical"]),
+            "variant": st.sampled_from(["probabilistic", "deterministic"]),
+            "iterations": st.none() | st.integers(0, 6),
+            "shots": st.none() | st.integers(0, 100),
+            "pulse": optional_keys(
+                shape=st.sampled_from(["sech", "gaussian"]),
+                width=st.floats(0.01, 4.0),
+                spacing=st.floats(1.0, 60.0),
+                peak_coupling=st.none() | st.floats(0.5, 8.0)),
+            "imperfection": optional_keys(
+                epsilon=st.floats(0.0, 0.6),
+                scaling=st.sampled_from(["field", "intensity"]),
+                calibration=st.sampled_from(["calibrated", "uncalibrated"]),
+                reflection=st.sampled_from(["adapted", "uniform"])),
+            "integrator": optional_keys(
+                steps_per_pulse=st.integers(16, 2000),
+                window=st.floats(0.01, 20.0),
+                norm_tolerance=st.floats(1e-12, 1e-9),
+                trajectory_stride=st.integers(1, 3000)),
+        }))
+
+
+class TestRunConfigFuzz:
+    @settings(max_examples=30, deadline=None)
+    @given(config=run_configs(), seed=st.none() | st.integers(0, 9))
+    def test_exit_code_and_outputs(self, config, seed):
+        import contextlib
+        import hashlib
+        import io
+        import tempfile
+        from pathlib import Path
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp, "cfg.json"), Path(tmp, "out")
+            path.write_text(json.dumps(config))
+            argv = ["run", "--config", str(path), "--out", str(out)]
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main(argv + ([] if seed is None else ["--seed", str(seed)]))
+            assert code in (0, 2, 3)
+            lines = stderr.getvalue().splitlines()
+            assert sum(line.startswith("error:") for line in lines) <= 1
+            assert "Traceback" not in stderr.getvalue()
+            if code:
+                return
+            result = json.loads((out / "result.json").read_text())
+
+            def numbers(value):
+                if isinstance(value, dict):
+                    value = list(value.values())
+                if isinstance(value, list):
+                    return [x for v in value for x in numbers(v)]
+                return [value] if isinstance(value, (int, float)) else []
+
+            assert all(math.isfinite(x) for x in numbers(result))
+            trajectory = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1,
+                                    ndmin=2)
+            assert trajectory.size and np.isfinite(trajectory).all()
+            manifest = json.loads((out / "manifest.json").read_text())
+            for entry in manifest["outputs"]:
+                data = (out / entry["path"]).read_bytes()
+                assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+                assert entry["bytes"] == len(data)

@@ -294,6 +294,85 @@ class TestDenseEquivalence:
         assert np.abs(final.amplitudes - y / np.linalg.norm(y)).max() <= EQUIVALENCE_TOL
 
 
+def scan_chain(terms, t0, h, steps, stride):
+    """The chain as first written: every prefix product of a chunk by a
+    Hillis-Steele scan, the recorded ones picked afterwards."""
+    def matmul(a, b):
+        return np.einsum("ikn,kjn->ijn", a, b)
+
+    eye = np.eye(len(terms[0][0]))[:, :, None]
+
+    def stage(t):
+        out = np.zeros(eye.shape[:2] + t.shape, dtype=complex)
+        for block, delta, shape, center, span in terms:
+            on = 1.0 if span is None else (span[0] <= t) & (t <= span[1])
+            out += block[:, :, None] * (shape.envelope(t - center) * on)
+            out[0, 0] += delta * on
+        return (-1j * h) * out
+
+    marks = np.append(np.arange(stride or steps, steps, stride or steps), steps)
+    carry, out = eye, []
+    for first in range(0, steps, dynamics.CHUNK_STEPS):
+        grid = t0 + h * np.arange(first, min(first + dynamics.CHUNK_STEPS, steps))
+        k1, mid = stage(grid), stage(grid + h / 2.0)
+        k2 = matmul(mid, eye + k1 / 2.0)
+        k3 = matmul(mid, eye + k2 / 2.0)
+        k4 = matmul(stage(grid + h), eye + k3)
+        m = eye + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        d = 1
+        while d < len(grid):
+            m[:, :, d:] = matmul(m[:, :, d:], m[:, :, :-d])
+            d *= 2
+        m = matmul(m, carry)
+        carry = m[:, :, -1:]
+        picked = marks[(marks > first) & (marks <= first + len(grid))]
+        out.append(m[:, :, picked - first - 1])
+    return marks, np.concatenate(out, axis=2)
+
+
+class TestSegmentChain:
+    """``_chain`` forms only the products it returns: each segment between
+    recorded steps by a pairwise tree, then a scan over the segments.  Where
+    its association is the full scan's, the bits are too."""
+
+    TERM = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), 0.589, SECH, 0.0, None)
+
+    def chains(self, steps, stride):
+        args = ([self.TERM], -15.0, 30.0 / steps, steps, stride)
+        return dynamics._chain(*args), scan_chain(*args)
+
+    @pytest.mark.parametrize("steps,stride", [
+        (4000, 0), (4000, 8), (32000, 0), (32000, 8), (1, 0), (7, 7),
+        (4000, 4000), (4000, 5000)])
+    def test_same_bits_where_the_association_matches(self, steps, stride):
+        (marks, products), (ref_marks, ref_products) = self.chains(steps, stride)
+        np.testing.assert_array_equal(marks, ref_marks)
+        np.testing.assert_array_equal(products, ref_products)
+
+    @pytest.mark.parametrize("stride", [3, 160, 1000])
+    def test_other_strides_agree_to_rounding(self, stride):
+        (marks, products), (ref_marks, ref_products) = self.chains(4000, stride)
+        np.testing.assert_array_equal(marks, ref_marks)
+        assert np.abs(products - ref_products).max() <= 1e-13
+
+    @pytest.mark.parametrize("stride", [0, 13])
+    def test_overlapping_window(self, monkeypatch, stride):
+        rng = np.random.default_rng(5)
+        chis = [CouplingVector(random_couplings(rng, 6, 1.0)) for _ in range(2)]
+        pulses = [PulseSpec(SECH, chis[0], 1.1, detuning=0.3, center=0.0),
+                  PulseSpec(GAUSS, chis[1], 1.6, center=4.0),
+                  PulseSpec(SECH, chis[0], 2.0, center=7.0)]
+        _, _, coords = subspace(random_state(rng, 6), chis)
+        column = dict(zip(map(id, chis), coords))
+        cfg = IntegratorConfig(steps_per_pulse=1500)
+        [got] = dynamics._windows(pulses, column, cfg, stride)
+        monkeypatch.setattr(dynamics, "_chain", scan_chain)
+        [ref] = dynamics._windows(pulses, column, cfg, stride)
+        assert got[4].shape[:2] == (4, 4)
+        np.testing.assert_array_equal(got[2], ref[2])
+        assert np.abs(got[4] - ref[4]).max() <= 1e-13
+
+
 class TestPulseChainMemo:
     """``_pulse_chain`` is one memo per process, shared by every schedule."""
 
