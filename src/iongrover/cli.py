@@ -284,13 +284,10 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
                        _trajectory_columns(result, cfg.marked_index))
             files.append(path)
             resolved[variant] = result.parameters_used
-            if variant == "deterministic":
-                pulses_path = out_dir / "fig3_pulses.csv"
-                _write_csv(pulses_path,
-                           ["index", "kind", "center", "width", "rms_area",
-                            "detuning"],
-                           _pulse_timeline_columns(cfg))
-                files.append(pulses_path)
+        path = out_dir / "fig3_pulses.csv"  # the deterministic search's pulses
+        _write_csv(path, ["index", "kind", "center", "width", "rms_area", "detuning"],
+                   _pulse_timeline_columns(cfg))
+        files.append(path)
     else:
         rows = infidelity_sweep(20, FIG4_IONS, FIG4_EPSILONS, steps=3,
                                 mode="physical", jobs=args.jobs)
@@ -365,7 +362,8 @@ def main(argv: list[str] | None = None) -> int:
     gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # drift and non-finite results exit 3
+            return args.func(args)
     except (IntegrationError, NoSolutionError) as exc:
         # NoSolutionError subclasses ValueError, so numerical failures must be
         # picked off before the config-error net below

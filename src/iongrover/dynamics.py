@@ -256,7 +256,6 @@ def evolve_schedule(
     state: RegisterState,
     pulses: Sequence[PulseSpec],
     cfg: IntegratorConfig | None = None,
-    record: bool = False,
 ):
     """Run a sequence of pulses; returns (final state, times, ``Trajectory``).
 
@@ -268,7 +267,9 @@ def evolve_schedule(
     summed pulse Hamiltonians on a proportionally refined global grid (an
     exploration mode for studying pulse-crowding effects).  A norm drift
     beyond the configured tolerance per pulse raises ``IntegrationError``;
-    drift inside it is repaired, never hidden above it.
+    drift inside it is repaired, never hidden above it.  Every schedule is
+    recorded at its start, every ``cfg.trajectory_stride`` steps of each
+    window and each window's last step.
     """
     cfg = cfg or IntegratorConfig()
     pulses = sorted(pulses, key=lambda p: p.center)
@@ -278,17 +279,16 @@ def evolve_schedule(
     distinct = list({id(p.chi): p.chi for p in pulses}.values())
     q, z, coords = subspace(state.amplitudes, distinct)
     column = dict(zip(map(id, distinct), coords))
-    stride = cfg.trajectory_stride if record else 0
     times, rows = [np.zeros(0)], [np.zeros((0, len(z)))]
-    for t0, h, marks, e, products in _windows(pulses, column, cfg, stride):
+    for t0, h, marks, e, products in _windows(pulses, column, cfg,
+                                              cfg.trajectory_stride):
         w = e.conj().T @ z
         zs = z + (np.einsum("ijm,j->mi", products, w) - w) @ e.T
-        if record:
-            if len(rows) == 1:  # the state at the start of the first window
-                times.append([t0])
-                rows.append(z[None])
-            times.append(t0 + marks * h)
-            rows.append(zs)
+        if len(rows) == 1:  # the state at the start of the first window
+            times.append([t0])
+            rows.append(z[None])
+        times.append(t0 + marks * h)
+        rows.append(zs)
         z = zs[-1]
 
     norm = float(np.linalg.norm(z))

@@ -2,9 +2,10 @@
 
 A search is init followed by repeated (oracle, global reflection) pairs.
 Every reflection is one laser pulse, and both modes read one plan of them:
-ideal mode applies the exact reflections about the pulses' chis at the plan's
-phase, physical mode integrates the whole schedule as time-dependent
-dynamics.  The probabilistic variant uses resonant pulses
+ideal mode forms one iteration of the exact reflections about the pulses'
+chis at the plan's phase as an r x r matrix on the run's r <= 4 subspace
+coordinates and steps them by it, physical mode integrates the whole schedule
+as time-dependent dynamics.  The probabilistic variant uses resonant pulses
 (reflection phase pi); the deterministic variant detunes both pulses of each
 iteration to the matched phase that makes the final fidelity exactly one.
 """
@@ -19,7 +20,7 @@ import numpy.random  # loaded lazily by numpy; here it loads with the package
 
 from . import imperfections
 from .dynamics import IntegrationError, evolve, evolve_schedule, subspace
-from .householder import apply, generalized_hr
+from .householder import apply, generalized_hr  # noqa: F401 (tracers wrap apply)
 from .model import (
     CouplingVector,
     RegisterState,
@@ -169,21 +170,25 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     }
 
     if cfg.mode == "ideal":
-        # a search on r-1 virtual ions: the coordinates of the start in its
-        # subspace with the chis, reflected about the chis' coordinates
+        # a search on r-1 virtual ions: the start's coordinates in its subspace
+        # with the chis, stepped by U = R O of the reflections about theirs
         q, z, coords = subspace(initialize(cfg).amplitudes,
                                 [plan.oracle.chi, plan.reflection.chi])
-        oracle, reflection = (generalized_hr(CouplingVector(c[1:]), plan.phi)
-                              for c in coords)
-        states = [RegisterState(z)]
-        for _ in range(plan.count):
-            states.append(apply(reflection, apply(oracle, states[-1])))
+        step = np.eye(len(z), dtype=complex)
+        for c in coords:
+            op = generalized_hr(CouplingVector(c[1:]), plan.phi)
+            step += op.factor * np.outer(op.vector, op.vector.conj() @ step)
+        rows = np.empty((plan.count + 1, len(z)), dtype=complex)
+        rows[0] = z
+        for k in range(plan.count):
+            rows[k + 1] = step @ rows[k]
+        # U is unitary only to rounding: each row back to norm 1
+        trajectory = Trajectory(q, rows / np.linalg.norm(rows, axis=1, keepdims=True))
         times = np.arange(plan.count + 1, dtype=float)
-        trajectory = Trajectory(q, np.array([s.amplitudes for s in states]))
-        state = RegisterState(q @ states[-1].amplitudes)
+        state = RegisterState(q @ trajectory.coords[-1])
     else:
         state, times, trajectory = evolve_schedule(
-            basis_register(cfg.n_ions, 0), plan.timeline(), cfg.integrator, record=True
+            basis_register(cfg.n_ions, 0), plan.timeline(), cfg.integrator
         )
     columns = trajectory.columns(cfg.marked_index)
     if not (np.all(np.isfinite(state.amplitudes)) and trajectory.is_finite()

@@ -179,20 +179,12 @@ def run_suite(suite: str) -> list[CheckResult]:
     if suite not in ("fast", "full"):
         raise ValueError(f"suite must be 'fast' or 'full', got {suite!r}")
     rng = np.random.default_rng(20080301)
-    checks: list[CheckResult] = []
-    checks.extend(_hr_algebra(rng))
-    checks.append(_detuning_round_trip())
-    if suite == "fast":
-        checks.append(_deterministic_fidelity(16))
-        checks.append(_probabilistic_closed_form(16))
-        checks.extend(_propagator_checks(rng, trials=1))
-        checks.append(_fitted_phase(rng, trials=4))
-    else:
-        checks.append(_deterministic_fidelity(64))
-        checks.append(_probabilistic_closed_form(64))
-        checks.extend(_propagator_checks(rng, trials=4))
-        checks.append(_fitted_phase(rng, trials=20))
-        checks.append(_w_init_physical())
-    checks.extend(_integrator_checks())
-    checks.append(_deterministic_physical())
-    return checks
+    full = suite == "full"
+    # in this order: the checks share rng
+    return [*_hr_algebra(rng), _detuning_round_trip(),
+            _deterministic_fidelity(64 if full else 16),
+            _probabilistic_closed_form(64 if full else 16),
+            *_propagator_checks(rng, trials=4 if full else 1),
+            _fitted_phase(rng, trials=20 if full else 4),
+            *([_w_init_physical()] if full else []),
+            *_integrator_checks(), _deterministic_physical()]

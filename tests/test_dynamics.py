@@ -223,7 +223,7 @@ class TestSchedule:
             PulseSpec(SECH, chi, 2.0, center=45.0),
         ]
         state = uniform_register(3)
-        final, times, pops = evolve_schedule(state, pulses, record=True)
+        final, times, pops = evolve_schedule(state, pulses)
         manual = state
         for p in pulses:
             manual = evolve(manual, p)  # evolve ignores the center
@@ -248,7 +248,6 @@ class TestSchedule:
         # weak pulse so the deliberately coarse grid stays inside the norm budget
         pulses = [PulseSpec(SECH, uniform_chi(2), 0.2, center=15.0)]
         cfg = IntegratorConfig(steps_per_pulse=400, trajectory_stride=100)
-        _, times, pops = evolve_schedule(basis_register(2, 0), pulses, cfg,
-                                         record=True)
+        _, times, pops = evolve_schedule(basis_register(2, 0), pulses, cfg)
         assert len(times) == 5  # initial point plus 4 strided samples
         assert len(pops) == len(times)

@@ -219,7 +219,7 @@ class TestDenseEquivalence:
             pulses.append(PulseSpec(SECH, uniform_chi(n), 2.0, detuning=0.589,
                                     center=75.0 + 60.0 * k))
         start = RegisterState(np.eye(n + 1)[0])
-        final, times, pops = evolve_schedule(start, pulses, cfg, record=True)
+        final, times, pops = evolve_schedule(start, pulses, cfg)
         assert len(chained) == 2  # init, then oracle and global alike
         y = start.amplitudes.copy()
         ref_t, ref_p = [0.0], [np.abs(y) ** 2]
@@ -264,7 +264,7 @@ class TestDenseEquivalence:
             PulseSpec(SECH, local_chi(n, 1), 2.0, center=12.0),
         ]
         start = RegisterState(random_state(rng, n))
-        final, times, pops = evolve_schedule(start, pulses, cfg, record=True)
+        final, times, pops = evolve_schedule(start, pulses, cfg)
         y = start.amplitudes.copy()
         ref_t, ref_p = [-15.0], [np.abs(y) ** 2]
         y = dense_overlap(y, pulses, cfg, 13, ref_t, ref_p)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from iongrover.dynamics import hamiltonian_from_pulse, hr_distance, propagator
+from iongrover.dynamics import hamiltonian_from_pulse, hr_distance, propagator, subspace
 from iongrover.grover import (
     build_plan,
     detect,
@@ -13,11 +13,13 @@ from iongrover.grover import (
     run_search,
     sample_detection,
 )
-from iongrover.householder import generalized_hr
+from iongrover.householder import apply, generalized_hr
 from iongrover.imperfections import beam_factors
 from iongrover.model import (
+    CouplingVector,
     ImperfectionSettings,
     PulseSettings,
+    RegisterState,
     SearchConfig,
     basis_register,
     fidelity,
@@ -198,6 +200,45 @@ class TestIdealRecord:
             got = result.trajectory.slots(m)
             expected = [closed_form(n, k) for k in range(result.iterations_executed + 1)]
             assert np.abs(got - expected).max() <= 1e-14
+
+
+def apply_loop(cfg: SearchConfig) -> np.ndarray:
+    """The ideal rows as two ``apply`` calls an iteration form them, each
+    reflected state a new, re-normalized ``RegisterState`` on the run's
+    r - 1 virtual ions."""
+    plan = build_plan(cfg)
+    _, z, coords = subspace(initialize(cfg).amplitudes,
+                            [plan.oracle.chi, plan.reflection.chi])
+    oracle, reflection = (generalized_hr(CouplingVector(c[1:]), plan.phi)
+                          for c in coords)
+    states = [RegisterState(z)]
+    for _ in range(plan.count):
+        states.append(apply(reflection, apply(oracle, states[-1])))
+    return np.array([s.amplitudes for s in states])
+
+
+class TestIdealStep:
+    """Ideal rows step by one r x r matrix; ``apply_loop`` is the reference."""
+
+    @pytest.mark.parametrize("imperfection", [
+        ImperfectionSettings(),
+        *(ImperfectionSettings(epsilon=0.2, reflection=r, calibration=c)
+          for r in ("adapted", "uniform") for c in ("calibrated", "uncalibrated")),
+    ], ids=["eps0", "adapted-calibrated", "adapted-uncalibrated",
+            "uniform-calibrated", "uniform-uncalibrated"])
+    @pytest.mark.parametrize("variant", ["probabilistic", "deterministic"])
+    @pytest.mark.parametrize("n", [2, 3, 15, 2048])
+    @pytest.mark.parametrize("iterations", [None, 1000])
+    def test_rows_match_the_apply_loop(self, n, variant, imperfection, iterations):
+        cfg = SearchConfig(n_ions=n, marked_index=1, variant=variant,
+                           iterations=iterations, imperfection=imperfection)
+        rows = run_search(cfg).trajectory.coords
+        expected = apply_loop(cfg)
+        # a uniform reflection off the start's profile adds a fourth coordinate
+        # (at N = 2 the ion space has only two)
+        uniform = imperfection.epsilon and imperfection.reflection == "uniform"
+        assert rows.shape == (len(expected), 4 if uniform and n > 2 else 3)
+        assert np.abs(rows - expected).max() <= 1e-12
 
 
 class TestRecordSize:
