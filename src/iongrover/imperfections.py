@@ -7,12 +7,15 @@ seen by the edge ions, with the center of the chain normalized to 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ImperfectionSettings, IntegratorConfig, RegisterState, SearchConfig
+from . import dynamics
+from .dynamics import IntegrationError
+from .model import ImperfectionSettings, RegisterState, SearchConfig
 
 
 def beam_factors(n_ions: int, epsilon: float, scaling: str = "field") -> np.ndarray:
@@ -74,29 +77,72 @@ def infidelity_sweep(
 ) -> list[SweepRow]:
     """Infidelity table over a (epsilon, marked ion) grid, in grid order.
 
-    The cells run one after another in this process, each an independent
-    search of well under a millisecond once its two pulses are memoized.
-    ``jobs`` selects nothing: it is checked (at least 1) and otherwise
-    ignored, kept only for the callers that still pass it.
+    Each cell is planned by ``build_plan``, then all cells run as the columns
+    of one (N+1, cells) register block.  Their pulses differ only in chi, so
+    pulse slot k is one 2x2 P on each column's own (ancilla, chi) pair, one
+    ``_bright_update`` of the block: the slot's memoized full-window chain in
+    physical mode, from the ancilla, and diag(1, e^{i phi}) in ideal mode,
+    from each cell's exact ``initialize`` register.  Cells whose slot k
+    differs in shape, rms peak, detuning or center raise ``ValueError``; a
+    norm drift past the budget of ``evolve_schedule``, or a non-finite marked
+    population, raises ``IntegrationError`` naming the cell.  ``jobs``
+    selects nothing: it is checked (at least 1) and otherwise ignored, kept
+    only for the callers that still pass it.
     """
-    # deferred: grover imports this module
-    from .grover import run_search
+    from .grover import build_plan, initialize  # deferred: grover imports this module
 
     if steps < 1:
         raise ValueError("need at least one search step")
     if jobs < 1:
         raise ValueError(f"need at least one job, got {jobs}")
-    integrator = IntegratorConfig(trajectory_stride=1000)
     cells = [
         SearchConfig(n_ions=n_ions, marked_index=m, mode=mode, iterations=steps,
                      imperfection=ImperfectionSettings(epsilon=float(eps),
-                                                       reflection=reflection),
-                     integrator=integrator)
+                                                       reflection=reflection))
         for eps in epsilons
         for m in marked
     ]
-    return [SweepRow(c.imperfection.epsilon, c.marked_index,
-                     1.0 - run_search(c).success_probability) for c in cells]
+    if not cells:
+        return []
+    plans = [build_plan(c) for c in cells]
+    slots = list(zip(*(plan.timeline() for plan in plans)))
+    for k, slot in enumerate(slots):
+        if len({(p.shape, p.rms_peak, p.detuning, p.center) for p in slot}) > 1:
+            raise ValueError(f"sweep cells differ in the shape, rms peak, detuning "
+                             f"or center of pulse {k}")
+    integrator = cells[0].integrator
+    budget = integrator.norm_tolerance * len(slots)
+    if mode == "ideal":  # the exact start register: the init slot is skipped
+        block = np.stack([initialize(c).amplitudes for c in cells], axis=1)
+        slots = slots[1:]
+    else:  # every cell starts in the ancilla
+        block = np.eye(n_ions + 1, 1, dtype=complex).repeat(len(cells), axis=1)
+    for slot in slots:
+        pulse = slot[0]
+        if mode == "ideal":
+            product = np.diag([1.0, cmath.exp(1j * plans[0].phi)])
+        else:
+            # at the cells' own stride: the memo entry a search of them uses
+            product = dynamics._pulse_chain(pulse.rms_peak, pulse.detuning, pulse.shape,
+                                            integrator.steps_per_pulse, integrator.window,
+                                            integrator.trajectory_stride)[1][:, :, -1]
+        chis = np.stack([p.chi.components for p in slot], axis=1)
+        block = dynamics._bright_update(block, chis, product)
+
+    norms = np.linalg.norm(block, axis=0)
+    rows = []
+    for c, cell in enumerate(cells):
+        p = float(abs(block[cell.marked_index, c] / norms[c]) ** 2)
+        drift = abs(norms[c] - 1.0)
+        where = f"sweep cell epsilon={cell.imperfection.epsilon:g}, ion {cell.marked_index}"
+        if not math.isfinite(p):
+            raise IntegrationError(f"{where}: non-finite marked population")
+        if not drift <= budget:
+            raise IntegrationError(f"{where}: norm drift {drift:.3e} exceeds "
+                                   f"schedule budget {budget:g}")
+        rows.append(SweepRow(cell.imperfection.epsilon, cell.marked_index,
+                             1.0 - min(1.0, p)))
+    return rows
 
 
 def adapted_advantage(

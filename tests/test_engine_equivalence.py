@@ -15,8 +15,10 @@ import pytest
 from scipy.special import gamma, hyp2f1
 
 from iongrover import dynamics
+from iongrover.cli import FIG4_EPSILONS, FIG4_IONS
 from iongrover.grover import build_plan, initialize, run_search
 from iongrover.householder import apply, generalized_hr
+from iongrover.imperfections import infidelity_sweep
 from iongrover.dynamics import (
     HamiltonianSpec,
     IntegratorConfig,
@@ -195,6 +197,22 @@ class TestDenseEquivalence:
         got = _integrate_pulse(y.copy(), g, 0.2, SECH, 600, 15.0)
         ref = dense_integrate_pulse(y.astype(complex), g, 0.2, SECH, 600, 15.0)
         assert np.abs(got - ref).max() <= EQUIVALENCE_TOL
+
+    @pytest.mark.parametrize("delta", [0.0, 0.589])
+    def test_one_chi_per_column_matches_separate_calls(self, delta):
+        # a block of registers, each column driven along its own direction by
+        # one shared chain; unit chis of 0, +-1/2 and +-i/2 entries make
+        # |2 chi| exactly 2, so every separate call keys that same chain
+        rng = np.random.default_rng(11)
+        chis = np.zeros((4, 9), dtype=complex)
+        chis[:, 0] = [1.0, 0.0, 0.0, 0.0]
+        chis[:, 1:] = rng.choice([0.5, -0.5, 0.5j, -0.5j], size=(4, 8))
+        y = np.column_stack([random_state(rng, 4) for _ in range(9)])
+        product = dynamics._pulse_chain(2.0, delta, SECH, 600, 15.0, 0)[1][:, :, -1]
+        got = dynamics._bright_update(y, chis, product)
+        for c in range(9):
+            ref = _integrate_pulse(y[:, c], 2.0 * chis[:, c], delta, SECH, 600, 15.0)
+            assert np.abs(got[:, c] - ref).max() <= 1e-15
 
     @pytest.mark.parametrize("delta", [0.0, 0.7])
     def test_zero_coupling(self, delta):
@@ -411,6 +429,19 @@ class TestPulseChainMemo:
             dynamics._pulse_chain.cache_clear()
             cold.append(cell(eps).success_probability)
         assert warm == cold
+
+    def test_fig4_grid_integrates_two_pulses(self, chained):
+        # the register block of the whole fig4 grid takes each pulse slot from
+        # the memo: a cold grid misses it for the init and the 2-pi pulse only
+        cold = infidelity_sweep(20, FIG4_IONS, FIG4_EPSILONS, steps=3)
+        assert len(chained) == 2
+        warm = infidelity_sweep(20, FIG4_IONS, FIG4_EPSILONS, steps=3)
+        assert len(chained) == 2
+        assert cold == warm
+        # at the default stride, so a search of one of its cells shares them
+        run_search(SearchConfig(n_ions=20, marked_index=5, mode="physical",
+                                iterations=3))
+        assert len(chained) == 2
 
 
 def reduced_cases():

@@ -1,16 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from iongrover import dynamics, grover
+from iongrover.cli import main
+from iongrover.dynamics import IntegrationError
 from iongrover.imperfections import (
     adapted_advantage,
     beam_factors,
     infidelity_sweep,
     register_from_factors,
 )
-from iongrover.model import ImperfectionSettings, SearchConfig
+from iongrover.model import ImperfectionSettings, IntegratorConfig, SearchConfig
 from iongrover.grover import build_plan, run_search
+from iongrover.pulses import PulseSpec
 
 
 class TestBeamFactors:
@@ -130,6 +135,78 @@ class TestSweep:
                                 reflection="uniform")
         adapted = infidelity_sweep(10, [2], [0.1], steps=2, mode="ideal")
         assert rows[0].infidelity != adapted[0].infidelity
+
+
+def sweep_by_search(n_ions, marked, epsilons, steps, mode, reflection):
+    """The sweep as one ``run_search`` per cell, in grid order: the oracle for
+    the register block that runs every cell at once."""
+    return [(eps, m, 1.0 - run_search(SearchConfig(
+                n_ions=n_ions, marked_index=m, mode=mode, iterations=steps,
+                imperfection=ImperfectionSettings(epsilon=eps, reflection=reflection),
+                integrator=IntegratorConfig(trajectory_stride=1000))).success_probability)
+            for eps in epsilons for m in marked]
+
+
+class TestSweepBlock:
+    """All cells of a sweep advance as the columns of one register block."""
+
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    @pytest.mark.parametrize("reflection", ["adapted", "uniform"])
+    @pytest.mark.parametrize("n_ions", [2, 6, 20])
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_matches_one_search_per_cell(self, mode, reflection, n_ions, steps):
+        marked = sorted({1, n_ions // 2 + 1})  # an edge ion and a centre ion
+        epsilons = [0.0, 0.1, 0.2]
+        rows = infidelity_sweep(n_ions, marked, epsilons, steps, mode=mode,
+                                reflection=reflection)
+        oracle = sweep_by_search(n_ions, marked, epsilons, steps, mode, reflection)
+        assert [(r.epsilon, r.marked_index) for r in rows] == [o[:2] for o in oracle]
+        np.testing.assert_allclose([r.infidelity for r in rows],
+                                   [o[2] for o in oracle], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("marked, epsilons", [([], [0.0, 0.1]), ([1, 3], [])])
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    def test_empty_grid(self, marked, epsilons, mode):
+        assert infidelity_sweep(6, marked, epsilons, steps=2, mode=mode) == []
+
+    def test_cells_must_share_their_pulses(self, monkeypatch):
+        real = grover.build_plan
+
+        def plan(cfg):  # the profiled cells' init pulse a little stronger
+            p = real(cfg)
+            init = PulseSpec(p.init_pulse.shape, p.init_pulse.chi,
+                             p.init_pulse.rms_peak * (1.0 + cfg.imperfection.epsilon))
+            return dataclasses.replace(p, init_pulse=init)
+
+        monkeypatch.setattr(grover, "build_plan", plan)
+        with pytest.raises(ValueError, match="of pulse 0"):
+            infidelity_sweep(6, [1], [0.0, 0.1], steps=1)
+
+    @staticmethod
+    def bent_chain(monkeypatch, bend):
+        """Every full-window chain product the sweep looks up, passed through
+        ``bend``."""
+        real = dynamics._pulse_chain
+        monkeypatch.setattr(dynamics, "_pulse_chain",
+                            lambda *a: (real(*a)[0], bend(real(*a)[1])))
+
+    def test_norm_drift_raises_naming_the_cell(self, monkeypatch):
+        self.bent_chain(monkeypatch, lambda products: products * (1.0 + 1e-6))
+        with pytest.raises(IntegrationError, match=r"epsilon=0\.1, ion 3: norm drift"):
+            infidelity_sweep(6, [3], [0.1], steps=1)
+
+    @pytest.mark.parametrize("bend, message", [
+        (lambda products: products * (1.0 + 1e-6), "norm drift"),
+        (lambda products: products * np.nan, "non-finite"),
+    ])
+    def test_cli_exits_3_with_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                            bend, message):
+        self.bent_chain(monkeypatch, bend)
+        assert main(["reproduce", "--figure", "fig4", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: numerical failure: sweep cell")
+        assert message in err[0]
+        assert not (tmp_path / "fig4_infidelity.csv").exists()
 
 
 def dense_advantage(n_ions, epsilon, marked_index, max_steps=1000):
