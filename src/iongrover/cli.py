@@ -45,8 +45,8 @@ BYTES_PER_ION = 1024
 #: peak memory of ``run`` per trajectory row, above that of a short run: 486
 #: bytes (physical) and 433 (ideal) at N = 15 and 10^6 rows
 BYTES_PER_ROW = 512
-#: RK4 steps a pulse may take: about 7 s for each distinct 2x2 pulse chain at
-#: 0.72 us a step recorded every 8 steps (0.53 us a step unrecorded)
+#: RK4 steps a pulse may take: about 3 s for each distinct 2x2 pulse chain at
+#: 0.3 us a step recorded every 8 steps (0.16 us a step unrecorded)
 MAX_STEPS_PER_PULSE = 10**7
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 

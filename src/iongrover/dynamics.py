@@ -24,10 +24,13 @@ in span{ancilla, start state, chi_1..chi_K} (Biham et al., PRA 60, 2742
 basis of that span (``subspace``): O(N) once, O(r) per step after.
 Fixed-step classical RK4 (bit-for-bit reproducible) is a polynomial in the
 stage Hamiltonians, so on this invariant space it is the same scheme as on
-the full register.  The one-step matrices of a chunk are built at once,
-multiplied by pairwise trees between recorded steps and chained by a log-depth
-prefix scan over those segments.  The recorded trajectory is the basis and the
-coordinates at each recorded step (``Trajectory``).
+the full register.  A lone pulse's 2x2 Hamiltonian is real, so its one-step
+matrices are that polynomial written out in the envelope samples
+(``_pulse_chain``); overlapping pulses take stage-matrix products (``_chain``).
+Either way the one-step matrices of a chunk are built at once and
+``_products`` multiplies them: pairwise trees between recorded steps and a
+log-depth prefix scan over those segments.  The recorded trajectory is the
+basis and the coordinates at each recorded step (``Trajectory``).
 """
 
 from __future__ import annotations
@@ -66,28 +69,18 @@ def _matmul(a, b):
     return np.einsum("ik...,kj...->ij...", a, b)
 
 
-def _chain(terms, t0, h, steps, stride):
-    """Running products of the RK4 one-step matrices of a reduced Hamiltonian.
-
-    Each term is (r x r coupling block without envelope, detuning, shape,
-    center, span); a span (a, b) switches its pulse on for a <= t <= b only.
-    Returns the recorded step counts (every ``stride`` steps, and the last)
-    and the products up to each of them, shape (r, r, len(marks)).
+def _products(step, r, steps, stride):
+    """Recorded running products of the one-step r x r matrices that
+    ``step(first, n)`` returns for steps first..first + n - 1, laid out
+    (r, r, n).  Returns the recorded step counts (every ``stride`` steps, and
+    the last) and the products up to each of them, shape (r, r, len(marks)).
 
     Only these are formed: pairwise trees multiply the steps up to each mark
     and each chunk's end, and a Hillis-Steele scan chains those segments.  This
     is the association, so the bits, of a scan of every step at stride 0 and at
     a power of two dividing ``CHUNK_STEPS`` and ``steps``; elsewhere, rounding.
     """
-    eye = np.eye(len(terms[0][0]))[:, :, None]
-
-    def stage(t):  # -i h H(t), one r x r matrix per time in t
-        out = np.zeros(eye.shape[:2] + t.shape, dtype=complex)
-        for block, delta, shape, center, span in terms:
-            on = 1.0 if span is None else (span[0] <= t) & (t <= span[1])
-            out += block[:, :, None] * (shape.envelope(t - center) * on)
-            out[0, 0] += delta * on
-        return (-1j * h) * out
+    eye = np.eye(r)[:, :, None]
 
     def tree(x):  # x[..., -1] becomes the product along x's last axis
         x, d = x[..., ::-1], 1  # paired from the end, as the scan pairs them
@@ -98,18 +91,14 @@ def _chain(terms, t0, h, steps, stride):
     marks = np.append(np.arange(stride or steps, steps, stride or steps), steps)
     carry, out = eye, []
     for first in range(0, steps, CHUNK_STEPS):
-        grid = t0 + h * np.arange(first, min(first + CHUNK_STEPS, steps))
-        k1, mid = stage(grid), stage(grid + h / 2.0)
-        k2 = _matmul(mid, eye + k1 / 2.0)
-        k3 = _matmul(mid, eye + k2 / 2.0)
-        k4 = _matmul(stage(grid + h), eye + k3)
-        m = eye + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        picked = marks[(marks > first) & (marks <= first + len(grid))]
+        n = min(CHUNK_STEPS, steps - first)
+        m = step(first, n)
+        picked = marks[(marks > first) & (marks <= first + n)]
         ends = picked - first - 1  # segment ends: the marks and the last step
-        ends = np.append(ends[ends < len(grid) - 1], len(grid) - 1)
+        ends = np.append(ends[ends < n - 1], n - 1)
         a, b = ends[0] + 1, ends[:-1].max(initial=ends[0]) + 1
         tree(m[:, :, :a])  # the segments: first, those a stride long, last
-        tree(m[:, :, a:b].reshape(eye.shape[:2] + (-1, stride or 1)))
+        tree(m[:, :, a:b].reshape((r, r, -1, stride or 1)))
         tree(m[:, :, b:])
         m, d = m.take(ends, 2), 1
         while d < len(ends):  # Hillis-Steele scan over the segment products
@@ -121,14 +110,76 @@ def _chain(terms, t0, h, steps, stride):
     return marks, np.concatenate(out, axis=2)
 
 
+def _chain(terms, t0, h, steps, stride):
+    """``_products`` of the RK4 one-step matrices of a reduced Hamiltonian on
+    the grid t0 + h k.
+
+    Each term is (r x r coupling block without envelope, detuning, shape,
+    center, span); a span (a, b) switches its pulse on for a <= t <= b only.
+    A step evaluates the stage matrices -i h H at t, t + h/2 and t + h and
+    multiplies them as classical RK4 does.
+    """
+    eye = np.eye(len(terms[0][0]))[:, :, None]
+
+    def stage(t):  # -i h H(t), one r x r matrix per time in t
+        out = np.zeros(eye.shape[:2] + t.shape, dtype=complex)
+        for block, delta, shape, center, span in terms:
+            on = 1.0 if span is None else (span[0] <= t) & (t <= span[1])
+            out += block[:, :, None] * (shape.envelope(t - center) * on)
+            out[0, 0] += delta * on
+        return (-1j * h) * out
+
+    def rk4(first, n):
+        grid = t0 + h * np.arange(first, first + n)
+        k1, mid = stage(grid), stage(grid + h / 2.0)
+        k2 = _matmul(mid, eye + k1 / 2.0)
+        k3 = _matmul(mid, eye + k2 / 2.0)
+        k4 = _matmul(stage(grid + h), eye + k3)
+        return eye + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+    return _products(rk4, len(eye), steps, stride)
+
+
 @functools.lru_cache(maxsize=32)  # a search has two or three distinct pulses
 def _pulse_chain(strength, delta, shape, steps, window, stride):
-    """``_chain`` of one pulse on (ancilla, bright), in its own time (centered
-    at 0): the Hamiltonian [[delta, f|g|/2], [f|g|/2, 0]].  Memoized for the
-    process, so its arrays are shared by every caller and read-only."""
-    block = np.array([[0.0, strength / 2.0], [strength / 2.0, 0.0]])
-    chain = _chain([(block, delta, shape, 0.0, None)], -window * shape.width,
-                   2.0 * window * shape.width / steps, steps, stride)
+    """The RK4 chain of one pulse on (ancilla, bright), in its own time
+    (centered at 0): the Hamiltonian [[delta, f|g|/2], [f|g|/2, 0]], which is
+    what ``_chain`` integrates for this one term, up to rounding.  Memoized for
+    the process, so its arrays are shared by every caller and read-only.
+
+    H is real, so with S = h H = [[d, a], [a, 0]] at the stages 1, 2, 3 (t,
+    t + h/2, t + h) an RK4 step is the polynomial
+        1 - i (S1 + 4 S2 + S3)/6 - (S2 S1 + S2^2 + S3 S2)/6
+          + i (S2^2 S1 + S3 S2^2)/12 + S3 S2^2 S1/24,
+    whose eight real parts are written out below in d and a1, a2, a3.  The
+    envelope is sampled once at a chunk's step points and once at its
+    midpoints: stage 3 of one step is stage 1 of the next.
+    """
+    t0, h = -window * shape.width, 2.0 * window * shape.width / steps
+    d, dd, scale = h * delta, (h * delta) ** 2, h * strength / 2.0
+
+    def rk4(first, n):
+        grid = t0 + h * np.arange(first, first + n + 1)
+        a = scale * shape.envelope(grid)
+        a1, a2, a3 = a[:-1], scale * shape.envelope(grid[:-1] + h / 2.0), a[1:]
+        q, s13 = dd + a2 * a2, a1 + a3  # q: the (0, 0) element of S2^2
+        a12, a23 = a1 * a2, a2 * a3
+        p, u, w = a2 * (s13 + a2), q + a12, dd + a12
+        lin = (s13 + 4.0 * a2) / 6.0
+        m = np.empty((2, 2, n), dtype=complex)
+        # the diagonal adds 1 last, once: rounding twice near 1 biased every
+        # step alike, 3e-12 over 32,000 steps
+        m.real[0, 0] = 1.0 + ((dd * u + a23 * w) / 24.0 - (3.0 * dd + p) / 6.0)
+        m.real[0, 1] = d * a1 * (q + a23) / 24.0 - d * (a1 + 2.0 * a2) / 6.0
+        m.real[1, 0] = d * a3 * u / 24.0 - d * (2.0 * a2 + a3) / 6.0
+        m.real[1, 1] = 1.0 + (a1 * a3 * q / 24.0 - p / 6.0)
+        m.imag[0, 0] = d * (2.0 * q + a2 * s13) / 12.0 - d
+        m.imag[0, 1] = (a1 * q + a2 * (dd + a23)) / 12.0 - lin
+        m.imag[1, 0] = (a2 * w + a3 * q) / 12.0 - lin
+        m.imag[1, 1] = d * a2 * s13 / 12.0
+        return m
+
+    chain = _products(rk4, 2, steps, stride)
     for a in chain:
         a.setflags(write=False)
     return chain

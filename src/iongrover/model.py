@@ -9,6 +9,7 @@ amplitude arrays are frozen after construction and safe to share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -34,13 +35,21 @@ class NormalizationError(ValueError):
     """Amplitude data is too far from unit norm to be float noise."""
 
 
+def _finite(value: Any) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def check_number(value: Any, what: str, integer: bool = False) -> None:
-    """Reject bools, non-numbers, NaN and infinities, and for counts and
-    indices any non-integer or one beyond int64, the range of numpy's counts
-    and indices; None (an unset optional field) passes."""
+    """Reject bools, non-numbers, NaN and infinities (and integers too large
+    for a float), and for counts and indices any non-integer or one beyond
+    int64, the range of numpy's counts and indices; None (an unset optional
+    field) passes."""
     kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
     if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)
-                              or not (integer or np.isfinite(value))):
+                              or not (integer or _finite(value))):
         kind = "an integer" if integer else "a finite number"
         raise ValueError(f"{what} must be {kind}, got {value!r}")
     if integer and value is not None and value > 2**63 - 1:

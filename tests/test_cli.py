@@ -303,10 +303,13 @@ class TestNonSechShape:
         assert err.startswith("error: config invalid: peak_coupling")
         assert not out.exists()
 
-    @pytest.mark.parametrize("iterations, code", [(40, 0), (55, 3)])
+    @pytest.mark.parametrize("iterations, code", [(40, 0), (41, 0), (55, 3)])
     def test_small_phase_calibration(self, tmp_path, capsys, iterations, code):
-        # 40 iterations match at phi = 0.048*pi; at 0.035*pi (55) the Newton
-        # solve finds no root within its 32 steps
+        # 40 and 41 iterations match at phi = 0.048*pi and 0.047*pi; at
+        # 0.035*pi (55) the Newton solve finds no root within its 32 steps.
+        # Which small phases converge moves with the chain's rounding: there
+        # the leakage residual's gradient (1e-9) is at its finite-difference
+        # noise
         cfg = write_config(tmp_path / "cfg.json", n_ions=15, marked_index=8,
                            mode="physical", variant="deterministic",
                            iterations=iterations, pulse={"shape": "gaussian"})
@@ -413,6 +416,25 @@ class TestConfigHardening:
         err = capsys.readouterr().err
         assert err.startswith("error: config invalid: ") and err.count("\n") == 1
         assert "at most 2**63 - 1" in err
+        assert not out.exists()
+
+    def test_integer_beyond_int64_is_a_number(self, tmp_path, capsys):
+        # 10^30 converts to a finite float and runs as 1e30 does; 10^400 does
+        # not and is refused in one line
+        results = []
+        for spacing in (10**30, 1e30):
+            cfg = write_config(tmp_path / "cfg.json", pulse={"spacing": spacing})
+            out = tmp_path / f"out-{spacing!r}"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            results.append(json.loads((out / "result.json").read_text()))
+        assert results[0]["success_probability"] == results[1]["success_probability"]
+        capsys.readouterr()
+        cfg = write_config(tmp_path / "cfg.json", pulse={"spacing": 10**400})
+        out = tmp_path / "out-huge"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config invalid: spacing must be a finite number")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides", [

@@ -46,12 +46,14 @@ EQUIVALENCE_TOL = 1e-12
 
 @pytest.fixture
 def chained(monkeypatch):
-    """The arguments of every ``_chain`` call, counted from an empty
-    ``_pulse_chain`` memo (it is process-wide, so earlier tests fill it)."""
+    """The arguments of every chain integrated (each ``_products`` call, which
+    ``_pulse_chain`` and ``_chain`` both multiply through), counted from an
+    empty ``_pulse_chain`` memo (it is process-wide, so earlier tests fill it)."""
     dynamics._pulse_chain.cache_clear()
     calls = []
-    real_chain = dynamics._chain
-    monkeypatch.setattr(dynamics, "_chain", lambda *a: calls.append(a) or real_chain(*a))
+    real_products = dynamics._products
+    monkeypatch.setattr(dynamics, "_products",
+                        lambda *a: calls.append(a) or real_products(*a))
     return calls
 
 
@@ -389,6 +391,27 @@ class TestSegmentChain:
         assert got[4].shape[:2] == (4, 4)
         np.testing.assert_array_equal(got[2], ref[2])
         assert np.abs(got[4] - ref[4]).max() <= 1e-13
+
+
+class TestClosedFormPulseChain:
+    """``_pulse_chain`` builds a lone pulse's RK4 steps as real polynomials in
+    its stage values; the generic stage-matrix ``_chain`` of the same single
+    term is the oracle.  Coarse grids are unstable (RK4 grows the products to
+    1e24 at 7 steps), so the products are compared relative to their size."""
+
+    @pytest.mark.parametrize("stride", [0, 3, 8, 1000])
+    @pytest.mark.parametrize("steps", [1, 2, 7, 500, 4000, 32000])
+    @pytest.mark.parametrize("delta", [0.0, 0.589, 3.0])
+    @pytest.mark.parametrize("shape", [SECH, GAUSS], ids=["sech", "gaussian"])
+    def test_matches_the_generic_chain(self, shape, delta, steps, stride):
+        marks, products = dynamics._pulse_chain.__wrapped__(2.0, delta, shape, steps,
+                                                            15.0, stride)
+        term = (np.array([[0.0, 1.0], [1.0, 0.0]]), delta, shape, 0.0, None)
+        ref_marks, ref = dynamics._chain([term], -15.0 * shape.width,
+                                         30.0 * shape.width / steps, steps, stride)
+        np.testing.assert_array_equal(marks, ref_marks)
+        assert products.shape == ref.shape
+        assert np.abs(products - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 class TestPulseChainMemo:

@@ -14,6 +14,7 @@ from iongrover.model import (
     SearchResult,
     Trajectory,
     basis_register,
+    check_number,
     fidelity,
     marked_probability,
     uniform_register,
@@ -129,6 +130,35 @@ class TestMarkedProbability:
     def test_out_of_range(self, m):
         with pytest.raises(IndexError):
             marked_probability(uniform_register(15), m)
+
+
+class TestCheckNumber:
+    @pytest.mark.parametrize("value", [
+        0, -2, 1.5, 10**30, -10**30, 2**1023, np.float32(2.5), np.int64(7), None])
+    def test_finite_numbers_pass(self, value):
+        check_number(value, "x")
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, 10**400, -10**400, 2**1024,
+        np.float32("inf"), np.float64("nan")])
+    def test_non_finite_numbers_rejected(self, value):
+        # an int too large for a float is refused like an infinity, not by
+        # numpy's "ufunc 'isfinite' not supported" text
+        with pytest.raises(ValueError, match="^x must be a finite number, got "):
+            check_number(value, "x")
+
+    @pytest.mark.parametrize("value", [True, "1", [1.0], 1j])
+    def test_non_numbers_rejected(self, value):
+        with pytest.raises(ValueError, match="^x must be a finite number, got "):
+            check_number(value, "x")
+
+    def test_counts_up_to_int64(self):
+        check_number(2**63 - 1, "n", integer=True)
+        for value in (2**63, 10**400):
+            with pytest.raises(ValueError, match=r"^n must be at most 2\*\*63 - 1"):
+                check_number(value, "n", integer=True)
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            check_number(1.0, "n", integer=True)
 
 
 class TestSearchConfig:
