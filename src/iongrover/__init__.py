@@ -38,7 +38,6 @@ from .imperfections import (
     adapted_advantage,
     beam_factors,
     infidelity_sweep,
-    register_from_factors,
 )
 from .model import (
     CouplingVector,

@@ -2,10 +2,10 @@
 
 A search is init followed by repeated (oracle, global reflection) pairs.
 Every reflection is one laser pulse, and both modes read one plan of them:
-ideal mode forms one iteration of the exact reflections about the pulses'
-chis at the plan's phase as an r x r matrix on the run's r <= 4 subspace
-coordinates and steps them by it, physical mode integrates the whole schedule
-as time-dependent dynamics.  The probabilistic variant uses resonant pulses
+ideal mode applies the plan's exact init 2x2 to the ancilla, forms one
+iteration of the exact reflections about the pulses' chis at the plan's phase
+as an r x r matrix on the run's r <= 4 subspace coordinates and steps them by
+it, physical mode integrates the whole schedule as time-dependent dynamics.  The probabilistic variant uses resonant pulses
 (reflection phase pi); the deterministic variant detunes both pulses of each
 iteration to the matched phase that makes the final fidelity exactly one.
 """
@@ -19,7 +19,7 @@ import numpy as np
 import numpy.random  # loaded lazily by numpy; here it loads with the package
 
 from . import imperfections
-from .dynamics import IntegrationError, evolve, evolve_schedule, subspace
+from .dynamics import IntegrationError, _bright_update, evolve, evolve_schedule, subspace
 from .householder import apply, generalized_hr  # noqa: F401 (tracers wrap apply)
 from .model import (
     CouplingVector,
@@ -77,19 +77,22 @@ def count_and_phase(cfg: SearchConfig) -> tuple[int, float]:
 
 @dataclass(frozen=True)
 class IterationPlan:
-    """Resolved schedule: the count, the phase and the pulses of one iteration.
+    """Resolved schedule: the start, the count, the phase and the pulses.
 
     A search is ``init_pulse`` followed by ``count`` repeats of (``oracle``,
     ``reflection``), pulses centered at t = 0 that realize the reflections
     about their chis at phase ``phi``, the same in either mode.  Physical mode
     integrates the ``timeline``, which lays them out ``spacing`` apart; ideal
-    mode reads only the chis and ``phi``.  A run reports the ``reflection``
-    pulse's detuning and rms peak, as built or calibrated.
+    mode reads only the chis, ``phi`` and ``init_product``, the init pulse's
+    exact 2x2 on (ancilla, its chi): the one source of the start register.
+    A run reports the ``reflection`` pulse's detuning and rms peak, as built
+    or calibrated.
     """
 
     count: int
     phi: float
     init_pulse: PulseSpec
+    init_product: np.ndarray
     oracle: PulseSpec
     reflection: PulseSpec
     spacing: float
@@ -103,49 +106,63 @@ class IterationPlan:
                           (0.5 + k) * self.spacing) for k, p in enumerate(pulses)]
 
 
-def _profile_factors(cfg: SearchConfig) -> np.ndarray:
+def _init_part(cfg: SearchConfig) -> tuple[PulseSpec, np.ndarray]:
+    """The plan's init pulse, resonant so never calibrated, and its exact 2x2
+    on (ancilla, chi): the (custom or Gaussian) beam profile at half the Rabi
+    frequency of a 2-pi pulse.  Calibrated trims the power for an rms-pi
+    transfer, [[0, -1], [1, 0]]; uncalibrated keeps the uniform-beam power,
+    a rotation by pi ||f|| / (2 sqrt(N))."""
     imp = cfg.imperfection
-    if imp.custom_factors is not None:
-        return np.asarray(imp.custom_factors, dtype=float)
-    return imperfections.beam_factors(cfg.n_ions, imp.epsilon, imp.scaling)
+    factors = (np.asarray(imp.custom_factors, dtype=float)
+               if imp.custom_factors is not None
+               else imperfections.beam_factors(cfg.n_ions, imp.epsilon, imp.scaling))
+    norm = float(np.linalg.norm(factors))
+    shape = PulseShape(cfg.pulse.shape, cfg.pulse.width)
+    peak = (cfg.pulse.peak_coupling or 2.0 * math.pi / shape.integral()) / 2.0
+    product = np.array([[0.0, -1.0], [1.0, 0.0]])
+    if imp.calibration == "uncalibrated":
+        peak *= norm / math.sqrt(cfg.n_ions)
+        half_area = math.pi * norm / (2.0 * math.sqrt(cfg.n_ions))
+        product = np.array([[math.cos(half_area), -math.sin(half_area)],
+                            [math.sin(half_area), math.cos(half_area)]])
+    product.setflags(write=False)
+    return PulseSpec(shape, CouplingVector(factors / norm), peak), product
+
+
+def _exact_start(init_pulse: PulseSpec, init_product: np.ndarray) -> RegisterState:
+    """The init 2x2 applied to the ancilla, in O(N)."""
+    return RegisterState(_bright_update(basis_register(init_pulse.n_ions, 0).amplitudes,
+                                        init_pulse.chi.components, init_product))
 
 
 def build_plan(cfg: SearchConfig) -> IterationPlan:
     """Resolve the pulses of a config, one plan for both modes: the init beam
-    along the (possibly profile-shaped) beam, the oracle on the marked ion,
-    and the global reflection along the adapted profile or the uniform beam."""
+    along the (possibly profile-shaped) beam with its exact 2x2, the oracle on
+    the marked ion, and the global reflection along the adapted profile or the
+    uniform beam."""
     count, phi = count_and_phase(cfg)
-    factors = _profile_factors(cfg)
-    norm = float(np.linalg.norm(factors))
+    init_pulse, init_product = _init_part(cfg)
     # evolve_schedule keys chis by identity: the init beam and the adapted
-    # reflection share this object, so the run's basis needs no third chi
-    profile = CouplingVector(factors / norm)
+    # reflection share one object, so the run's basis needs no third chi
     chis = (local_chi(cfg.n_ions, cfg.marked_index),
             uniform_chi(cfg.n_ions) if cfg.imperfection.reflection == "uniform"
-            else profile)
-    shape = PulseShape(cfg.pulse.shape, cfg.pulse.width)
-    oracle, reflection = (build_global_pulse(chi, phi, shape, cfg.pulse.peak_coupling,
-                                             cfg.integrator) for chi in chis)
-    # Same beam as a resonant 2-pi pulse at half the Rabi frequency; calibrated
-    # means the power is trimmed for an exact rms-pi transfer, uncalibrated
-    # leaves it at the uniform-beam setting.
-    init_peak = (cfg.pulse.peak_coupling or 2.0 * math.pi / shape.integral()) / 2.0
-    if cfg.imperfection.calibration == "uncalibrated":
-        init_peak *= norm / math.sqrt(cfg.n_ions)
-    return IterationPlan(count, phi, PulseSpec(shape, profile, init_peak), oracle,
-                         reflection, cfg.pulse.spacing * cfg.pulse.width)
+            else init_pulse.chi)
+    oracle, reflection = (build_global_pulse(chi, phi, init_pulse.shape,
+                                             cfg.pulse.peak_coupling, cfg.integrator)
+                          for chi in chis)
+    return IterationPlan(count, phi, init_pulse, init_product, oracle, reflection,
+                         cfg.pulse.spacing * cfg.pulse.width)
 
 
 def initialize(cfg: SearchConfig) -> RegisterState:
-    """Prepare the start register: the bright state of the (possibly
-    profile-shaped) init beam, exact in ideal mode, integrated in physical."""
+    """Prepare the start register from the init part of the plan alone (the
+    oracle and reflection are neither built nor calibrated): the init 2x2
+    applied to the ancilla in ideal mode, the init pulse integrated in
+    physical mode."""
+    init_pulse, init_product = _init_part(cfg)
     if cfg.mode == "ideal":
-        return imperfections.register_from_factors(
-            _profile_factors(cfg),
-            calibrated=cfg.imperfection.calibration == "calibrated",
-        )
-    return evolve(basis_register(cfg.n_ions, 0), build_plan(cfg).init_pulse,
-                  cfg.integrator)
+        return _exact_start(init_pulse, init_product)
+    return evolve(basis_register(cfg.n_ions, 0), init_pulse, cfg.integrator)
 
 
 def run_search(cfg: SearchConfig) -> SearchResult:
@@ -170,10 +187,10 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     }
 
     if cfg.mode == "ideal":
-        # a search on r-1 virtual ions: the start's coordinates in its subspace
-        # with the chis, stepped by U = R O of the reflections about theirs
-        q, z, coords = subspace(initialize(cfg).amplitudes,
-                                [plan.oracle.chi, plan.reflection.chi])
+        # a search on r-1 virtual ions: the plan's exact start, its coordinates
+        # in its subspace with the chis, stepped by U = R O of the reflections
+        start = _exact_start(plan.init_pulse, plan.init_product)
+        q, z, coords = subspace(start.amplitudes, [plan.oracle.chi, plan.reflection.chi])
         step = np.eye(len(z), dtype=complex)
         for c in coords:
             op = generalized_hr(CouplingVector(c[1:]), plan.phi)

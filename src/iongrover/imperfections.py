@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import IntegrationError
-from .model import ImperfectionSettings, RegisterState, SearchConfig
+from .model import ImperfectionSettings, SearchConfig
 
 
 def beam_factors(n_ions: int, epsilon: float, scaling: str = "field") -> np.ndarray:
@@ -40,25 +40,6 @@ def beam_factors(n_ions: int, epsilon: float, scaling: str = "field") -> np.ndar
     return (1.0 - eff) ** (x**2)
 
 
-def register_from_factors(factors: np.ndarray, calibrated: bool = True) -> RegisterState:
-    """Analytic outcome of the init pulse under a beam profile.
-
-    The init pulse drives the two-level system {ancilla, bright state of the
-    profile}; ``calibrated`` means the rms area is forced to pi (complete
-    transfer into the profile-shaped bright state), otherwise the laser power
-    is set as if the beam were uniform, leaving an ancilla residual in slot 0.
-    """
-    f = np.asarray(factors, dtype=float)
-    norm = float(np.linalg.norm(f))
-    if norm <= 0:
-        raise ValueError("factors must not all vanish")
-    if calibrated:
-        return RegisterState(np.concatenate(([0.0], f / norm)))
-    half_area = math.pi * norm / (2.0 * math.sqrt(len(f)))
-    return RegisterState(np.concatenate(([math.cos(half_area)],
-                                         math.sin(half_area) * f / norm)))
-
-
 @dataclass(frozen=True)
 class SweepRow:
     epsilon: float
@@ -77,19 +58,21 @@ def infidelity_sweep(
 ) -> list[SweepRow]:
     """Infidelity table over a (epsilon, marked ion) grid, in grid order.
 
-    Each cell is planned by ``build_plan``, then all cells run as the columns
-    of one (N+1, cells) register block.  Their pulses differ only in chi, so
-    pulse slot k is one 2x2 P on each column's own (ancilla, chi) pair, one
-    ``_bright_update`` of the block: the slot's memoized full-window chain in
-    physical mode, from the ancilla, and diag(1, e^{i phi}) in ideal mode,
-    from each cell's exact ``initialize`` register.  Cells whose slot k
-    differs in shape, rms peak, detuning or center raise ``ValueError``; a
-    norm drift past the budget of ``evolve_schedule``, or a non-finite marked
-    population, raises ``IntegrationError`` naming the cell.  ``jobs``
-    selects nothing: it is checked (at least 1) and otherwise ignored, kept
-    only for the callers that still pass it.
+    Each cell is planned by ``build_plan``, then all cells run from the
+    ancilla as the columns of one (N+1, cells) register block.  Their pulses
+    differ only in chi, so each of the plans' three roles (init, oracle,
+    reflection) is one 2x2 P on each column's own (ancilla, chi) pair, one
+    ``_bright_update`` of the block, applied in the order init, then (oracle,
+    reflection) ``steps`` times.  P is the role's memoized full-window chain in
+    physical mode; in ideal mode it is the plan's ``init_product``, then
+    diag(1, e^{i phi}).  Cells whose pulse of one role differs in shape, rms
+    peak or detuning raise ``ValueError``; a norm drift past the budget of
+    ``evolve_schedule``, or a non-finite marked population, raises
+    ``IntegrationError`` naming the cell.  ``jobs`` selects nothing: it is
+    checked (at least 1) and otherwise ignored, kept only for the callers
+    that still pass it.
     """
-    from .grover import build_plan, initialize  # deferred: grover imports this module
+    from .grover import build_plan  # deferred: grover imports this module
 
     if steps < 1:
         raise ValueError("need at least one search step")
@@ -105,29 +88,28 @@ def infidelity_sweep(
     if not cells:
         return []
     plans = [build_plan(c) for c in cells]
-    slots = list(zip(*(plan.timeline() for plan in plans)))
-    for k, slot in enumerate(slots):
-        if len({(p.shape, p.rms_peak, p.detuning, p.center) for p in slot}) > 1:
-            raise ValueError(f"sweep cells differ in the shape, rms peak, detuning "
-                             f"or center of pulse {k}")
     integrator = cells[0].integrator
-    budget = integrator.norm_tolerance * len(slots)
-    if mode == "ideal":  # the exact start register: the init slot is skipped
-        block = np.stack([initialize(c).amplitudes for c in cells], axis=1)
-        slots = slots[1:]
-    else:  # every cell starts in the ancilla
-        block = np.eye(n_ions + 1, 1, dtype=complex).repeat(len(cells), axis=1)
-    for slot in slots:
-        pulse = slot[0]
-        if mode == "ideal":
-            product = np.diag([1.0, cmath.exp(1j * plans[0].phi)])
-        else:
+    roles = []  # (P, chis) of the init, oracle and reflection pulses
+    for k, role in enumerate(("init_pulse", "oracle", "reflection")):
+        pulses = [getattr(plan, role) for plan in plans]
+        if len({(p.shape, p.rms_peak, p.detuning) for p in pulses}) > 1:
+            raise ValueError(f"sweep cells differ in the shape, rms peak or detuning "
+                             f"of pulse {k} ({role})")
+        pulse = pulses[0]
+        if mode == "physical":
             # at the cells' own stride: the memo entry a search of them uses
             product = dynamics._pulse_chain(pulse.rms_peak, pulse.detuning, pulse.shape,
                                             integrator.steps_per_pulse, integrator.window,
                                             integrator.trajectory_stride)[1][:, :, -1]
-        chis = np.stack([p.chi.components for p in slot], axis=1)
+        elif k == 0:
+            product = plans[0].init_product
+        else:
+            product = np.diag([1.0, cmath.exp(1j * plans[0].phi)])
+        roles.append((product, np.stack([p.chi.components for p in pulses], axis=1)))
+    block = np.eye(n_ions + 1, 1, dtype=complex).repeat(len(cells), axis=1)
+    for product, chis in [roles[0], *roles[1:] * steps]:
         block = dynamics._bright_update(block, chis, product)
+    budget = integrator.norm_tolerance * (1 + 2 * steps)  # one per pulse applied
 
     norms = np.linalg.norm(block, axis=0)
     rows = []
@@ -145,30 +127,24 @@ def infidelity_sweep(
     return rows
 
 
-def adapted_advantage(
-    n_ions: int,
-    epsilon: float,
-    marked_index: int,
-    max_steps: int = 1000,
-    scaling: str = "field",
-) -> tuple[float, float]:
+def adapted_advantage(n_ions: int, epsilon: float,
+                      marked_index: int) -> tuple[float, float]:
     """Best success probability over step counts: adapted chi vs uniform chi.
 
-    Two ideal searches of ``max_steps`` iterations on the profile-shaped
-    register, one per global reflection, each read off its trajectory record.
-    The adapted reflection turns the search into a clean two-level rotation
-    whose peak approaches 1, while the uniform reflection is capped by the
-    register's overlap with its rotation plane; the ordering only becomes
-    visible once the horizon is long enough for the adapted peaks to sample
-    near pi/2, hence the generous default.
+    Two ideal searches of 1000 iterations on the profile-shaped register
+    (field scaling), one per global reflection, each read off its trajectory
+    record.  The adapted reflection turns the search into a clean two-level
+    rotation whose peak approaches 1, while the uniform reflection is capped
+    by the register's overlap with its rotation plane; the ordering only
+    becomes visible once the horizon is long enough for the adapted peaks to
+    sample near pi/2, hence the generous horizon.
     """
     from .grover import run_search  # deferred: grover imports this module
 
     best = []
     for reflection in ("adapted", "uniform"):
-        imperfection = ImperfectionSettings(epsilon=epsilon, scaling=scaling,
-                                            reflection=reflection)
-        trajectory = run_search(SearchConfig(n_ions, marked_index, iterations=max_steps,
+        imperfection = ImperfectionSettings(epsilon=epsilon, reflection=reflection)
+        trajectory = run_search(SearchConfig(n_ions, marked_index, iterations=1000,
                                              imperfection=imperfection)).trajectory
         best.append(min(1.0, float(trajectory.slots(marked_index)[1:].max())))
     return best[0], best[1]

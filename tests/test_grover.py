@@ -116,6 +116,34 @@ class TestInitialize:
         assert state.populations[0] == pytest.approx(math.cos(half_area) ** 2,
                                                      abs=1e-6)
 
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    def test_reads_only_the_init_part_of_the_plan(self, mode):
+        # this config's detuned Gaussian oracle and reflection find no
+        # calibration (NoSolutionError); the resonant init pulse needs none
+        cfg = SearchConfig(n_ions=15, marked_index=8, mode=mode,
+                           variant="deterministic", iterations=55,
+                           pulse=PulseSettings(shape="gaussian"))
+        state = initialize(cfg)
+        assert fidelity(state, uniform_register(15)) > 1 - 1e-6
+        assert state.populations[0] < 1e-6
+
+    @pytest.mark.parametrize("n_ions", [4, 15, 20])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("calibration", ["calibrated", "uncalibrated"])
+    @pytest.mark.parametrize("profile", ["beam", "custom"])
+    def test_exact_start_matches_the_integrated_one(self, n_ions, epsilon,
+                                                    calibration, profile):
+        # custom factors: a ramp from 1 down to 1 - epsilon along the chain
+        custom = (tuple(1.0 - epsilon * np.linspace(0.0, 1.0, n_ions))
+                  if profile == "custom" else None)
+        imperfection = ImperfectionSettings(epsilon=epsilon, calibration=calibration,
+                                            custom_factors=custom)
+        ideal, physical = (
+            initialize(SearchConfig(n_ions=n_ions, marked_index=1, mode=mode,
+                                    imperfection=imperfection)).populations
+            for mode in ("ideal", "physical"))
+        np.testing.assert_allclose(ideal, physical, rtol=0, atol=1e-6)
+
 
 class TestRunSearchIdeal:
     def test_probabilistic_n15(self):
@@ -438,3 +466,4 @@ class TestPlan:
             assert (a.shape, a.rms_peak, a.detuning, a.center) == (
                 b.shape, b.rms_peak, b.detuning, b.center), name
             np.testing.assert_array_equal(a.chi.components, b.chi.components)
+        np.testing.assert_array_equal(ideal.init_product, physical.init_product)

@@ -7,14 +7,9 @@ import pytest
 from iongrover import dynamics, grover
 from iongrover.cli import main
 from iongrover.dynamics import IntegrationError
-from iongrover.imperfections import (
-    adapted_advantage,
-    beam_factors,
-    infidelity_sweep,
-    register_from_factors,
-)
+from iongrover.imperfections import adapted_advantage, beam_factors, infidelity_sweep
 from iongrover.model import ImperfectionSettings, IntegratorConfig, SearchConfig
-from iongrover.grover import build_plan, run_search
+from iongrover.grover import build_plan, initialize, run_search
 from iongrover.pulses import PulseSpec
 
 
@@ -73,21 +68,29 @@ class TestAdaptedChi:
 
 
 class TestPerturbedRegister:
+    """The exact start register of ideal mode under a beam profile."""
+
+    @staticmethod
+    def start(n_ions, epsilon, calibration="calibrated"):
+        return initialize(SearchConfig(
+            n_ions=n_ions, marked_index=1,
+            imperfection=ImperfectionSettings(epsilon=epsilon, calibration=calibration)))
+
     def test_calibrated_has_no_residual(self):
-        reg = register_from_factors(beam_factors(10, 0.2))
+        reg = self.start(10, 0.2)
         assert abs(reg.amplitudes[0]) < 1e-15
         assert np.linalg.norm(reg.amplitudes[1:]) == pytest.approx(1.0, abs=1e-12)
 
     def test_uncalibrated_residual(self):
         factors = beam_factors(10, 0.2)
-        reg = register_from_factors(factors, calibrated=False)
+        reg = self.start(10, 0.2, calibration="uncalibrated")
         half_area = math.pi * np.linalg.norm(factors) / (2 * math.sqrt(10))
         assert abs(reg.amplitudes[0]) == pytest.approx(abs(math.cos(half_area)),
                                                   rel=1e-12)
 
     def test_full_state_round_trip(self):
         factors = beam_factors(8, 0.1)
-        state = register_from_factors(factors)
+        state = self.start(8, 0.1)
         np.testing.assert_allclose(state.amplitudes[1:],
                                    factors / np.linalg.norm(factors), atol=1e-15)
 
@@ -169,17 +172,21 @@ class TestSweepBlock:
     def test_empty_grid(self, marked, epsilons, mode):
         assert infidelity_sweep(6, marked, epsilons, steps=2, mode=mode) == []
 
-    def test_cells_must_share_their_pulses(self, monkeypatch):
+    @pytest.mark.parametrize("k, role", [(0, "init_pulse"), (1, "oracle"),
+                                         (2, "reflection")])
+    def test_cells_must_share_their_pulses(self, monkeypatch, k, role):
         real = grover.build_plan
 
-        def plan(cfg):  # the profiled cells' init pulse a little stronger
+        def plan(cfg):  # the profiled cells' pulse of this role a little stronger
             p = real(cfg)
-            init = PulseSpec(p.init_pulse.shape, p.init_pulse.chi,
-                             p.init_pulse.rms_peak * (1.0 + cfg.imperfection.epsilon))
-            return dataclasses.replace(p, init_pulse=init)
+            pulse = getattr(p, role)
+            stronger = PulseSpec(pulse.shape, pulse.chi,
+                                 pulse.rms_peak * (1.0 + cfg.imperfection.epsilon),
+                                 pulse.detuning)
+            return dataclasses.replace(p, **{role: stronger})
 
         monkeypatch.setattr(grover, "build_plan", plan)
-        with pytest.raises(ValueError, match="of pulse 0"):
+        with pytest.raises(ValueError, match=rf"of pulse {k} \({role}\)"):
             infidelity_sweep(6, [1], [0.0, 0.1], steps=1)
 
     @staticmethod
