@@ -12,6 +12,7 @@ too large for physical memory included), 3 numerical or internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import hashlib
 import json
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._csvtext import csv_text
 from .dynamics import IntegrationError
 from .grover import build_plan, count_and_phase, detect, run_search, sample_detection
 from .imperfections import infidelity_sweep
@@ -42,8 +44,9 @@ FIG4_IONS = [1, 5, 10]
 #: 505 in physical mode, whose peak also holds a trajectory record of 402,501
 #: and 804,501 rows
 BYTES_PER_ION = 1024
-#: peak memory of ``run`` per trajectory row, above that of a short run: 486
-#: bytes (physical) and 433 (ideal) at N = 15 and 10^6 rows
+#: peak memory of ``run`` per trajectory row, above that of a short run (the
+#: highest of three runs): 349 bytes (physical) and 182 (ideal) at N = 15 and
+#: 10^6 rows
 BYTES_PER_ROW = 512
 #: RK4 steps a pulse may take: about 3 s for each distinct 2x2 pulse chain at
 #: 0.3 us a step recorded every 8 steps (0.16 us a step unrecorded)
@@ -121,22 +124,20 @@ def load_config(path: Path) -> SearchConfig:
     return cfg
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+def _write_text(path: Path, text: str) -> dict:
+    """Write ``text`` as UTF-8 and return its manifest entry: the file name,
+    and the sha256 and the byte count of what was written."""
+    data = text.encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return {"path": path.name, "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": len(data)}
 
 
-def _write_csv(path: Path, header: list[str], columns: list[list]) -> None:
-    """Write equal-length columns as rows, formatted by one % call over a
-    repeated row template: str cells as they are, numbers as %.17g, which
-    gives the text of format(float(x), ".17g")."""
-    rows = len(columns[0])
-    row = ",".join("%s" if rows and isinstance(col[0], str) else "%.17g"
-                   for col in columns)
-    cells = [None] * (rows * len(columns))
-    for j, col in enumerate(columns):
-        cells[j::len(columns)] = col
-    _write_text(path, ",".join(header) + "\n" + (row + "\n") * rows % tuple(cells))
+def _write_csv(path: Path, header: list[str], columns: list) -> dict:
+    """Write equal-length columns (lists or arrays) as rows: str cells as they
+    are, numbers as the text of format(float(x), ".17g")."""
+    return _write_text(path, csv_text(header, columns))
 
 
 def _has_array(value) -> bool:
@@ -184,28 +185,20 @@ def _json_text(value, indent: str = "") -> str:
     return "{\n" + ",\n".join(items) + "\n" + indent + "}"
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict) -> dict:
     """Write json.dumps(payload, indent=2, sort_keys=True) and a newline,
     numpy arrays in the payload written as their tolist()."""
-    _write_text(path, _json_text(payload) + "\n")
+    return _write_text(path, _json_text(payload) + "\n")
 
 
-def _trajectory_columns(result: SearchResult, marked_index: int) -> list[list]:
+def _trajectory_columns(result: SearchResult, marked_index: int) -> list[np.ndarray]:
     """time, p_marked, p_slot0, p_other_total, read from the reduced trajectory."""
-    return [result.trajectory_times.tolist(),
-            *result.trajectory.columns(marked_index).T.tolist()]
+    return [result.trajectory_times, *result.trajectory.columns(marked_index).T]
 
 
 def _manifest(out_dir: Path, command: str, arguments: dict, resolved: dict,
-              files: list[Path]) -> None:
-    outputs = []
-    for path in files:
-        data = path.read_bytes()
-        outputs.append({
-            "path": path.name,
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "bytes": len(data),
-        })
+              outputs: list[dict]) -> None:
+    """Write manifest.json, ``outputs`` the entries the writers returned."""
     _write_json(out_dir / "manifest.json", {
         "tool": "iongrover",
         "version": __version__,
@@ -248,13 +241,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "no_click": int(counts[0]),
             "ion_counts": counts[1:],
         }
-    result_path = out_dir / "result.json"
-    _write_json(result_path, payload)
-    traj_path = out_dir / "trajectory.csv"
-    _write_csv(traj_path, ["time", "p_marked", "p_slot0", "p_other_total"],
-               _trajectory_columns(result, cfg.marked_index))
+    outputs = [
+        _write_json(out_dir / "result.json", payload),
+        _write_csv(out_dir / "trajectory.csv",
+                   ["time", "p_marked", "p_slot0", "p_other_total"],
+                   _trajectory_columns(result, cfg.marked_index)),
+    ]
     _manifest(out_dir, "run", {"config": str(args.config)},
-              result.parameters_used, [result_path, traj_path])
+              result.parameters_used, outputs)
     return 0
 
 
@@ -272,33 +266,34 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
+    outputs = []
     resolved: dict = {}
     if args.figure == "fig3":
         for variant in ("probabilistic", "deterministic"):
             cfg = SearchConfig(n_ions=15, marked_index=8, mode="physical",
                                variant=variant)
             result = run_search(cfg)
-            path = out_dir / f"fig3_{variant}.csv"
-            _write_csv(path, ["time", "p_marked", "p_slot0", "p_other_total"],
-                       _trajectory_columns(result, cfg.marked_index))
-            files.append(path)
+            outputs.append(_write_csv(out_dir / f"fig3_{variant}.csv",
+                                      ["time", "p_marked", "p_slot0",
+                                       "p_other_total"],
+                                      _trajectory_columns(result, cfg.marked_index)))
             resolved[variant] = result.parameters_used
-        path = out_dir / "fig3_pulses.csv"  # the deterministic search's pulses
-        _write_csv(path, ["index", "kind", "center", "width", "rms_area", "detuning"],
-                   _pulse_timeline_columns(cfg))
-        files.append(path)
+        # the deterministic search's pulses
+        outputs.append(_write_csv(out_dir / "fig3_pulses.csv",
+                                  ["index", "kind", "center", "width", "rms_area",
+                                   "detuning"],
+                                  _pulse_timeline_columns(cfg)))
     else:
         rows = infidelity_sweep(20, FIG4_IONS, FIG4_EPSILONS, steps=3,
                                 mode="physical", jobs=args.jobs)
-        path = out_dir / "fig4_infidelity.csv"
-        _write_csv(path, ["epsilon", "ion", "infidelity"],
-                   [[r.epsilon for r in rows], [str(r.marked_index) for r in rows],
-                    [r.infidelity for r in rows]])
-        files.append(path)
+        outputs.append(_write_csv(out_dir / "fig4_infidelity.csv",
+                                  ["epsilon", "ion", "infidelity"],
+                                  [[r.epsilon for r in rows],
+                                   [str(r.marked_index) for r in rows],
+                                   [r.infidelity for r in rows]]))
         resolved = {"n_ions": 20, "steps": 3, "ions": FIG4_IONS,
                     "epsilons": FIG4_EPSILONS}
-    _manifest(out_dir, "reproduce", {"figure": args.figure}, resolved, files)
+    _manifest(out_dir, "reproduce", {"figure": args.figure}, resolved, outputs)
     return 0
 
 
@@ -325,6 +320,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
+@functools.cache  # main may run more than once in a process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iongrover",
@@ -338,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--seed", type=int, default=None,
                        help="RNG seed, required iff the config enables shots")
-    run_p.set_defaults(func=_cmd_run)
 
     rep_p = sub.add_parser("reproduce", help="emit the data behind a figure")
     rep_p.add_argument("--figure", required=True, choices=("fig3", "fig4"))
@@ -346,13 +341,11 @@ def _build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("--jobs", type=int, default=1,
                        help="accepted and checked (at least 1) but has no effect: "
                             "sweep cells run in this process")
-    rep_p.set_defaults(func=_cmd_reproduce)
 
     val_p = sub.add_parser("validate", help="run the self-check suite")
     val_p.add_argument("--suite", required=True, choices=("fast", "full"))
     val_p.add_argument("--out", default=None,
                        help="directory for the JSON report (default: stdout)")
-    val_p.set_defaults(func=_cmd_validate)
     return parser
 
 
@@ -361,9 +354,12 @@ def main(argv: list[str] | None = None) -> int:
     # frozen, it stays out of the collections the command triggers
     gc.freeze()
     args = _build_parser().parse_args(argv)
+    # looked up per call, not bound in the parser: the parser outlives a
+    # command function that a caller replaces
+    command = globals()[f"_cmd_{args.command}"]
     try:
         with np.errstate(all="ignore"):  # drift and non-finite results exit 3
-            return args.func(args)
+            return command(args)
     except (IntegrationError, NoSolutionError) as exc:
         # NoSolutionError subclasses ValueError, so numerical failures must be
         # picked off before the config-error net below

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from iongrover import cli
+from iongrover import _csvtext, cli
 from iongrover.cli import main
 from iongrover.grover import build_plan, run_search
 from iongrover.imperfections import SweepRow
@@ -232,6 +233,16 @@ class TestRegisterSize:
         assert err.startswith("error: config invalid: n_ions = 100000000000000000")
         assert "physical memory" in err and err.count("\n") == 1
         assert not out.exists()
+
+
+class TestParser:
+    def test_built_once_with_commands_looked_up_per_call(self, tmp_path, monkeypatch):
+        assert cli._build_parser() is cli._build_parser()
+        calls = []
+        monkeypatch.setattr(cli, "_cmd_reproduce", lambda args: calls.append(args) or 0)
+        assert main(["reproduce", "--figure", "fig4", "--out", str(tmp_path)]) == 0
+        assert [(a.figure, a.jobs) for a in calls] == [("fig4", 1)]
+        assert not any(tmp_path.iterdir())
 
 
 class TestRecordMemory:
@@ -761,6 +772,109 @@ class TestBulkCsvWriter:
                             [[r.epsilon, str(r.marked_index), r.infidelity] for r in rows])
         assert (tmp_path / "fig4_infidelity.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
+
+
+def adversarial_values():
+    """Cells the %.17g kernel must place exactly: signed zeros, dyadic ties,
+    the powers of ten and their neighbours, carries into a new exponent, the
+    edges between fixed and exponent notation, and three-digit exponents."""
+    values = [0.0, -0.0, 2.0**-25, 3 * 2.0**-26, 3 * 2.0**-25, -(2.0**-25), 0.5,
+              2.5, 1e-5, 1e-4, 9.99999999999999e-5, 1e16, 1e17, 9.999999999999999e16,
+              99999999999999999.0, 9999999999999999.0, 0.99999999999999999,
+              123456789012345678.0, 5e-324, 2.2250738585072014e-308, 1e-300,
+              1.7976931348623157e308, math.pi, math.inf, -math.inf, math.nan]
+    for k in range(-300, 301):
+        power = float(f"1e{k}")
+        values += [power, math.nextafter(power, 0.0), math.nextafter(power, math.inf)]
+    return values
+
+
+def adversarial_table(rows):
+    """``rows`` rows of the adversarial values (negated in a second column),
+    Python ints and labels."""
+    values = adversarial_values()
+    x = [values[i % len(values)] for i in range(rows)]
+    ints = [(-7) ** (i % 23) for i in range(rows)]
+    labels = [f"row{i}" for i in range(rows)]
+    return [x, [-v for v in x], ints, labels]
+
+
+class TestVectorCsvWriter:
+    """Tables of at least ``VECTOR_CELLS`` cells go through the vectorized
+    %.17g kernel and write the bytes of the per-cell reference."""
+
+    header = ["x", "minus_x", "int", "label"]
+
+    def assert_same_bytes(self, tmp_path, columns):
+        reference_write_csv(tmp_path / "ref.csv", self.header, list(zip(*columns)))
+        cli._write_csv(tmp_path / "got.csv", self.header, columns)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        """The cells each table sends to the vector path and to the scalar
+        fallback, per call."""
+        seen = {"vector": [], "scalar": []}
+        vector, scalar = _csvtext._vector_text, _csvtext._scalar_cells
+        monkeypatch.setattr(_csvtext, "_vector_text", lambda columns, rows: (
+            seen["vector"].append(rows * len(columns)) or vector(columns, rows)))
+        monkeypatch.setattr(_csvtext, "_scalar_cells", lambda values: (
+            seen["scalar"].append(len(values)) or scalar(values)))
+        return seen
+
+    @staticmethod
+    def undecided(x):
+        """Whether the kernel leaves ``x`` to the scalar formatter: x is not 0
+        and outside [1e-280, 1e280], or the fraction of the exact
+        |x| * 10**(16 - e) lies within 1e-9 of 1/2."""
+        if x == 0 or not 1e-280 <= abs(x) <= 1e280:
+            return x != 0
+        exact = Fraction(abs(x))
+        e = math.floor(math.log10(abs(x)))
+        e += (exact >= Fraction(10) ** (e + 1)) - (exact < Fraction(10) ** e)
+        scaled = exact * Fraction(10) ** (16 - e)
+        return abs(scaled - math.floor(scaled) - Fraction(1, 2)) < 1e-9
+
+    def test_adversarial_table(self, tmp_path, paths):
+        columns = adversarial_table(len(adversarial_values()))
+        self.assert_same_bytes(tmp_path, columns)
+        assert paths["vector"] == [4 * len(columns[0])]
+        # every other cell, those next to a power of ten included, is decided
+        # by the kernel
+        undecided = sum(self.undecided(float(v)) for col in columns[:3] for v in col)
+        assert sum(paths["scalar"]) == undecided
+
+    @pytest.mark.parametrize("side", ["below", "at"])
+    def test_either_side_of_the_cut_off(self, tmp_path, paths, side):
+        rows = -(-_csvtext.VECTOR_CELLS // 4) - (side == "below")
+        self.assert_same_bytes(tmp_path, adversarial_table(rows))
+        assert paths["vector"] == ([] if side == "below" else [4 * rows])
+
+    def test_many_chunks(self, tmp_path, paths):
+        rows = 2 * _csvtext.CHUNK_ROWS + 5
+        self.assert_same_bytes(tmp_path, adversarial_table(rows))
+        assert paths["vector"] == [4 * rows]
+
+    @settings(max_examples=40, deadline=None)
+    @given(floats=st.lists(st.floats(), min_size=1, max_size=60),
+           bits=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=60))
+    def test_random_cells(self, tmp_path_factory, floats, bits):
+        cells = np.concatenate([floats, np.array(bits, dtype=np.int64).view(np.float64)])
+        rows = -(-_csvtext.VECTOR_CELLS // 3)
+        x, y, z = np.resize(cells, (3, rows))
+        columns = [x, y.tolist(), [f"c{i}" for i in range(rows)], z]
+        header = ["x", "y", "label", "z"]
+        tmp_path = tmp_path_factory.mktemp("cells")
+        reference_write_csv(tmp_path / "ref.csv", header, list(zip(*columns)))
+        cli._write_csv(tmp_path / "got.csv", header, columns)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_physical_trajectory_needs_no_fallback(self, tmp_path, paths):
+        cfg = write_config(tmp_path / "cfg.json", n_ions=256, marked_index=77,
+                           mode="physical", variant="deterministic")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(paths["vector"]) == 1 and paths["vector"][0] > 50000
+        assert paths["scalar"] == []
 
 
 class TestCommandTrajectories:
