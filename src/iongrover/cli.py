@@ -48,8 +48,9 @@ BYTES_PER_ION = 1024
 #: highest of three runs): 349 bytes (physical) and 182 (ideal) at N = 15 and
 #: 10^6 rows
 BYTES_PER_ROW = 512
-#: RK4 steps a pulse may take: about 3 s for each distinct 2x2 pulse chain at
-#: 0.3 us a step recorded every 8 steps (0.16 us a step unrecorded)
+#: RK4 steps a pulse may take: about 2.5 s for each distinct 2x2 pulse chain
+#: at 0.25 us a step recorded every 8 steps (0.1 us a step unrecorded), where
+#: an even grid integrates half its window; odd grids take 0.3-0.5 us a step
 MAX_STEPS_PER_PULSE = 10**7
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 

@@ -27,10 +27,14 @@ stage Hamiltonians, so on this invariant space it is the same scheme as on
 the full register.  A lone pulse's 2x2 Hamiltonian is real, so its one-step
 matrices are that polynomial written out in the envelope samples
 (``_pulse_chain``); overlapping pulses take stage-matrix products (``_chain``).
-Either way the one-step matrices of a chunk are built at once and
-``_products`` multiplies them: pairwise trees between recorded steps and a
-log-depth prefix scan over those segments.  The recorded trajectory is the
-basis and the coordinates at each recorded step (``Trajectory``).
+Every envelope is even about its center, so a lone pulse's step steps-1-k is
+the transpose of step k (RK4 is time-reversible for a real time-symmetric H):
+on an even grid whose recorded steps mirror about the middle, only the first
+half L is integrated and the window is L^T L.  Either way the one-step
+matrices of a chunk are built at once and ``_products`` multiplies them:
+pairwise trees between recorded steps and a log-depth prefix scan over those
+segments.  The recorded trajectory is the basis and the coordinates at each
+recorded step (``Trajectory``).
 """
 
 from __future__ import annotations
@@ -125,7 +129,9 @@ def _chain(terms, t0, h, steps, stride):
         out = np.zeros(eye.shape[:2] + t.shape, dtype=complex)
         for block, delta, shape, center, span in terms:
             on = 1.0 if span is None else (span[0] <= t) & (t <= span[1])
-            out += block[:, :, None] * (shape.envelope(t - center) * on)
+            # sampled inside the span only: far outside, cosh overflows
+            inside = t if span is None else np.clip(t, *span)
+            out += block[:, :, None] * (shape.envelope(inside - center) * on)
             out[0, 0] += delta * on
         return (-1j * h) * out
 
@@ -154,6 +160,16 @@ def _pulse_chain(strength, delta, shape, steps, window, stride):
     whose eight real parts are written out below in d and a1, a2, a3.  The
     envelope is sampled once at a chunk's step points and once at its
     midpoints: stage 3 of one step is stage 1 of the next.
+
+    Every envelope is even and the window is centered, so step steps-1-k has
+    the stages of step k with a1 and a3 swapped, which transposes it:
+    M_{steps-1-k} = M_k^T, up to the rounding of the grid (RK4 of a real
+    time-symmetric H is time-reversible).  When ``steps`` is even and
+    ``stride`` is 0 or divides half = steps/2, only the first half is
+    integrated: with L = P(half) the window is P(steps) = L^T L, and a mark
+    after the middle is P(half + m) = S_m^T L, where S_m = M_{half-1}..M_{half-m}
+    = L P(half - m)^-1 by the 2x2 adjugate.  Other (steps, stride) take every
+    step.  Either way it is one ``_products`` call.
     """
     t0, h = -window * shape.width, 2.0 * window * shape.width / steps
     d, dd, scale = h * delta, (h * delta) ** 2, h * strength / 2.0
@@ -179,7 +195,18 @@ def _pulse_chain(strength, delta, shape, steps, window, stride):
         m.imag[1, 1] = d * a2 * s13 / 12.0
         return m
 
-    chain = _products(rk4, 2, steps, stride)
+    half = steps // 2
+    if steps % 2 or stride and half % stride:  # the marks do not mirror
+        chain = _products(rk4, 2, steps, stride)
+    else:
+        marks, p = _products(rk4, 2, half, stride)
+        # P(half + m) = S_m^T L = adj(Q)^T L^T L / det Q, with Q = P(half - m)
+        q = np.concatenate([np.eye(2)[:, :, None], p[:, :, :-1]], axis=2)[:, :, ::-1]
+        adj_t = np.array([[q[1, 1], -q[1, 0]], [-q[0, 1], q[0, 0]]])
+        tail = np.einsum("ikm,lk,lj->ijm", adj_t, p[:, :, -1], p[:, :, -1])
+        tail /= q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
+        chain = ((np.append(marks, half + marks), np.append(p, tail, axis=2))
+                 if stride else (half + marks, tail))
     for a in chain:
         a.setflags(write=False)
     return chain

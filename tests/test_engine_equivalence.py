@@ -375,6 +375,19 @@ class TestSegmentChain:
         np.testing.assert_array_equal(marks, ref_marks)
         assert np.abs(products - ref_products).max() <= 1e-13
 
+    @pytest.mark.parametrize("stride", [0, 8])
+    def test_envelopes_are_sampled_inside_their_spans(self, stride):
+        # a sech on for |t| <= 100 of a grid out to |t| = 1000: its cosh would
+        # overflow beyond |t| = 710, and the gated products keep their bits
+        term = (*self.TERM[:4], (-100.0, 100.0))
+        args = ([term], -1000.0, 0.5, 4000, stride)
+        with np.errstate(over="raise"):
+            marks, products = dynamics._chain(*args)
+        with np.errstate(over="ignore"):
+            ref_marks, ref = scan_chain(*args)
+        np.testing.assert_array_equal(marks, ref_marks)
+        np.testing.assert_array_equal(products, ref)
+
     @pytest.mark.parametrize("stride", [0, 13])
     def test_overlapping_window(self, monkeypatch, stride):
         rng = np.random.default_rng(5)
@@ -397,10 +410,12 @@ class TestClosedFormPulseChain:
     """``_pulse_chain`` builds a lone pulse's RK4 steps as real polynomials in
     its stage values; the generic stage-matrix ``_chain`` of the same single
     term is the oracle.  Coarse grids are unstable (RK4 grows the products to
-    1e24 at 7 steps), so the products are compared relative to their size."""
+    1e24 at 7 steps and 6e32 at 16), so the products are compared relative to
+    their size; on 12 and 16 steps at strides 2 and 4 the marks after the
+    middle come from inverses of those products."""
 
-    @pytest.mark.parametrize("stride", [0, 3, 8, 1000])
-    @pytest.mark.parametrize("steps", [1, 2, 7, 500, 4000, 32000])
+    @pytest.mark.parametrize("stride", [0, 2, 3, 4, 8, 1000])
+    @pytest.mark.parametrize("steps", [1, 2, 7, 12, 16, 500, 4000, 32000])
     @pytest.mark.parametrize("delta", [0.0, 0.589, 3.0])
     @pytest.mark.parametrize("shape", [SECH, GAUSS], ids=["sech", "gaussian"])
     def test_matches_the_generic_chain(self, shape, delta, steps, stride):
@@ -412,6 +427,61 @@ class TestClosedFormPulseChain:
         np.testing.assert_array_equal(marks, ref_marks)
         assert products.shape == ref.shape
         assert np.abs(products - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+class TestMirroredPulseChain:
+    """An even envelope on a centered window makes step steps-1-k the
+    transpose of step k, so ``_pulse_chain`` integrates the first half of an
+    even grid and mirrors the rest; the oracle is the same steps multiplied by
+    the full-window ``_products`` call it made before."""
+
+    @staticmethod
+    def chain(chained, shape, delta, steps, stride):
+        """The chain and its one ``_products`` call's step function."""
+        got = dynamics._pulse_chain.__wrapped__(2.0, delta, shape, steps, 15.0, stride)
+        [(step, r, integrated, called_stride)] = chained
+        assert (r, called_stride) == (2, stride)
+        return got, step, integrated
+
+    @pytest.mark.parametrize("steps", [16, 4000, 4001])
+    @pytest.mark.parametrize("delta", [0.0, 0.589, 3.0])
+    @pytest.mark.parametrize("shape", [SECH, GAUSS], ids=["sech", "gaussian"])
+    def test_steps_mirror_as_transposes(self, chained, shape, delta, steps):
+        _, step, _ = self.chain(chained, shape, delta, steps, 0)
+        m = step(0, steps)
+        mirrored = m[:, :, ::-1].transpose(1, 0, 2)
+        assert np.abs(m - mirrored).max() <= 1e-15 * max(1.0, np.abs(m).max())
+
+    @pytest.mark.parametrize("steps,stride", [
+        (4000, 0), (4000, 8), (4000, 1000), (4112, 0), (4112, 8), (4112, 1028)])
+    @pytest.mark.parametrize("delta", [0.0, 0.589, 3.0])
+    @pytest.mark.parametrize("shape", [SECH, GAUSS], ids=["sech", "gaussian"])
+    def test_half_window_is_the_full_window(self, chained, shape, delta, steps, stride):
+        # 4,112 steps: the half (2,056) crosses a chunk boundary
+        (marks, products), step, integrated = self.chain(chained, shape, delta,
+                                                         steps, stride)
+        assert integrated == steps // 2
+        ref_marks, ref = dynamics._products(step, 2, steps, stride)
+        np.testing.assert_array_equal(marks, ref_marks)
+        assert marks.dtype == ref_marks.dtype
+        assert np.abs(products - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("steps,stride", [(4001, 0), (4001, 8), (4000, 32),
+                                              (4000, 3000)])
+    def test_other_grids_take_every_step(self, chained, steps, stride):
+        # odd steps have no middle; 2,000 is no multiple of 32 or of 3,000
+        (marks, products), step, integrated = self.chain(chained, SECH, 0.589,
+                                                         steps, stride)
+        assert integrated == steps
+        ref_marks, ref = dynamics._products(step, 2, steps, stride)
+        np.testing.assert_array_equal(marks, ref_marks)
+        np.testing.assert_array_equal(products, ref)
+
+    @pytest.mark.parametrize("stride", [0, 8])
+    def test_a_search_pulse_is_one_products_call(self, chained, stride):
+        dynamics._pulse_chain(2.0, 0.589, SECH, 4000, 15.0, stride)
+        dynamics._pulse_chain(2.0, 0.589, SECH, 4000, 15.0, stride)
+        assert [call[2:] for call in chained] == [(2000, stride)]
 
 
 class TestPulseChainMemo:
