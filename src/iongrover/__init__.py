@@ -36,7 +36,6 @@ from .householder import (
 from .imperfections import (
     SweepRow,
     adapted_advantage,
-    beam_factors,
     infidelity_sweep,
 )
 from .model import (
@@ -50,6 +49,7 @@ from .model import (
     SearchConfig,
     SearchResult,
     basis_register,
+    beam_factors,
     fidelity,
     local_chi,
     marked_probability,

@@ -135,12 +135,6 @@ def _write_text(path: Path, text: str) -> dict:
             "bytes": len(data)}
 
 
-def _write_csv(path: Path, header: list[str], columns: list) -> dict:
-    """Write equal-length columns (lists or arrays) as rows: str cells as they
-    are, numbers as the text of format(float(x), ".17g")."""
-    return _write_text(path, csv_text(header, columns))
-
-
 def _has_array(value) -> bool:
     return isinstance(value, np.ndarray) or (
         isinstance(value, dict) and any(map(_has_array, value.values())))
@@ -244,9 +238,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         }
     outputs = [
         _write_json(out_dir / "result.json", payload),
-        _write_csv(out_dir / "trajectory.csv",
-                   ["time", "p_marked", "p_slot0", "p_other_total"],
-                   _trajectory_columns(result, cfg.marked_index)),
+        _write_text(out_dir / "trajectory.csv",
+                    csv_text(["time", "p_marked", "p_slot0", "p_other_total"],
+                             _trajectory_columns(result, cfg.marked_index))),
     ]
     _manifest(out_dir, "run", {"config": str(args.config)},
               result.parameters_used, outputs)
@@ -274,24 +268,24 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             cfg = SearchConfig(n_ions=15, marked_index=8, mode="physical",
                                variant=variant)
             result = run_search(cfg)
-            outputs.append(_write_csv(out_dir / f"fig3_{variant}.csv",
-                                      ["time", "p_marked", "p_slot0",
-                                       "p_other_total"],
-                                      _trajectory_columns(result, cfg.marked_index)))
+            outputs.append(_write_text(
+                out_dir / f"fig3_{variant}.csv",
+                csv_text(["time", "p_marked", "p_slot0", "p_other_total"],
+                         _trajectory_columns(result, cfg.marked_index))))
             resolved[variant] = result.parameters_used
         # the deterministic search's pulses
-        outputs.append(_write_csv(out_dir / "fig3_pulses.csv",
-                                  ["index", "kind", "center", "width", "rms_area",
-                                   "detuning"],
-                                  _pulse_timeline_columns(cfg)))
+        outputs.append(_write_text(
+            out_dir / "fig3_pulses.csv",
+            csv_text(["index", "kind", "center", "width", "rms_area", "detuning"],
+                     _pulse_timeline_columns(cfg))))
     else:
         rows = infidelity_sweep(20, FIG4_IONS, FIG4_EPSILONS, steps=3,
                                 mode="physical", jobs=args.jobs)
-        outputs.append(_write_csv(out_dir / "fig4_infidelity.csv",
-                                  ["epsilon", "ion", "infidelity"],
-                                  [[r.epsilon for r in rows],
-                                   [str(r.marked_index) for r in rows],
-                                   [r.infidelity for r in rows]]))
+        outputs.append(_write_text(
+            out_dir / "fig4_infidelity.csv",
+            csv_text(["epsilon", "ion", "infidelity"],
+                     [[r.epsilon for r in rows], [str(r.marked_index) for r in rows],
+                      [r.infidelity for r in rows]])))
         resolved = {"n_ions": 20, "steps": 3, "ions": FIG4_IONS,
                     "epsilons": FIG4_EPSILONS}
     _manifest(out_dir, "reproduce", {"figure": args.figure}, resolved, outputs)

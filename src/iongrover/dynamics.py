@@ -102,7 +102,8 @@ def _products(step, r, steps, stride):
         ends = np.append(ends[ends < n - 1], n - 1)
         a, b = ends[0] + 1, ends[:-1].max(initial=ends[0]) + 1
         tree(m[:, :, :a])  # the segments: first, those a stride long, last
-        tree(m[:, :, a:b].reshape((r, r, -1, stride or 1)))
+        # (none if stride >= n: then r * r * stride complexes can overflow int64 bytes)
+        tree(m[:, :, a:b].reshape((r, r, -1, max(1, min(stride, n)))))
         tree(m[:, :, b:])
         m, d = m.take(ends, 2), 1
         while d < len(ends):  # Hillis-Steele scan over the segment products

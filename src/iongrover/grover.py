@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # loaded lazily by numpy; here it loads with the package
 
-from . import imperfections
 from .dynamics import IntegrationError, _bright_update, evolve, evolve_schedule, subspace
 from .householder import apply, generalized_hr  # noqa: F401 (tracers wrap apply)
 from .model import (
@@ -28,6 +27,7 @@ from .model import (
     SearchResult,
     Trajectory,
     basis_register,
+    beam_factors,
     local_chi,
     marked_probability,
     uniform_chi,
@@ -115,8 +115,10 @@ def _init_part(cfg: SearchConfig) -> tuple[PulseSpec, np.ndarray]:
     imp = cfg.imperfection
     factors = (np.asarray(imp.custom_factors, dtype=float)
                if imp.custom_factors is not None
-               else imperfections.beam_factors(cfg.n_ions, imp.epsilon, imp.scaling))
-    norm = float(np.linalg.norm(factors))
+               else beam_factors(cfg.n_ions, imp.epsilon, imp.scaling))
+    # the norm of the factors scaled exactly into [1, 2): tiny ones' squares underflow
+    scale = 2.0 ** (1 - math.frexp(factors.max())[1])
+    norm = float(np.linalg.norm(factors * scale)) / scale
     shape = PulseShape(cfg.pulse.shape, cfg.pulse.width)
     peak = (cfg.pulse.peak_coupling or 2.0 * math.pi / shape.integral()) / 2.0
     product = np.array([[0.0, -1.0], [1.0, 0.0]])

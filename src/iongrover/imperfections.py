@@ -1,8 +1,9 @@
-"""Inhomogeneous-beam models and the robustness studies run on them.
+"""Robustness studies on inhomogeneous beams: the infidelity sweep over
+(epsilon, marked ion) and the adapted-versus-uniform reflection advantage.
 
-Ion positions are abstract uniformly spaced coordinates x_n in [-1, 1]; the
-spatial beam profile is parametrized purely by the coupling deficit epsilon
-seen by the edge ions, with the center of the chain normalized to 1.
+The beam profile itself is ``model.beam_factors``.  Searches are planned and
+run through ``grover.build_plan`` and ``grover.run_search``, looked up on the
+module at each call.
 """
 
 from __future__ import annotations
@@ -13,31 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics
+from . import dynamics, grover
 from .dynamics import IntegrationError
 from .model import ImperfectionSettings, SearchConfig
-
-
-def beam_factors(n_ions: int, epsilon: float, scaling: str = "field") -> np.ndarray:
-    """Per-ion coupling factors of a Gaussian beam with edge deficit epsilon.
-
-    ``field`` scaling applies the deficit to the couplings directly
-    (f_n = (1-eps)^(x_n^2)); ``intensity`` scaling treats epsilon as an
-    intensity deficit, so the couplings, which go as the field, lose only
-    1 - sqrt(1-eps) at the edges.
-    """
-    if n_ions < 2:
-        raise ValueError(f"need at least 2 ions, got {n_ions}")
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
-    if scaling == "field":
-        eff = epsilon
-    elif scaling == "intensity":
-        eff = 1.0 - math.sqrt(1.0 - epsilon)
-    else:
-        raise ValueError(f"scaling must be 'field' or 'intensity', got {scaling!r}")
-    x = (2.0 * np.arange(1, n_ions + 1) - n_ions - 1) / (n_ions - 1)
-    return (1.0 - eff) ** (x**2)
 
 
 @dataclass(frozen=True)
@@ -72,8 +51,6 @@ def infidelity_sweep(
     checked (at least 1) and otherwise ignored, kept only for the callers
     that still pass it.
     """
-    from .grover import build_plan  # deferred: grover imports this module
-
     if steps < 1:
         raise ValueError("need at least one search step")
     if jobs < 1:
@@ -87,7 +64,7 @@ def infidelity_sweep(
     ]
     if not cells:
         return []
-    plans = [build_plan(c) for c in cells]
+    plans = [grover.build_plan(c) for c in cells]
     integrator = cells[0].integrator
     roles = []  # (P, chis) of the init, oracle and reflection pulses
     for k, role in enumerate(("init_pulse", "oracle", "reflection")):
@@ -139,12 +116,10 @@ def adapted_advantage(n_ions: int, epsilon: float,
     becomes visible once the horizon is long enough for the adapted peaks to
     sample near pi/2, hence the generous horizon.
     """
-    from .grover import run_search  # deferred: grover imports this module
-
     best = []
     for reflection in ("adapted", "uniform"):
         imperfection = ImperfectionSettings(epsilon=epsilon, reflection=reflection)
-        trajectory = run_search(SearchConfig(n_ions, marked_index, iterations=1000,
-                                             imperfection=imperfection)).trajectory
+        trajectory = grover.run_search(SearchConfig(
+            n_ions, marked_index, iterations=1000, imperfection=imperfection)).trajectory
         best.append(min(1.0, float(trajectory.slots(marked_index)[1:].max())))
     return best[0], best[1]

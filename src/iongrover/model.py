@@ -4,7 +4,8 @@ The simulation state lives in the (N+1)-dimensional single-excitation
 manifold of an N-ion chain sharing one phonon mode: slot 0 is the ancilla
 (one phonon, no ionic excitation) and slot k (k = 1..N) is the state with
 ion k excited and zero phonons.  All types here are immutable values; the
-amplitude arrays are frozen after construction and safe to share.
+amplitude arrays are frozen after construction and safe to share.  The
+beams' coupling profiles live here too: uniform, on one ion, and Gaussian.
 """
 
 from __future__ import annotations
@@ -145,6 +146,29 @@ def local_chi(n_ions: int, marked_index: int) -> CouplingVector:
     vec = np.zeros(n_ions, dtype=complex)
     vec[marked_index - 1] = 1.0
     return CouplingVector(vec)
+
+
+def beam_factors(n_ions: int, epsilon: float, scaling: str = "field") -> np.ndarray:
+    """Per-ion coupling factors of a Gaussian beam with edge deficit epsilon.
+
+    Ion positions are abstract uniformly spaced coordinates x_n in [-1, 1],
+    and the center of the chain is normalized to 1.  ``field`` scaling
+    applies the deficit to the couplings directly (f_n = (1-eps)^(x_n^2));
+    ``intensity`` scaling treats epsilon as an intensity deficit, so the
+    couplings, which go as the field, lose only 1 - sqrt(1-eps) at the edges.
+    """
+    if n_ions < 2:
+        raise ValueError(f"need at least 2 ions, got {n_ions}")
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
+    if scaling == "field":
+        eff = epsilon
+    elif scaling == "intensity":
+        eff = 1.0 - math.sqrt(1.0 - epsilon)
+    else:
+        raise ValueError(f"scaling must be 'field' or 'intensity', got {scaling!r}")
+    x = (2.0 * np.arange(1, n_ions + 1) - n_ions - 1) / (n_ions - 1)
+    return (1.0 - eff) ** (x**2)
 
 
 def fidelity(a: RegisterState, b: RegisterState) -> float:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from iongrover import _csvtext, cli
+from iongrover import _csvtext, cli, grover
 from iongrover.cli import main
 from iongrover.grover import build_plan, run_search
 from iongrover.imperfections import SweepRow
@@ -219,12 +219,10 @@ class TestRegisterSize:
     @pytest.mark.parametrize("mode", ["ideal", "physical"])
     def test_beyond_physical_memory_exits_2_before_allocating(self, tmp_path, capsys,
                                                               monkeypatch, mode):
-        import iongrover.imperfections as imperfections
-
         def refuse(*args, **kwargs):
             raise AssertionError("the beam profile was built for an oversized register")
 
-        monkeypatch.setattr(imperfections, "beam_factors", refuse)
+        monkeypatch.setattr(grover, "beam_factors", refuse)
         cfg = write_config(tmp_path / "cfg.json", n_ions=10**17, marked_index=1,
                            mode=mode)
         out = tmp_path / "out"
@@ -483,6 +481,42 @@ class TestConfigHardening:
         assert result["parameters_used"]["n_ions"] == 6
         assert result["iterations_executed"] == 2
 
+    @pytest.mark.parametrize("stride", [2**57, 2**63 - 1])
+    @pytest.mark.parametrize("spacing, rows", [(None, 8), (10, 2)],
+                             ids=["lone", "overlapping"])
+    def test_huge_trajectory_stride_records_each_window_end(self, tmp_path, stride,
+                                                            spacing, rows):
+        # lone pulses: the start and one row a pulse; overlapping: one window.
+        # Any stride past the grid's step count records the same rows.
+        texts = []
+        for k, s in enumerate((stride, 10**6)):
+            cfg = write_config(tmp_path / "cfg.json", n_ions=15, marked_index=3,
+                               mode="physical", integrator={"trajectory_stride": s},
+                               pulse={} if spacing is None else {"spacing": spacing})
+            out = tmp_path / f"out{k}"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            texts.append((out / "trajectory.csv").read_text())
+        assert texts[0] == texts[1]
+        assert texts[0].count("\n") == 1 + rows
+
+    def test_tiny_custom_factors_run(self, tmp_path):
+        # a profile is normalized, so its scale is free: 1e-300 everywhere is
+        # the flat beam, though the factors' squares underflow
+        files = []
+        for k, factor in enumerate((1e-300, 1.0)):
+            cfg = write_config(tmp_path / "cfg.json", n_ions=15, marked_index=3,
+                               mode="physical",
+                               imperfection={"custom_factors": [factor] * 15})
+            out = tmp_path / f"out{k}"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            files.append([(out / n).read_bytes() for n in ("result.json",
+                                                           "trajectory.csv")])
+        assert files[0] == files[1]
+        cfg = write_config(tmp_path / "cfg.json", n_ions=15, marked_index=3,
+                           imperfection={"custom_factors": [1e-300] * 15,
+                                         "calibration": "uncalibrated"})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
     def test_overflowing_pulse_exits_3_before_writing(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", mode="physical",
                            pulse={"peak_coupling": 1e300})
@@ -497,8 +531,6 @@ class TestConfigHardening:
     def run_with_poisoned_record(tmp_path, monkeypatch, part, value):
         """Exit code of a physical run whose trajectory record carries
         ``value`` in column 1 of the second row of its basis or coordinates."""
-        import iongrover.grover as grover
-
         real = grover.evolve_schedule
 
         def poisoned(*args, **kwargs):
@@ -690,7 +722,7 @@ class TestImportHygiene:
 
 
 def reference_write_csv(path, header, rows):
-    """The per-cell writer the bulk ``cli._write_csv`` replaced."""
+    """The per-cell writer the bulk ``csv_text`` replaced."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
@@ -724,11 +756,11 @@ def reference_pulse_timeline_rows(cfg):
 
 
 class TestBulkCsvWriter:
-    """``cli._write_csv`` writes the same bytes as the per-cell reference."""
+    """``csv_text`` writes the same bytes as the per-cell reference."""
 
     def assert_same_bytes(self, tmp_path, header, rows, columns):
         reference_write_csv(tmp_path / "ref.csv", header, rows)
-        cli._write_csv(tmp_path / "got.csv", header, columns)
+        cli._write_text(tmp_path / "got.csv", _csvtext.csv_text(header, columns))
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_awkward_floats(self, tmp_path):
@@ -807,7 +839,7 @@ class TestVectorCsvWriter:
 
     def assert_same_bytes(self, tmp_path, columns):
         reference_write_csv(tmp_path / "ref.csv", self.header, list(zip(*columns)))
-        cli._write_csv(tmp_path / "got.csv", self.header, columns)
+        cli._write_text(tmp_path / "got.csv", _csvtext.csv_text(self.header, columns))
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.fixture
@@ -866,7 +898,7 @@ class TestVectorCsvWriter:
         header = ["x", "y", "label", "z"]
         tmp_path = tmp_path_factory.mktemp("cells")
         reference_write_csv(tmp_path / "ref.csv", header, list(zip(*columns)))
-        cli._write_csv(tmp_path / "got.csv", header, columns)
+        cli._write_text(tmp_path / "got.csv", _csvtext.csv_text(header, columns))
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_physical_trajectory_needs_no_fallback(self, tmp_path, paths):

@@ -14,7 +14,6 @@ from iongrover.grover import (
     sample_detection,
 )
 from iongrover.householder import apply, generalized_hr
-from iongrover.imperfections import beam_factors
 from iongrover.model import (
     CouplingVector,
     ImperfectionSettings,
@@ -22,6 +21,7 @@ from iongrover.model import (
     RegisterState,
     SearchConfig,
     basis_register,
+    beam_factors,
     fidelity,
     local_chi,
     uniform_register,

@@ -9,7 +9,6 @@ from iongrover.grover import deterministic_params, iteration_count, run_search
 from iongrover.householder import (
     Operator,
     Reflection,
-    _rank1_defect,
     apply,
     generalized_hr,
     standard_hr,
@@ -20,6 +19,7 @@ from iongrover.model import (
     DimensionMismatchError,
     RegisterState,
     SearchConfig,
+    l2_norm,
     local_chi,
     uniform_chi,
     uniform_register,
@@ -235,21 +235,23 @@ class TestRankOneReflection:
 
     @pytest.mark.parametrize("n", [2, 3, 6, 10])
     @pytest.mark.parametrize("phi", [0.0, 0.3, 0.661 * math.pi, math.pi, -2.0])
-    def test_closed_form_defect_matches_dense(self, n, phi):
-        op = generalized_hr(random_chi(n, n), phi)
-        dense = np.linalg.norm(op.matrix.conj().T @ op.matrix - np.eye(n + 1))
-        closed = _rank1_defect(op.factor, float(np.vdot(op.vector, op.vector).real))
-        assert abs(closed - dense) <= 1e-15
+    def test_is_unitary(self, n, phi):
+        # a unit chi and a finite phase are all it takes: nothing is checked
+        # when a reflection is built
+        for seed in range(4):
+            op = generalized_hr(random_chi(10 * n + seed, n, real=seed % 2 == 1), phi)
+            assert np.linalg.norm(op.matrix.conj().T @ op.matrix - np.eye(n + 1)) <= 1e-14
 
-    @pytest.mark.parametrize("c", [0.3 - 0.2j, -1.5 + 0.4j, 2j])
-    def test_closed_form_defect_off_the_unit_circle(self, c):
-        # the identity behind the gate, for non-unitary U and unnormalized chi
-        rng = np.random.default_rng(7)
-        chi = 0.8 * (rng.normal(size=5) + 1j * rng.normal(size=5))
-        u = np.eye(5, dtype=complex) + c * np.outer(chi, chi.conj())
-        dense = np.linalg.norm(u.conj().T @ u - np.eye(5))
-        closed = _rank1_defect(c, float(np.vdot(chi, chi).real))
-        assert closed == pytest.approx(dense, rel=1e-12)
+    @pytest.mark.parametrize("exponent", [-100, 0, 100])
+    def test_is_unitary_for_any_unit_chi_and_finite_phase(self, exponent):
+        rng = np.random.default_rng(exponent + 500)
+        for n in (2, 17, 64):
+            v = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** (
+                exponent * rng.uniform(-1, 1, size=n))
+            chi = CouplingVector(v / l2_norm(v))
+            for phi in (1e-12, 2.5, -7.0, 1e300):
+                m = generalized_hr(chi, phi).matrix
+                assert np.linalg.norm(m.conj().T @ m - np.eye(n + 1)) <= 1e-14
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_rejected(self, phi):
