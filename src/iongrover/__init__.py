@@ -45,6 +45,8 @@ from .model import (
     IntegratorConfig,
     NormalizationError,
     PulseSettings,
+    PulseShape,
+    PulseSpec,
     RegisterState,
     SearchConfig,
     SearchResult,
@@ -58,8 +60,6 @@ from .model import (
 )
 from .pulses import (
     NoSolutionError,
-    PulseShape,
-    PulseSpec,
     build_global_pulse,
     detuning_for_phase,
     phase_from_detuning,

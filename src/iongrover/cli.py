@@ -17,6 +17,7 @@ import gc
 import hashlib
 import json
 import locale  # argparse's gettext loads it per parser; here it loads with the package
+import math
 import os
 import sys
 from pathlib import Path
@@ -32,10 +33,11 @@ from .model import (
     ImperfectionSettings,
     IntegratorConfig,
     PulseSettings,
+    PulseShape,
     SearchConfig,
     SearchResult,
 )
-from .pulses import NoSolutionError, rms_area
+from .pulses import NoSolutionError, calibrates, detuning_for_phase, rms_area
 
 FIG4_EPSILONS = [round(0.01 * i, 2) for i in range(21)]
 FIG4_IONS = [1, 5, 10]
@@ -86,6 +88,26 @@ def _arguments(section, cls, where: str) -> dict:
             else v for k, v in section.items()}
 
 
+def _check_pulses(cfg: SearchConfig, count: int, phase: float) -> None:
+    """Refuse what the plan cannot build: a peak on a calibrated pulse, or pulse
+    numbers beyond the float range (times formed as the engine forms them)."""
+    pulse, window = cfg.pulse, cfg.integrator.window
+    shape = PulseShape(pulse.shape, pulse.width)
+    if pulse.peak_coupling is not None and calibrates(shape, phase):
+        raise ConfigError(f"peak_coupling cannot be set for a detuned {shape.kind!r} "
+                          "pulse: its calibration fixes the area")
+    peak = pulse.peak_coupling or 2.0 * math.pi / shape.integral()
+    delta_t = 0.0 if phase == math.pi else detuning_for_phase(phase, 1)
+    if not math.isfinite(max(peak, delta_t / pulse.width)):
+        raise ConfigError(f"width = {pulse.width!r} puts the rms peak or the detuning "
+                          "beyond the float range")
+    end = (0.5 + 2 * count) * (pulse.spacing * pulse.width) + 2.0 * window * pulse.width
+    if cfg.mode == "physical" and not math.isfinite(end):
+        raise ConfigError(f"spacing = {pulse.spacing!r}, width = {pulse.width!r} and "
+                          f"window = {window!r} put the pulse schedule beyond the "
+                          "float range")
+
+
 def load_config(path: Path) -> SearchConfig:
     """Parse and validate a JSON search config (strict: unknown keys rejected)."""
     try:
@@ -109,9 +131,10 @@ def load_config(path: Path) -> SearchConfig:
         cfg = SearchConfig(**args)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    # checked before anything is allocated or integrated: the register, the
-    # record and the integration work
-    count, integ = count_and_phase(cfg)[0], cfg.integrator
+    # checked before anything is allocated or integrated: the pulses the plan
+    # derives, the register, the record and the integration work
+    (count, phase), integ = count_and_phase(cfg), cfg.integrator
+    _check_pulses(cfg, count, phase)
     rows = (count + 1 if cfg.mode == "ideal" else
             (2 * count + 1) * -(-integ.steps_per_pulse // integ.trajectory_stride) + 1)
     need = BYTES_PER_ION * cfg.n_ions + BYTES_PER_ROW * rows
@@ -186,9 +209,10 @@ def _write_json(path: Path, payload: dict) -> dict:
     return _write_text(path, _json_text(payload) + "\n")
 
 
-def _trajectory_columns(result: SearchResult, marked_index: int) -> list[np.ndarray]:
-    """time, p_marked, p_slot0, p_other_total, read from the reduced trajectory."""
-    return [result.trajectory_times, *result.trajectory.columns(marked_index).T]
+def _trajectory_csv(result: SearchResult, marked_index: int) -> str:
+    """CSV text of time, p_marked, p_slot0, p_other_total from the reduced trajectory."""
+    columns = [result.trajectory_times, *result.trajectory.columns(marked_index).T]
+    return csv_text(["time", "p_marked", "p_slot0", "p_other_total"], columns)
 
 
 def _manifest(out_dir: Path, command: str, arguments: dict, resolved: dict,
@@ -239,8 +263,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     outputs = [
         _write_json(out_dir / "result.json", payload),
         _write_text(out_dir / "trajectory.csv",
-                    csv_text(["time", "p_marked", "p_slot0", "p_other_total"],
-                             _trajectory_columns(result, cfg.marked_index))),
+                    _trajectory_csv(result, cfg.marked_index)),
     ]
     _manifest(out_dir, "run", {"config": str(args.config)},
               result.parameters_used, outputs)
@@ -268,10 +291,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             cfg = SearchConfig(n_ions=15, marked_index=8, mode="physical",
                                variant=variant)
             result = run_search(cfg)
-            outputs.append(_write_text(
-                out_dir / f"fig3_{variant}.csv",
-                csv_text(["time", "p_marked", "p_slot0", "p_other_total"],
-                         _trajectory_columns(result, cfg.marked_index))))
+            outputs.append(_write_text(out_dir / f"fig3_{variant}.csv",
+                                       _trajectory_csv(result, cfg.marked_index)))
             resolved[variant] = result.parameters_used
         # the deterministic search's pulses
         outputs.append(_write_text(
@@ -356,11 +377,9 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(all="ignore"):  # drift and non-finite results exit 3
             return command(args)
     except (IntegrationError, NoSolutionError) as exc:
-        # NoSolutionError subclasses ValueError, so numerical failures must be
-        # picked off before the config-error net below
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: config invalid: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -50,13 +50,14 @@ from .model import (
     CouplingVector,
     DimensionMismatchError,
     IntegratorConfig,
+    PulseShape,
+    PulseSpec,
     RegisterState,
     Trajectory,
     check_number,
     l2_norm,
     local_chi,
 )
-from .pulses import PulseShape, PulseSpec
 
 
 class IntegrationError(RuntimeError):

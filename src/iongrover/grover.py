@@ -22,6 +22,8 @@ from .dynamics import IntegrationError, _bright_update, evolve, evolve_schedule,
 from .householder import apply, generalized_hr  # noqa: F401 (tracers wrap apply)
 from .model import (
     CouplingVector,
+    PulseShape,
+    PulseSpec,
     RegisterState,
     SearchConfig,
     SearchResult,
@@ -32,7 +34,7 @@ from .model import (
     marked_probability,
     uniform_chi,
 )
-from .pulses import PulseShape, PulseSpec, build_global_pulse
+from .pulses import build_global_pulse
 
 #: Detection flags the run when this much population never left the ancilla.
 RESIDUAL_FLAG_LEVEL = 0.01

@@ -5,7 +5,8 @@ manifold of an N-ion chain sharing one phonon mode: slot 0 is the ancilla
 (one phonon, no ionic excitation) and slot k (k = 1..N) is the state with
 ion k excited and zero phonons.  All types here are immutable values; the
 amplitude arrays are frozen after construction and safe to share.  The
-beams' coupling profiles live here too: uniform, on one ion, and Gaussian.
+beams' coupling profiles (uniform, on one ion, Gaussian) live here too, and
+so do the pulse types, an envelope ``PulseShape`` and a pulse ``PulseSpec``.
 """
 
 from __future__ import annotations
@@ -114,6 +115,72 @@ class CouplingVector:
         return len(self.components)
 
 
+@dataclass(frozen=True)
+class PulseShape:
+    """Dimensionless envelope f(t) with unit peak, symmetric about t = 0.
+
+    ``width`` is the characteristic time T: sech uses f = sech(t/T), gaussian
+    uses f = exp(-(t/T)^2).
+    """
+
+    kind: str
+    width: float
+
+    def __post_init__(self) -> None:
+        if self.kind not in VALID_SHAPES:
+            raise ValueError(f"unknown pulse shape {self.kind!r}")
+        check_number(self.width, "pulse width")
+        if not self.width > 0:
+            raise ValueError("pulse width must be positive")
+
+    def envelope(self, t):
+        """Evaluate f(t); accepts scalars or arrays."""
+        if self.kind == "sech":
+            return 1.0 / np.cosh(np.asarray(t) / self.width)
+        return np.exp(-((np.asarray(t) / self.width) ** 2))
+
+    def integral(self, window: float | None = None) -> float:
+        """Integral of f over [-window*T, window*T], full line when window is None."""
+        if self.kind == "sech":
+            if window is None:
+                return math.pi * self.width
+            x = math.exp(-window)
+            # full-line pi*T minus the two tails 2*T*atan(e^-w) each
+            return self.width * (math.pi - 4.0 * math.atan(x))
+        if window is None:
+            return math.sqrt(math.pi) * self.width
+        return math.sqrt(math.pi) * self.width * math.erf(window)
+
+
+@dataclass(frozen=True)
+class PulseSpec:
+    """One laser pulse: direction chi, rms Rabi peak, detuning and center time.
+
+    The per-ion coupling amplitudes are ``rms_peak * chi``; since chi is
+    normalized, the root-mean-square of the couplings equals ``rms_peak``.
+    """
+
+    shape: PulseShape
+    chi: CouplingVector
+    rms_peak: float
+    detuning: float = 0.0
+    center: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("rms_peak", "detuning", "center"):
+            check_number(getattr(self, name), name)
+        if not self.rms_peak >= 0:
+            raise ValueError("rms peak must be nonnegative")
+
+    @property
+    def couplings(self) -> np.ndarray:
+        return self.rms_peak * self.chi.components
+
+    @property
+    def n_ions(self) -> int:
+        return self.chi.n_ions
+
+
 def uniform_register(n_ions: int) -> RegisterState:
     """Equal-weight superposition of all ion slots (the W register), empty ancilla."""
     if n_ions < 2:
@@ -204,12 +271,9 @@ class PulseSettings:
     peak_coupling: float | None = None
 
     def __post_init__(self) -> None:
-        if self.shape not in VALID_SHAPES:
-            raise ValueError(f"unknown pulse shape {self.shape!r}")
-        for name in ("width", "spacing", "peak_coupling"):
+        PulseShape(self.shape, self.width)
+        for name in ("spacing", "peak_coupling"):
             check_number(getattr(self, name), name)
-        if self.width <= 0:
-            raise ValueError("pulse width must be positive")
         if self.spacing <= 0:
             raise ValueError("pulse spacing must be positive")
         if self.peak_coupling is not None and self.peak_coupling <= 0:

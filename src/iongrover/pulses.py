@@ -1,10 +1,11 @@
-"""Pulse envelopes, area accounting and the detuning <-> phase calculus.
+"""Pulse area accounting, the detuning <-> phase calculus and the pulse builder.
 
 A pulse with rms area 2*pi*l and a constant detuning delta realizes a
 generalized Householder reflection whose phase depends only on the
 dimensionless product delta*T.  For the sech envelope the map is the closed
 form ``phase_from_detuning``; ``build_global_pulse`` calibrates the (area,
-detuning) pair of any other envelope on its 2x2 (ancilla, bright) chain.
+detuning) pair of any other envelope on its 2x2 (ancilla, bright) chain.  The
+pulse value types live in ``model``, and this module re-exports them.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import VALID_SHAPES, CouplingVector, IntegratorConfig, check_number
+from . import dynamics
+from .model import CouplingVector, IntegratorConfig, PulseShape, PulseSpec
 
 
 class NoSolutionError(ValueError):
@@ -27,72 +28,6 @@ def _wrap_phase(phi: float) -> float:
     """Reduce an angle to the principal branch (-pi, pi]."""
     r = math.remainder(phi, 2.0 * math.pi)
     return r + 2.0 * math.pi if r <= -math.pi else r
-
-
-@dataclass(frozen=True)
-class PulseShape:
-    """Dimensionless envelope f(t) with unit peak, symmetric about t = 0.
-
-    ``width`` is the characteristic time T: sech uses f = sech(t/T), gaussian
-    uses f = exp(-(t/T)^2).
-    """
-
-    kind: str
-    width: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in VALID_SHAPES:
-            raise ValueError(f"unknown pulse shape {self.kind!r}")
-        check_number(self.width, "pulse width")
-        if not self.width > 0:
-            raise ValueError("pulse width must be positive")
-
-    def envelope(self, t):
-        """Evaluate f(t); accepts scalars or arrays."""
-        if self.kind == "sech":
-            return 1.0 / np.cosh(np.asarray(t) / self.width)
-        return np.exp(-((np.asarray(t) / self.width) ** 2))
-
-    def integral(self, window: float | None = None) -> float:
-        """Integral of f over [-window*T, window*T], full line when window is None."""
-        if self.kind == "sech":
-            if window is None:
-                return math.pi * self.width
-            x = math.exp(-window)
-            # full-line pi*T minus the two tails 2*T*atan(e^-w) each
-            return self.width * (math.pi - 4.0 * math.atan(x))
-        if window is None:
-            return math.sqrt(math.pi) * self.width
-        return math.sqrt(math.pi) * self.width * math.erf(window)
-
-
-@dataclass(frozen=True)
-class PulseSpec:
-    """One laser pulse: direction chi, rms Rabi peak, detuning and center time.
-
-    The per-ion coupling amplitudes are ``rms_peak * chi``; since chi is
-    normalized, the root-mean-square of the couplings equals ``rms_peak``.
-    """
-
-    shape: PulseShape
-    chi: CouplingVector
-    rms_peak: float
-    detuning: float = 0.0
-    center: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("rms_peak", "detuning", "center"):
-            check_number(getattr(self, name), name)
-        if not self.rms_peak >= 0:
-            raise ValueError("rms peak must be nonnegative")
-
-    @property
-    def couplings(self) -> np.ndarray:
-        return self.rms_peak * self.chi.components
-
-    @property
-    def n_ions(self) -> int:
-        return self.chi.n_ions
 
 
 def rms_area(pulse: PulseSpec, window: float | None = None) -> float:
@@ -164,7 +99,7 @@ def build_global_pulse(
     both from a calibration on the ``integrator`` grid, so it is an exact
     reflection on the chain a run integrates; a configured peak is refused.
     """
-    if shape.kind == "sech" or phase == math.pi:
+    if not calibrates(shape, phase):
         if peak_coupling is None:
             peak_coupling = 2.0 * math.pi / shape.integral()
         delta_t = 0.0 if phase == math.pi else detuning_for_phase(phase, 1)
@@ -175,6 +110,11 @@ def build_global_pulse(
     cfg = integrator or IntegratorConfig()
     peak, detuning = _calibrate(shape, phase, cfg.steps_per_pulse, cfg.window)
     return PulseSpec(shape, chi, peak, detuning=detuning)
+
+
+def calibrates(shape: PulseShape, phase: float) -> bool:
+    """Whether ``build_global_pulse`` calibrates the area: detuned, not sech."""
+    return shape.kind != "sech" and phase != math.pi
 
 
 @functools.lru_cache(maxsize=32)
@@ -191,8 +131,6 @@ def _calibrate(shape: PulseShape, phase: float, steps: int, window: float):
     envelope symmetric in time makes it symmetric: its off-diagonal element
     is imaginary.
     """
-    from . import dynamics  # deferred: dynamics depends on this module
-
     if not 0.0 < phase < math.pi:
         raise NoSolutionError("calibration targets phases strictly inside (0, pi)")
 

@@ -93,7 +93,6 @@ def _probabilistic_closed_form(n_max: int) -> CheckResult:
 
 
 def _propagator_checks(rng: np.random.Generator, trials: int) -> list[CheckResult]:
-    cfg = dynamics.IntegratorConfig()
     worst_std = 0.0
     worst_gen = 0.0
     phi = 0.661 * math.pi
@@ -101,11 +100,11 @@ def _propagator_checks(rng: np.random.Generator, trials: int) -> list[CheckResul
         for n in (2, 5):
             chi = _random_chi(rng, n)
             std = pulses.build_global_pulse(chi)
-            u = dynamics.propagator(std, cfg)
+            u = dynamics.propagator(std)
             worst_std = max(worst_std, dynamics.hr_distance(
                 u, householder.standard_hr(chi)))
             gen = pulses.build_global_pulse(chi, phase=phi)
-            u = dynamics.propagator(gen, cfg)
+            u = dynamics.propagator(gen)
             worst_gen = max(worst_gen, dynamics.hr_distance(
                 u, householder.generalized_hr(chi, phi)))
     return [
@@ -119,13 +118,12 @@ def _propagator_checks(rng: np.random.Generator, trials: int) -> list[CheckResul
 def _fitted_phase(rng: np.random.Generator, trials: int) -> CheckResult:
     # detuning capped at 2/T: the RK4 norm defect grows as (delta*h)^6 per
     # step, and beyond that the default step count would need raising
-    cfg = dynamics.IntegratorConfig()
     worst = 0.0
     for _ in range(trials):
         dt = rng.uniform(0.05, 2.0)
         chi = _random_chi(rng, 2)
-        spec = pulses.PulseSpec(pulses.PulseShape("sech", 1.0), chi, 2.0, detuning=dt)
-        fitted = dynamics.fit_hr_phase(dynamics.propagator(spec, cfg), chi)
+        spec = model.PulseSpec(model.PulseShape("sech", 1.0), chi, 2.0, detuning=dt)
+        fitted = dynamics.fit_hr_phase(dynamics.propagator(spec), chi)
         worst = max(worst, abs(fitted - pulses.phase_from_detuning(dt, 1)))
     return _check("fitted_phase_vs_formula", worst, 1e-3,
                   "reflection phase fitted from dynamics vs closed form, rad")
@@ -133,8 +131,8 @@ def _fitted_phase(rng: np.random.Generator, trials: int) -> CheckResult:
 
 def _integrator_checks() -> list[CheckResult]:
     chi = model.CouplingVector(np.array([0.6, 0.8]))
-    shape = pulses.PulseShape("sech", 1.0)
-    spec = pulses.PulseSpec(shape, chi, 2.0, detuning=0.589)
+    shape = model.PulseShape("sech", 1.0)
+    spec = model.PulseSpec(shape, chi, 2.0, detuning=0.589)
     ref = dynamics.propagator(spec, dynamics.IntegratorConfig(steps_per_pulse=32000))
     errs = []
     for steps in (500, 1000):
@@ -145,9 +143,9 @@ def _integrator_checks() -> list[CheckResult]:
     ratio_err = abs(ratio - 16.0)
     # drift must be read off the raw integrator output; the state constructor
     # repairs anything inside tolerance
-    state = model.basis_register(2, 0)
+    state, cfg = model.basis_register(2, 0), model.IntegratorConfig()
     raw = dynamics._integrate_pulse(state.amplitudes.copy(), spec.couplings,
-                                    spec.detuning, shape, 4000, 15.0)
+                                    spec.detuning, shape, cfg.steps_per_pulse, cfg.window)
     drift = abs(float(np.linalg.norm(raw)) - 1.0)
     return [
         _check("integrator_order", ratio_err, 4.0,

@@ -269,8 +269,9 @@ class TestRecordMemory:
 
 
 class TestInternalFailure:
-    @pytest.mark.parametrize("error", [RuntimeError("broken invariant"),
-                                       MemoryError()], ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("error", [RuntimeError("broken invariant"), MemoryError(),
+                                       ValueError("not a config's fault")],
+                             ids=lambda e: type(e).__name__)
     def test_any_other_exception_exits_3_in_one_line(self, tmp_path, capsys,
                                                      monkeypatch, error):
         def fail(cfg):
@@ -301,8 +302,13 @@ class TestNonSechShape:
         assert used["peak_coupling"] == reflection.rms_peak
         assert 1.0 - result["success_probability"] <= 1e-9
 
-    def test_detuned_gaussian_peak_coupling_refused(self, tmp_path, capsys):
-        # the calibration fixes the area of a detuned non-sech pulse
+    def test_detuned_gaussian_peak_coupling_refused(self, tmp_path, capsys, monkeypatch):
+        # the calibration fixes the area of a detuned non-sech pulse; the
+        # config is refused before a plan is built
+        def refuse(cfg):
+            raise AssertionError("a search started for a refused config")
+
+        monkeypatch.setattr(cli, "run_search", refuse)
         cfg = write_config(tmp_path / "cfg.json", n_ions=5, marked_index=2,
                            mode="physical", variant="deterministic",
                            pulse={"shape": "gaussian", "peak_coupling": 3.0})
@@ -310,7 +316,10 @@ class TestNonSechShape:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config invalid: peak_coupling")
+        assert err.count("\n") == 1
         assert not out.exists()
+        with pytest.raises(cli.ConfigError, match="peak_coupling"):
+            cli.load_config(cfg)
 
     @pytest.mark.parametrize("iterations, code", [(40, 0), (41, 0), (55, 3)])
     def test_small_phase_calibration(self, tmp_path, capsys, iterations, code):
@@ -384,6 +393,46 @@ class TestConfigHardening:
         assert code == 2
         assert "config invalid" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, names", [
+        ({"mode": "physical", "pulse": {"spacing": 1e308}}, "spacing = 1e+308"),
+        ({"mode": "physical", "pulse": {"width": 1e308}}, "width = 1e+308"),
+        ({"mode": "physical", "pulse": {"width": 1e-308}}, "width = 1e-308"),
+        ({"mode": "physical", "integrator": {"window": 1e308}}, "window = 1e+308"),
+        # the detuning, delta*T / T at a small matched phase, overflows
+        ({"n_ions": 1000, "variant": "deterministic", "iterations": 100,
+          "pulse": {"width": 1e-308, "peak_coupling": 1.0}}, "width = 1e-308"),
+    ], ids=["spacing", "huge-width", "tiny-width", "window", "detuning"])
+    def test_pulses_the_plan_refuses_exit_2_before_any_work(self, tmp_path, capsys,
+                                                            monkeypatch, overrides, names):
+        # refused by load_config, before a plan is built
+        def refuse(cfg):
+            raise AssertionError("a search started for a refused config")
+
+        monkeypatch.setattr(cli, "run_search", refuse)
+        cfg = write_config(tmp_path / "cfg.json", **{"n_ions": 15, "marked_index": 8,
+                                                     **overrides})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config invalid: ") and err.count("\n") == 1
+        assert names in err
+        assert not out.exists()
+        with pytest.raises(cli.ConfigError, match=names.replace("+", r"\+")):
+            cli.load_config(cfg)
+
+    @pytest.mark.parametrize("overrides", [
+        {"pulse": {"spacing": 1e308}},  # ideal mode lays out no schedule
+        {"pulse": {"width": 1e308}},
+        {"integrator": {"window": 1e308}},
+        {"pulse": {"shape": "gaussian", "peak_coupling": 1.0}},  # resonant: not calibrated
+    ], ids=["spacing", "width", "window", "resonant-gaussian-peak"])
+    def test_what_the_mode_does_not_derive_runs(self, tmp_path, overrides):
+        cfg = write_config(tmp_path / "cfg.json", n_ions=15, marked_index=8, **overrides)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert math.isfinite(result["success_probability"])
 
     @pytest.mark.parametrize("overrides", [
         {"n_ions": 15.9},
@@ -598,8 +647,8 @@ sys.modules["scipy"] = None  # every import of scipy now raises ImportError
 from iongrover.cli import main
 from iongrover.dynamics import IntegratorConfig, fit_hr_phase, hr_distance, propagator
 from iongrover.householder import generalized_hr
-from iongrover.model import CouplingVector
-from iongrover.pulses import PulseShape, build_global_pulse
+from iongrover.model import CouplingVector, PulseShape
+from iongrover.pulses import build_global_pulse
 
 out, config = sys.argv[1:]
 code = main(["validate", "--suite", "fast", "--out", out])
@@ -776,9 +825,11 @@ class TestBulkCsvWriter:
     def test_trajectory(self, tmp_path, mode):
         cfg = SearchConfig(n_ions=15, marked_index=8, mode=mode, variant="deterministic")
         result = cli.run_search(cfg)
-        columns = cli._trajectory_columns(result, cfg.marked_index)
+        columns = [result.trajectory_times, *result.trajectory.columns(cfg.marked_index).T]
         header = ["time", "p_marked", "p_slot0", "p_other_total"]
-        self.assert_same_bytes(tmp_path, header, list(zip(*columns)), columns)
+        reference_write_csv(tmp_path / "ref.csv", header, list(zip(*columns)))
+        cli._write_text(tmp_path / "got.csv", cli._trajectory_csv(result, cfg.marked_index))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         # the columns agree with the rows computed from the dense populations
         ref = np.array(reference_trajectory_rows(result, cfg.marked_index))
         got = np.array(columns).T

@@ -18,6 +18,8 @@ from iongrover.householder import generalized_hr, standard_hr
 from iongrover.model import (
     CouplingVector,
     DimensionMismatchError,
+    PulseShape,
+    PulseSpec,
     basis_register,
     fidelity,
     local_chi,
@@ -25,7 +27,7 @@ from iongrover.model import (
     uniform_register,
     RegisterState,
 )
-from iongrover.pulses import PulseShape, PulseSpec, phase_from_detuning
+from iongrover.pulses import phase_from_detuning
 
 SECH = PulseShape("sech", 1.0)
 

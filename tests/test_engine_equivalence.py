@@ -31,13 +31,14 @@ from iongrover.model import (
     CouplingVector,
     ImperfectionSettings,
     PulseSettings,
+    PulseShape,
+    PulseSpec,
     RegisterState,
     SearchConfig,
     basis_register,
     local_chi,
     uniform_chi,
 )
-from iongrover.pulses import PulseShape, PulseSpec
 
 SECH = PulseShape("sech", 1.0)
 GAUSS = PulseShape("gaussian", 1.3)

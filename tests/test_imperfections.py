@@ -8,9 +8,14 @@ from iongrover import dynamics, grover
 from iongrover.cli import main
 from iongrover.dynamics import IntegrationError
 from iongrover.imperfections import adapted_advantage, infidelity_sweep
-from iongrover.model import ImperfectionSettings, IntegratorConfig, SearchConfig, beam_factors
+from iongrover.model import (
+    ImperfectionSettings,
+    IntegratorConfig,
+    PulseSpec,
+    SearchConfig,
+    beam_factors,
+)
 from iongrover.grover import build_plan, initialize, run_search
-from iongrover.pulses import PulseSpec
 
 
 class TestBeamFactors:

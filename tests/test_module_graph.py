@@ -1,0 +1,82 @@
+"""The package's import graph, read from the source: one way, no cycles."""
+
+import ast
+from pathlib import Path
+
+import iongrover
+
+SRC = Path(iongrover.__file__).parent
+MODULES = {path.stem: path for path in SRC.glob("*.py")}
+#: each module imports only modules before it
+LAYERS = ["_csvtext", "model", "householder", "dynamics", "pulses", "grover",
+          "imperfections", "validation", "__init__", "cli"]
+
+
+class Imports(ast.NodeVisitor):
+    """(imported module, whether the import sits inside a function) for each
+    intra-package import, relative or absolute; a name that is no module of
+    the package (``from . import __version__``) comes from ``__init__``."""
+
+    def __init__(self):
+        self.found, self.depth = [], 0
+
+    def visit_FunctionDef(self, node):
+        self.depth += 1
+        self.generic_visit(node)
+        self.depth -= 1
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Import(self, node):
+        self.found += [(a.name.split(".")[1], self.depth > 0) for a in node.names
+                       if a.name.startswith("iongrover.")]
+
+    def visit_ImportFrom(self, node):
+        module = node.module or ""
+        if node.level == 0:
+            if module.split(".")[0] != "iongrover":
+                return
+            module = module.partition(".")[2]
+        elif node.level > 1:
+            return
+        names = [module] if module else [a.name if a.name in MODULES else "__init__"
+                                         for a in node.names]
+        self.found += [(name, self.depth > 0) for name in names]
+
+
+def imports(name):
+    visitor = Imports()
+    visitor.visit(ast.parse(MODULES[name].read_text()))
+    return visitor.found
+
+
+def graph():
+    return {name: {target for target, _ in imports(name)} for name in MODULES}
+
+
+def test_import_graph_has_no_cycle():
+    edges, done = graph(), []
+    while len(done) < len(edges):  # peel off modules whose imports are all done
+        ready = [m for m in edges if m not in done and edges[m] <= set(done)]
+        assert ready, f"import cycle among {sorted(set(edges) - set(done))}"
+        done += ready
+
+
+def test_modules_import_only_earlier_layers():
+    assert sorted(LAYERS) == sorted(MODULES)
+    rank = {name: i for i, name in enumerate(LAYERS)}
+    backward = [(m, t) for m, targets in graph().items() for t in targets
+                if rank[t] >= rank[m]]
+    assert backward == []
+
+
+def test_only_cli_defers_an_import():
+    # validate's suite loads only when that command runs
+    deferred = [(m, t) for m in MODULES for t, local in imports(m) if local]
+    assert deferred == [("cli", "validation")]
+
+
+def test_dynamics_does_not_import_pulses():
+    assert "pulses" not in graph()["dynamics"]
+    assert iongrover.pulses.PulseShape is iongrover.model.PulseShape
+    assert iongrover.pulses.PulseSpec is iongrover.model.PulseSpec

@@ -21,14 +21,14 @@ from iongrover.model import (
     VALID_SHAPES,
     CouplingVector,
     PulseSettings,
+    PulseShape,
+    PulseSpec,
     local_chi,
     uniform_chi,
     uniform_register,
 )
 from iongrover.pulses import (
     NoSolutionError,
-    PulseShape,
-    PulseSpec,
     _calibrate,
     _wrap_phase,
     build_global_pulse,
