@@ -12,6 +12,7 @@ too large for physical memory included), 3 numerical or internal failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import gc
 import hashlib
@@ -20,6 +21,7 @@ import locale  # argparse's gettext loads it per parser; here it loads with the 
 import math
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -29,15 +31,8 @@ from ._csvtext import csv_text
 from .dynamics import IntegrationError
 from .grover import build_plan, count_and_phase, detect, run_search, sample_detection
 from .imperfections import infidelity_sweep
-from .model import (
-    ImperfectionSettings,
-    IntegratorConfig,
-    PulseSettings,
-    PulseShape,
-    SearchConfig,
-    SearchResult,
-)
-from .pulses import NoSolutionError, calibrates, detuning_for_phase, rms_area
+from .model import PulseShape, SearchConfig, SearchResult
+from .pulses import NoSolutionError, calibrates, nominal_pulse, rms_area
 
 FIG4_EPSILONS = [round(0.01 * i, 2) for i in range(21)]
 FIG4_IONS = [1, 5, 10]
@@ -61,31 +56,33 @@ class ConfigError(ValueError):
     """The run config file is malformed or fails validation."""
 
 
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
 def _reject_constant(name: str):
     raise ConfigError(f"non-finite number {name} is not allowed")
 
 
-#: JSON may write these integers as 15.0
-INTEGER_KEYS = {"n_ions", "marked_index", "iterations", "shots", "steps_per_pulse",
-                "trajectory_stride"}
-SECTIONS = {"pulse": PulseSettings, "imperfection": ImperfectionSettings,
-            "integrator": IntegratorConfig}
-
-
-def _arguments(section, cls, where: str) -> dict:
-    """Keyword arguments for ``cls`` from a JSON object; omitted keys keep the
+def _build(cls, section, where: str):
+    """``cls`` from the JSON object ``section``, read by the types of its
+    fields: a dataclass field from its own object, an int field from an
+    integral float too (JSON may write 15 as 15.0).  Omitted keys keep the
     dataclass defaults, and the dataclass validates every value."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object, got {section!r}")
-    _reject_unknown(section, set(cls.__dataclass_fields__), where)
-    return {k: int(v) if k in INTEGER_KEYS and isinstance(v, float) and v.is_integer()
-            else v for k, v in section.items()}
+    for f in dataclasses.fields(cls):
+        if f.default is dataclasses.MISSING is f.default_factory and f.name not in section:
+            raise ConfigError(f"{where} is missing required key {f.name!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(section) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    args = {}
+    for key, value in section.items():
+        if dataclasses.is_dataclass(hints[key]):
+            value = _build(hints[key], value, key)
+        elif (int in (hints[key], *typing.get_args(hints[key]))
+              and isinstance(value, float) and value.is_integer()):
+            value = int(value)
+        args[key] = value
+    return cls(**args)
 
 
 def _check_pulses(cfg: SearchConfig, count: int, phase: float) -> None:
@@ -93,11 +90,11 @@ def _check_pulses(cfg: SearchConfig, count: int, phase: float) -> None:
     numbers beyond the float range (times formed as the engine forms them)."""
     pulse, window = cfg.pulse, cfg.integrator.window
     shape = PulseShape(pulse.shape, pulse.width)
-    if pulse.peak_coupling is not None and calibrates(shape, phase):
+    calibrated = calibrates(shape, phase)
+    if pulse.peak_coupling is not None and calibrated:
         raise ConfigError(f"peak_coupling cannot be set for a detuned {shape.kind!r} "
                           "pulse: its calibration fixes the area")
-    peak = pulse.peak_coupling or 2.0 * math.pi / shape.integral()
-    delta_t = 0.0 if phase == math.pi else detuning_for_phase(phase, 1)
+    peak, delta_t = nominal_pulse(shape, phase, pulse.peak_coupling)
     if not math.isfinite(max(peak, delta_t / pulse.width)):
         raise ConfigError(f"width = {pulse.width!r} puts the rms peak or the detuning "
                           "beyond the float range")
@@ -106,6 +103,9 @@ def _check_pulses(cfg: SearchConfig, count: int, phase: float) -> None:
         raise ConfigError(f"spacing = {pulse.spacing!r}, width = {pulse.width!r} and "
                           f"window = {window!r} put the pulse schedule beyond the "
                           "float range")
+    if calibrated and not math.isfinite(2.0 * window * pulse.width):
+        raise ConfigError(f"width = {pulse.width!r} and window = {window!r} put the "
+                          "calibration grid beyond the float range")
 
 
 def load_config(path: Path) -> SearchConfig:
@@ -121,14 +121,8 @@ def load_config(path: Path) -> SearchConfig:
     version = raw.pop("schema_version", 1)
     if type(version) is not int or version != 1:  # JSON true and 1.0 both equal 1
         raise ConfigError(f"unsupported schema_version {version!r}")
-    for key in ("n_ions", "marked_index"):
-        if key not in raw:
-            raise ConfigError(f"config is missing required key {key!r}")
     try:
-        args = _arguments(raw, SearchConfig, "config")
-        for key, cls in SECTIONS.items():
-            args[key] = cls(**_arguments(args.get(key, {}), cls, key))
-        cfg = SearchConfig(**args)
+        cfg = _build(SearchConfig, raw, "config")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     # checked before anything is allocated or integrated: the pulses the plan
@@ -158,11 +152,6 @@ def _write_text(path: Path, text: str) -> dict:
             "bytes": len(data)}
 
 
-def _has_array(value) -> bool:
-    return isinstance(value, np.ndarray) or (
-        isinstance(value, dict) and any(map(_has_array, value.values())))
-
-
 def _json_list(item: str, count: int, indent: str) -> str:
     """A list of ``count`` copies of the template ``item`` at ``indent``, laid
     out as json.dumps(..., indent=2) lays out a list."""
@@ -171,36 +160,42 @@ def _json_list(item: str, count: int, indent: str) -> str:
     return "[\n" + ",\n".join([indent + "  " + item] * count) + "\n" + indent + "]"
 
 
-def _json_text(value, indent: str = "") -> str:
-    """The text json.dumps(value, indent=2, sort_keys=True) writes for
-    ``value`` at ``indent``, arrays written as their tolist().
+def _json_text(payload) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True), numpy arrays as their
+    tolist().  json lays the payload out; its ``default`` hook stands a NUL
+    string in for each finite float64 or int64 array of one or two
+    dimensions, whose text then replaces the placeholder at the indent of its
+    line: each distinct value (by bit pattern, so -0.0 stays apart from 0.0)
+    formatted once, with json's repr, into a template filled by one % call.
+    A payload string that spells a placeholder makes the counts differ, and
+    json then writes every array as its tolist()."""
+    arrays = []
 
-    A finite float64 or int64 array of one or two dimensions formats each
-    distinct value (by bit pattern, so -0.0 stays apart from 0.0) once, with
-    the repr json uses, and fills a repeated template with one % call.  Every
-    other value goes to json.dumps, its newlines re-indented: a JSON string
-    never holds a raw newline."""
-    if isinstance(value, np.ndarray):
+    def stand_in(value):
         if (value.dtype in (np.float64, np.int64) and value.ndim in (1, 2)
                 and np.isfinite(value).all()):
-            keys = value.view(np.int64).ravel()
-            unique, inverse = np.unique(keys, return_inverse=True)
-            text = map(float.__repr__ if value.dtype == np.float64 else int.__repr__,
-                       unique.view(value.dtype).tolist())
-            cells = np.array(list(text), dtype=object)[inverse].tolist()
-            template = "%s"
-            for depth in range(value.ndim, 0, -1):
-                template = _json_list(template, value.shape[depth - 1],
-                                      indent + "  " * (depth - 1))
-            return template % tuple(cells)
-        value = value.tolist()
-    if not (isinstance(value, dict) and _has_array(value)):
-        text = json.dumps(value, indent=2, sort_keys=True)
-        return text.replace("\n", "\n" + indent) if indent else text
-    inner = indent + "  "
-    items = [f"{inner}{json.dumps(key)}: {_json_text(value[key], inner)}"
-             for key in sorted(value)]
-    return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+            arrays.append(value)
+            return "\0"
+        return value.tolist()
+
+    parts = json.dumps(payload, indent=2, sort_keys=True, default=stand_in).split(
+        '"\\u0000"')
+    if len(parts) != len(arrays) + 1:
+        return json.dumps(payload, indent=2, sort_keys=True, default=lambda a: a.tolist())
+    pieces = [parts[0]]
+    for value, before, after in zip(arrays, parts, parts[1:]):
+        line = before[before.rfind("\n") + 1:]
+        indent = line[:len(line) - len(line.lstrip(" "))]
+        unique, inverse = np.unique(value.view(np.int64).ravel(), return_inverse=True)
+        text = map(float.__repr__ if value.dtype == np.float64 else int.__repr__,
+                   unique.view(value.dtype).tolist())
+        cells = np.array(list(text), dtype=object)[inverse].tolist()
+        template = "%s"
+        for depth in range(value.ndim, 0, -1):
+            template = _json_list(template, value.shape[depth - 1],
+                                  indent + "  " * (depth - 1))
+        pieces += [template % tuple(cells), after]
+    return "".join(pieces)
 
 
 def _write_json(path: Path, payload: dict) -> dict:

@@ -26,7 +26,9 @@ Fixed-step classical RK4 (bit-for-bit reproducible) is a polynomial in the
 stage Hamiltonians, so on this invariant space it is the same scheme as on
 the full register.  A lone pulse's 2x2 Hamiltonian is real, so its one-step
 matrices are that polynomial written out in the envelope samples
-(``_pulse_chain``); overlapping pulses take stage-matrix products (``_chain``).
+(``_pulse_chain``); overlapping pulses take stage-matrix products (``_chain``)
+on one global grid.  Windows that only touch, as at the default spacing of
+twice the window, are lone pulses at any width.
 Every envelope is even about its center, so a lone pulse's step steps-1-k is
 the transpose of step k (RK4 is time-reversible for a real time-symmetric H):
 on an even grid whose recorded steps mirror about the middle, only the first
@@ -277,17 +279,28 @@ def _windows(pulses, column, cfg, stride):
     coordinates, where ``column`` maps each chi, by identity, to its own.
 
     A pulse alone drives e = [e0, c_chi], by its (ancilla, bright) chain from
-    the process memo ``_pulse_chain``.  Overlapping windows form one window on
-    all coordinates: a global grid, refined so the narrowest pulse keeps its
-    step count, with each pulse (detuning included) on only in its own span.
+    the process memo ``_pulse_chain``.  Windows that touch, as at the default
+    spacing of twice the window, are lone pulses at any width and time: two
+    windows overlap only by more than 1e-9 of the narrower width and 4 ulps
+    of their times, above the rounding of their centers.  Overlapping windows
+    form one window on all coordinates: a global grid, refined so the
+    narrowest pulse keeps its step count, with each pulse (detuning included)
+    on only in its own span.  A grid whose step count leaves the float range
+    raises ``IntegrationError``.
     """
     spans = [(p.center - cfg.window * p.shape.width,
               p.center + cfg.window * p.shape.width) for p in pulses]
-    if any(a[1] > b[0] + 1e-12 for a, b in zip(spans, spans[1:])):
+    if any(a[1] - b[0] > max(1e-9 * min(p.shape.width, q.shape.width),
+                             4.0 * math.ulp(a[1]))
+           for a, b, p, q in zip(spans, spans[1:], pulses, pulses[1:])):
         e = np.eye(len(column[id(pulses[0].chi)]))
         lo, hi = min(s[0] for s in spans), max(s[1] for s in spans)
         base = 2.0 * cfg.window * min(p.shape.width for p in pulses)
-        steps = int(math.ceil(cfg.steps_per_pulse * (hi - lo) / base))
+        steps = cfg.steps_per_pulse * (hi - lo) / base
+        if not math.isfinite(steps):
+            raise IntegrationError(f"the global grid of the overlapping windows from "
+                                   f"{lo!r} to {hi!r} needs {steps} steps")
+        steps = int(math.ceil(steps))
         terms = []
         for p, span in zip(pulses, spans):
             block = np.zeros(e.shape, dtype=complex)

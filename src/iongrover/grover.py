@@ -34,7 +34,7 @@ from .model import (
     marked_probability,
     uniform_chi,
 )
-from .pulses import build_global_pulse
+from .pulses import build_global_pulse, nominal_pulse
 
 #: Detection flags the run when this much population never left the ancilla.
 RESIDUAL_FLAG_LEVEL = 0.01
@@ -122,7 +122,7 @@ def _init_part(cfg: SearchConfig) -> tuple[PulseSpec, np.ndarray]:
     scale = 2.0 ** (1 - math.frexp(factors.max())[1])
     norm = float(np.linalg.norm(factors * scale)) / scale
     shape = PulseShape(cfg.pulse.shape, cfg.pulse.width)
-    peak = (cfg.pulse.peak_coupling or 2.0 * math.pi / shape.integral()) / 2.0
+    peak = nominal_pulse(shape, math.pi, cfg.pulse.peak_coupling)[0] / 2.0
     product = np.array([[0.0, -1.0], [1.0, 0.0]])
     if imp.calibration == "uncalibrated":
         peak *= norm / math.sqrt(cfg.n_ions)

@@ -100,16 +100,23 @@ def build_global_pulse(
     reflection on the chain a run integrates; a configured peak is refused.
     """
     if not calibrates(shape, phase):
-        if peak_coupling is None:
-            peak_coupling = 2.0 * math.pi / shape.integral()
-        delta_t = 0.0 if phase == math.pi else detuning_for_phase(phase, 1)
-        return PulseSpec(shape, chi, peak_coupling, detuning=delta_t / shape.width)
+        peak, delta_t = nominal_pulse(shape, phase, peak_coupling)
+        return PulseSpec(shape, chi, peak, detuning=delta_t / shape.width)
     if peak_coupling is not None:
         raise ValueError(f"peak_coupling cannot be set for a detuned {shape.kind!r} "
                          "pulse: its calibration fixes the area")
     cfg = integrator or IntegratorConfig()
     peak, detuning = _calibrate(shape, phase, cfg.steps_per_pulse, cfg.window)
     return PulseSpec(shape, chi, peak, detuning=detuning)
+
+
+def nominal_pulse(shape: PulseShape, phase: float,
+                  peak_coupling: float | None) -> tuple[float, float]:
+    """(rms peak, delta*T) of a pulse that is not calibrated: ``peak_coupling``,
+    by default the exact 2*pi area 2*pi/integral(f), and the closed-form sech
+    detuning of ``phase``, 0 on resonance."""
+    peak = 2.0 * math.pi / shape.integral() if peak_coupling is None else peak_coupling
+    return peak, 0.0 if phase == math.pi else detuning_for_phase(phase, 1)
 
 
 def calibrates(shape: PulseShape, phase: float) -> bool:

@@ -402,7 +402,11 @@ class TestConfigHardening:
         # the detuning, delta*T / T at a small matched phase, overflows
         ({"n_ions": 1000, "variant": "deterministic", "iterations": 100,
           "pulse": {"width": 1e-308, "peak_coupling": 1.0}}, "width = 1e-308"),
-    ], ids=["spacing", "huge-width", "tiny-width", "window", "detuning"])
+        # a calibrated pulse's grid, 2 * window * width, overflows in either mode
+        ({"variant": "deterministic", "pulse": {"shape": "gaussian"},
+          "integrator": {"window": 1e308}}, "window = 1e+308"),
+    ], ids=["spacing", "huge-width", "tiny-width", "window", "detuning",
+            "calibration-grid"])
     def test_pulses_the_plan_refuses_exit_2_before_any_work(self, tmp_path, capsys,
                                                             monkeypatch, overrides, names):
         # refused by load_config, before a plan is built
@@ -522,6 +526,36 @@ class TestConfigHardening:
                                        "trajectory_stride": cli.MAX_STEPS_PER_PULSE})
         assert cli.load_config(cfg).integrator.steps_per_pulse == cli.MAX_STEPS_PER_PULSE
 
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "n_ions", 6.0), (None, "marked_index", 2.0), (None, "iterations", 3.0),
+        (None, "shots", 10.0), ("integrator", "steps_per_pulse", 4000.0),
+        ("integrator", "trajectory_stride", 8.0),
+    ])
+    def test_integral_float_for_each_int_field(self, tmp_path, section, key, value):
+        overrides = {key: value} if section is None else {section: {key: value}}
+        cfg = cli.load_config(write_config(tmp_path / "cfg.json", **overrides))
+        got = getattr(cfg if section is None else getattr(cfg, section), key)
+        assert type(got) is int and got == value
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("pulse", "width", 2), ("pulse", "spacing", 40), ("pulse", "peak_coupling", 3),
+        ("imperfection", "epsilon", 0), ("integrator", "window", 12),
+    ])
+    def test_integer_for_a_float_field(self, tmp_path, section, key, value):
+        cfgs = [cli.load_config(write_config(tmp_path / "cfg.json", **{section: {key: v}}))
+                for v in (value, float(value))]
+        assert getattr(getattr(cfgs[0], section), key) == value
+        assert cfgs[0] == cfgs[1]
+
+    @pytest.mark.parametrize("section", [None, "pulse", "imperfection", "integrator"])
+    def test_unknown_keys_are_named_per_section(self, tmp_path, section):
+        keys = {"zeta": 1, "alpha": 2}
+        cfg = write_config(tmp_path / "cfg.json",
+                           **(keys if section is None else {section: keys}))
+        with pytest.raises(cli.ConfigError,
+                           match=rf"^unknown key\(s\) in {section or 'config'}: alpha, zeta$"):
+            cli.load_config(cfg)
+
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n_ions=6.0, iterations=2.0)
         out = tmp_path / "out"
@@ -607,6 +641,57 @@ class TestConfigHardening:
                                                     part, value):
         assert self.run_with_poisoned_record(tmp_path, monkeypatch, part, value) == 3
         assert not (tmp_path / "out").exists()
+
+
+class TestPulseGrid:
+    """Touching windows (the default spacing is twice the window) are lone
+    pulses at any width; a genuinely overlapping schedule whose global grid
+    leaves the float range is a numerical failure."""
+
+    @staticmethod
+    def run(tmp_path, name, **overrides):
+        cfg = write_config(tmp_path / f"{name}.json", **{"mode": "physical", **overrides})
+        out = tmp_path / name
+        return main(["run", "--config", str(cfg), "--out", str(out)]), out
+
+    def test_touching_windows_at_an_unround_width(self, tmp_path):
+        # at width 8.168 the rounded centers push some touching windows a few
+        # ulps into each other; they stay lone pulses, recorded as at width 8
+        rows, p = [], []
+        for width in (8.168, 8.0):
+            code, out = self.run(tmp_path, f"w{width}", n_ions=256, marked_index=77,
+                                 variant="deterministic", pulse={"width": width})
+            assert code == 0
+            rows.append((out / "trajectory.csv").read_text().count("\n") - 1)
+            p.append(json.loads((out / "result.json").read_text())["success_probability"])
+        assert rows == [13501, 13501]
+        assert abs(p[0] - p[1]) <= 1e-12
+
+    def test_huge_width_runs_as_width_one(self, tmp_path):
+        p = []
+        for width in (1e305, 1.0):
+            code, out = self.run(tmp_path, f"w{width}", n_ions=15, marked_index=8,
+                                 pulse={"width": width})
+            assert code == 0
+            p.append(json.loads((out / "result.json").read_text())["success_probability"])
+        assert p[0] == p[1]
+
+    @pytest.mark.parametrize("overrides, message", [
+        # overlapping windows whose step count, 4000 * 2e307 / 2e307, overflows
+        ({}, "global grid"),
+        # a finite calibration grid too coarse for the pulse
+        ({"mode": "ideal", "variant": "deterministic", "pulse": {"shape": "gaussian"}},
+         "no (area, detuning) found"),
+    ], ids=["physical-overlap", "ideal-calibration"])
+    def test_window_1e307_is_a_numerical_failure(self, tmp_path, capsys, overrides,
+                                                 message):
+        code, out = self.run(tmp_path, "out", n_ions=15, marked_index=8,
+                             integrator={"window": 1e307}, **overrides)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
 
 
 class TestJobs:
@@ -999,6 +1084,8 @@ def as_lists(value):
         return value.tolist()
     if isinstance(value, dict):
         return {k: as_lists(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [as_lists(v) for v in value]
     return value
 
 
@@ -1029,8 +1116,14 @@ class TestJsonWriter:
          "a": np.array([2.5])},
         {"float32": np.array([0.1, 0.5], dtype=np.float32),
          "bools": np.array([True, False]), "cube": np.zeros((2, 1, 2))},
+        # arrays inside lists, as a per-pulse record holds them
+        {"pulses": [{"leak": np.array([1e-6, 0.5]), "k": 0}, np.array([[1, 2]]),
+                    [np.array([0.25]), "x", [np.zeros((2, 2))]], []],
+         "a": np.array([-0.0, 3.0])},
+        # strings that spell the placeholder json writes for an array
+        {"\0": np.array([1.5]), "s": "\0", "t": '"\0', "u": ["\0", np.array([2])]},
     ], ids=["signed-zeros", "empty-and-single", "rows", "int64", "extremes",
-            "non-finite", "nested", "other-arrays"])
+            "non-finite", "nested", "other-arrays", "arrays-in-lists", "nul-strings"])
     def test_same_bytes_as_stdlib(self, tmp_path, payload):
         self.assert_stdlib_bytes(tmp_path, payload)
 

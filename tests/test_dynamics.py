@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from iongrover import dynamics
 from iongrover.dynamics import (
     HamiltonianSpec,
     IntegrationError,
@@ -215,6 +217,57 @@ class TestIntegratorContracts:
         wide = HamiltonianSpec(1.0 * chi.components, PulseShape("sech", 2.0), 0.0)
         d = np.linalg.norm(propagator(narrow).matrix - propagator(wide).matrix)
         assert d < 1e-5
+
+
+class TestTouchingWindows:
+    """Windows spaced exactly twice the window apart touch: each pulse is a
+    lone pulse at any width, though the rounded centers put some neighbours'
+    spans a few ulps into each other."""
+
+    @staticmethod
+    def first_window(monkeypatch, pulses, cfg):
+        def no_cluster(*args):
+            raise AssertionError("touching windows integrated as one cluster")
+
+        monkeypatch.setattr(dynamics, "_chain", no_cluster)
+        monkeypatch.setattr(dynamics, "_pulse_chain", lambda *args: (None, None))
+        column = {id(pulses[0].chi): np.array([0.0, 1.0])}
+        return next(dynamics._windows(pulses, column, cfg, cfg.trajectory_stride))
+
+    @staticmethod
+    def timeline(count, width, spacing, first=0):
+        # centered as IterationPlan.timeline centers them; what _windows reads
+        # of a PulseSpec, without its checks, which dominated the test's time
+        shape, chi = PulseShape("sech", width), uniform_chi(2)
+        return [SimpleNamespace(shape=shape, chi=chi, rms_peak=1.0, detuning=0.0,
+                                center=(0.5 + k) * (spacing * width))
+                for k in range(first, first + count)]
+
+    # pulses 0..count-1 of a schedule, and 27 pulses of a schedule of 10^7
+    @pytest.mark.parametrize("count, first", [(27, 0), (403, 0), (1609, 0),
+                                              (27, 10**7)])
+    def test_touching_windows_are_lone_pulses(self, monkeypatch, count, first):
+        cfg = IntegratorConfig()
+        widths = 10.0 ** np.random.default_rng(count + first).uniform(-3, 4, 200)
+        for width in widths.tolist():
+            pulses = self.timeline(count, width, 2.0 * cfg.window, first)
+            lo, h, *_ = self.first_window(monkeypatch, pulses, cfg)
+            assert lo == pulses[0].center - cfg.window * width
+            assert h == 2.0 * cfg.window * width / cfg.steps_per_pulse
+
+    def test_overlapping_windows_are_one_cluster(self, monkeypatch):
+        cfg = IntegratorConfig()
+        pulses = self.timeline(27, 8.168, 2.0 * cfg.window * (1.0 - 1e-6))
+        with pytest.raises(AssertionError, match="one cluster"):
+            self.first_window(monkeypatch, pulses, cfg)
+
+    def test_a_grid_beyond_the_float_range_is_an_integration_error(self):
+        # 4000 steps times a span of 2e307 overflow: the message names the grid
+        cfg = IntegratorConfig(window=1e307)
+        pulses = [PulseSpec(SECH, uniform_chi(2), 1.0, center=(0.5 + k) * 30.0)
+                  for k in range(3)]
+        with pytest.raises(IntegrationError, match="global grid"):
+            evolve_schedule(basis_register(2, 0), pulses, cfg)
 
 
 class TestSchedule:
