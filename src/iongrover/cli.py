@@ -60,6 +60,13 @@ def _reject_constant(name: str):
     raise ConfigError(f"non-finite number {name} is not allowed")
 
 
+@functools.cache
+def _hints(cls) -> dict:
+    """The field types of a ``model`` dataclass, evaluated once a process:
+    ``model`` postpones its annotations, so each evaluation compiles them."""
+    return typing.get_type_hints(cls)
+
+
 def _build(cls, section, where: str):
     """``cls`` from the JSON object ``section``, read by the types of its
     fields: a dataclass field from its own object, an int field from an
@@ -70,7 +77,7 @@ def _build(cls, section, where: str):
     for f in dataclasses.fields(cls):
         if f.default is dataclasses.MISSING is f.default_factory and f.name not in section:
             raise ConfigError(f"{where} is missing required key {f.name!r}")
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     unknown = sorted(set(section) - set(hints))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")

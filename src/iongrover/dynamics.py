@@ -227,20 +227,12 @@ def _integrate_pulse(y, couplings, delta, shape, steps, window):
 
 def _bright_update(y, chi, product):
     """y + Q (P - 1) Q^dagger y with Q = [e0, chi]: the 2x2 ``product`` P acts
-    on each column's (ancilla, chi) pair and leaves the dark rest alone.
-
-    ``chi`` is one unit ion vector for every column of y, or an (N, columns)
-    array holding each column's own, so a block of registers that share a
-    pulse but not its direction takes that pulse in one update.
-    """
-    q = np.zeros((len(y), 2) + chi.shape[1:], dtype=complex)  # (ancilla, bright)
+    on each column's (ancilla, chi) pair and leaves the dark rest alone."""
+    q = np.zeros((len(y), 2), dtype=complex)  # (ancilla, bright)
     q[0, 0] = 1.0
     q[1:, 1] = chi
-    if chi.ndim == 1:
-        z = q.conj().T @ y
-        return y + q @ (product @ z - z)
-    z = np.einsum("nic,nc->ic", q.conj(), y)
-    return y + np.einsum("nic,ic->nc", q, product @ z - z)
+    z = q.conj().T @ y
+    return y + q @ (product @ z - z)
 
 
 def subspace(y, directions):

@@ -9,17 +9,17 @@ module at each call.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics, grover
 from .dynamics import IntegrationError
-from .model import ImperfectionSettings, SearchConfig
+from .model import ImperfectionSettings, SearchConfig, local_chi
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SweepRow:
     epsilon: float
     marked_index: int
@@ -37,71 +37,100 @@ def infidelity_sweep(
 ) -> list[SweepRow]:
     """Infidelity table over a (epsilon, marked ion) grid, in grid order.
 
-    Each cell is planned by ``build_plan``, then all cells run from the
-    ancilla as the columns of one (N+1, cells) register block.  Their pulses
-    differ only in chi, so each of the plans' three roles (init, oracle,
-    reflection) is one 2x2 P on each column's own (ancilla, chi) pair, one
-    ``_bright_update`` of the block, applied in the order init, then (oracle,
-    reflection) ``steps`` times.  P is the role's memoized full-window chain in
-    physical mode; in ideal mode it is the plan's ``init_product``, then
-    diag(1, e^{i phi}).  Cells whose pulse of one role differs in shape, rms
-    peak or detuning raise ``ValueError``; a norm drift past the budget of
-    ``evolve_schedule``, or a non-finite marked population, raises
-    ``IntegrationError`` naming the cell.  ``jobs`` selects nothing: it is
-    checked (at least 1) and otherwise ignored, kept only for the callers
-    that still pass it.
+    Each listed epsilon and ion is checked as its cells' configs check it.
+    The cells share their pulses but for the chis, so the first cell's
+    ``build_plan`` gives each role's 2x2 P on (ancilla, chi): the memoized
+    chain in physical mode; in ideal mode the init product, then
+    diag(1, e^{i phi}).  A cell's chis (its epsilon's init chi from
+    ``grover._init_part``, which the adapted reflection shares, its ion's
+    ``local_chi`` and a uniform reflection's chi) take it to r <= 4
+    coordinates by one Gram-Schmidt over all cells.  There each role is
+    I + Q (P - 1) Q^dagger, Q = [e0, chi], and every cell steps from the
+    ancilla through the init, then by U = R O ``steps`` times.  A norm drift
+    past the budget of ``evolve_schedule``, or a non-finite marked
+    population, raises ``IntegrationError`` naming the cell.  ``jobs``
+    selects nothing: it is checked (at least 1) and otherwise ignored, kept
+    only for the callers that still pass it.
     """
     if steps < 1:
         raise ValueError("need at least one search step")
     if jobs < 1:
         raise ValueError(f"need at least one job, got {jobs}")
-    cells = [
-        SearchConfig(n_ions=n_ions, marked_index=m, mode=mode, iterations=steps,
-                     imperfection=ImperfectionSettings(epsilon=float(eps),
-                                                       reflection=reflection))
-        for eps in epsilons
-        for m in marked
-    ]
-    if not cells:
+    if len(marked) == 0 or len(epsilons) == 0:
         return []
-    plans = [grover.build_plan(c) for c in cells]
-    integrator = cells[0].integrator
-    roles = []  # (P, chis) of the init, oracle and reflection pulses
-    for k, role in enumerate(("init_pulse", "oracle", "reflection")):
-        pulses = [getattr(plan, role) for plan in plans]
-        if len({(p.shape, p.rms_peak, p.detuning) for p in pulses}) > 1:
-            raise ValueError(f"sweep cells differ in the shape, rms peak or detuning "
-                             f"of pulse {k} ({role})")
-        pulse = pulses[0]
-        if mode == "physical":
-            # at the cells' own stride: the memo entry a search of them uses
-            product = dynamics._pulse_chain(pulse.rms_peak, pulse.detuning, pulse.shape,
-                                            integrator.steps_per_pulse, integrator.window,
-                                            integrator.trajectory_stride)[1][:, :, -1]
-        elif k == 0:
-            product = plans[0].init_product
-        else:
-            product = np.diag([1.0, cmath.exp(1j * plans[0].phi)])
-        roles.append((product, np.stack([p.chi.components for p in pulses], axis=1)))
-    block = np.eye(n_ions + 1, 1, dtype=complex).repeat(len(cells), axis=1)
-    for product, chis in [roles[0], *roles[1:] * steps]:
-        block = dynamics._bright_update(block, chis, product)
+    starts, values = {}, []  # each distinct epsilon's init chi; each listed epsilon
+    for eps in epsilons:  # the first epsilon, every ion, then the other epsilons
+        imperfection = ImperfectionSettings(epsilon=float(eps), reflection=reflection)
+        if not values:
+            first = [SearchConfig(n_ions=n_ions, marked_index=m, mode=mode,
+                                  iterations=steps, imperfection=imperfection)
+                     for m in marked]
+        if imperfection.epsilon not in starts:
+            cfg = dataclasses.replace(first[0], imperfection=imperfection)
+            starts[imperfection.epsilon] = grover._init_part(cfg)[0].chi.components
+        values.append(imperfection.epsilon)
+    plan = grover.build_plan(first[0])
+    integrator = first[0].integrator
+    oracles = {m: local_chi(n_ions, m).components for m in marked}  # each checked above
+    cells = [(eps, m) for eps in values for m in marked]
+    uniform = [plan.reflection.chi.components] if reflection == "uniform" else []
+    coords = _cell_coordinates(np.array([[starts[eps], oracles[m], *uniform]
+                                         for eps, m in cells]))
+    if mode == "physical":
+        # at the cells' own stride: the memo entry a search of them uses
+        products = [dynamics._pulse_chain(p.rms_peak, p.detuning, p.shape,
+                                          integrator.steps_per_pulse, integrator.window,
+                                          integrator.trajectory_stride)[1][:, :, -1]
+                    for p in (plan.init_pulse, plan.oracle, plan.reflection)]
+    else:
+        turn = np.diag([1.0, cmath.exp(1j * plan.phi)])
+        products = [plan.init_product, turn, turn]
+    # each role's Q = [e0, chi] and I + Q (P - 1) Q^dagger: init, oracle and
+    # reflection, whose adapted chi is the init chi
+    q = np.zeros((len(cells), 3, coords.shape[2], 2), dtype=complex)
+    q[:, :, 0, 0] = 1.0
+    q[:, :, :, 1] = coords[:, [0, 1, 2 if reflection == "uniform" else 0]]
+    ops = np.eye(q.shape[2]) + np.einsum("cxia,xab,cxjb->cxij", q,
+                                         np.array(products) - np.eye(2), q.conj())
+    step = np.einsum("cij,cjk->cik", ops[:, 2], ops[:, 1])
+    z = ops[:, 0, :, 0]  # the init pulse on the ancilla
+    for _ in range(steps):
+        z = np.einsum("cij,cj->ci", step, z)
     budget = integrator.norm_tolerance * (1 + 2 * steps)  # one per pulse applied
 
-    norms = np.linalg.norm(block, axis=0)
+    norms = np.linalg.norm(z, axis=1)
+    populations = abs(np.einsum("ci,ci->c", coords[:, 1].conj(), z) / norms) ** 2
     rows = []
-    for c, cell in enumerate(cells):
-        p = float(abs(block[cell.marked_index, c] / norms[c]) ** 2)
-        drift = abs(norms[c] - 1.0)
-        where = f"sweep cell epsilon={cell.imperfection.epsilon:g}, ion {cell.marked_index}"
+    for (eps, m), p, norm in zip(cells, populations.tolist(), norms.tolist()):
+        drift = abs(norm - 1.0)
+        where = f"sweep cell epsilon={eps:g}, ion {m}"
         if not math.isfinite(p):
             raise IntegrationError(f"{where}: non-finite marked population")
         if not drift <= budget:
             raise IntegrationError(f"{where}: norm drift {drift:.3e} exceeds "
                                    f"schedule budget {budget:g}")
-        rows.append(SweepRow(cell.imperfection.epsilon, cell.marked_index,
-                             1.0 - min(1.0, p)))
+        rows.append(SweepRow(eps, m, 1.0 - min(1.0, p)))
     return rows
+
+
+def _cell_coordinates(vectors: np.ndarray) -> np.ndarray:
+    """Coordinates (cells, k, k + 1) of each cell's k unit ion vectors
+    (cells, k, N), ancilla slot first: ``dynamics.subspace`` for all cells at
+    once.  A remainder below 1e-10 adds no column; its slot stays zero."""
+    cells, k, _ = vectors.shape
+    ions = np.zeros_like(vectors)
+    coords = np.zeros((cells, k, k + 1), dtype=complex)
+    for j in range(k):
+        w = vectors[:, j].copy()
+        for _ in range(2 if j else 0):
+            a = np.add.reduce(ions[:, :j].conj() * w[:, None], axis=2)
+            w -= np.einsum("ci,cin->cn", a, ions[:, :j])
+            coords[:, j, 1:j + 1] += a
+        norm = np.sqrt(np.add.reduce(w.view(float) ** 2, axis=1))
+        kept = norm > 1e-10
+        ions[kept, j] = w[kept] / norm[kept, None]
+        coords[kept, j, j + 1] = norm[kept]
+    return coords
 
 
 def adapted_advantage(n_ions: int, epsilon: float,

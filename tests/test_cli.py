@@ -556,6 +556,35 @@ class TestConfigHardening:
                            match=rf"^unknown key\(s\) in {section or 'config'}: alpha, zeta$"):
             cli.load_config(cfg)
 
+    def test_each_class_hints_are_evaluated_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.typing.get_type_hints
+        monkeypatch.setattr(cli.typing, "get_type_hints",
+                            lambda cls: calls.append(cls) or real(cls))
+        cli._hints.cache_clear()
+        sections = {"pulse": {"width": 1.0}, "imperfection": {"epsilon": 0.1},
+                    "integrator": {"window": 15.0}}
+        cfgs = [cli.load_config(write_config(tmp_path / f"cfg{k}.json", **sections))
+                for k in range(2)]
+        assert cfgs[0] == cfgs[1]
+        assert sorted(c.__name__ for c in calls) == [
+            "ImperfectionSettings", "IntegratorConfig", "PulseSettings", "SearchConfig"]
+
+    @pytest.mark.parametrize("cold", [True, False])
+    def test_key_errors_with_cached_hints(self, tmp_path, cold):
+        if cold:
+            cli._hints.cache_clear()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_ions": 6, "pulse": {"zeta": 1, "alpha": 2}}))
+        with pytest.raises(cli.ConfigError, match=r"^config is missing required key "
+                                                  r"'marked_index'$"):
+            cli.load_config(cfg)
+        cfg.write_text(json.dumps({"n_ions": 6, "marked_index": 2,
+                                   "pulse": {"zeta": 1, "alpha": 2}}))
+        with pytest.raises(cli.ConfigError,
+                           match=r"^unknown key\(s\) in pulse: alpha, zeta$"):
+            cli.load_config(cfg)
+
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n_ions=6.0, iterations=2.0)
         out = tmp_path / "out"

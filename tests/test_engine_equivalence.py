@@ -201,22 +201,6 @@ class TestDenseEquivalence:
         ref = dense_integrate_pulse(y.astype(complex), g, 0.2, SECH, 600, 15.0)
         assert np.abs(got - ref).max() <= EQUIVALENCE_TOL
 
-    @pytest.mark.parametrize("delta", [0.0, 0.589])
-    def test_one_chi_per_column_matches_separate_calls(self, delta):
-        # a block of registers, each column driven along its own direction by
-        # one shared chain; unit chis of 0, +-1/2 and +-i/2 entries make
-        # |2 chi| exactly 2, so every separate call keys that same chain
-        rng = np.random.default_rng(11)
-        chis = np.zeros((4, 9), dtype=complex)
-        chis[:, 0] = [1.0, 0.0, 0.0, 0.0]
-        chis[:, 1:] = rng.choice([0.5, -0.5, 0.5j, -0.5j], size=(4, 8))
-        y = np.column_stack([random_state(rng, 4) for _ in range(9)])
-        product = dynamics._pulse_chain(2.0, delta, SECH, 600, 15.0, 0)[1][:, :, -1]
-        got = dynamics._bright_update(y, chis, product)
-        for c in range(9):
-            ref = _integrate_pulse(y[:, c], 2.0 * chis[:, c], delta, SECH, 600, 15.0)
-            assert np.abs(got[:, c] - ref).max() <= 1e-15
-
     @pytest.mark.parametrize("delta", [0.0, 0.7])
     def test_zero_coupling(self, delta):
         rng = np.random.default_rng(3)

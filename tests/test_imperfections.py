@@ -1,21 +1,23 @@
-import dataclasses
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from iongrover import dynamics, grover
-from iongrover.cli import main
-from iongrover.dynamics import IntegrationError
+from iongrover.cli import FIG4_EPSILONS, FIG4_IONS, main
+from iongrover.dynamics import IntegrationError, _integrate_pulse
 from iongrover.imperfections import adapted_advantage, infidelity_sweep
 from iongrover.model import (
     ImperfectionSettings,
     IntegratorConfig,
-    PulseSpec,
+    PulseShape,
     SearchConfig,
     beam_factors,
 )
-from iongrover.grover import build_plan, initialize, run_search
+from iongrover.grover import build_plan, initialize, iteration_count, run_search
+
+SECH = PulseShape("sech", 1.0)
 
 
 class TestBeamFactors:
@@ -146,8 +148,8 @@ class TestSweep:
 
 
 def sweep_by_search(n_ions, marked, epsilons, steps, mode, reflection):
-    """The sweep as one ``run_search`` per cell, in grid order: the oracle for
-    the register block that runs every cell at once."""
+    """The sweep as one ``run_search`` per cell, in grid order: an oracle for
+    the per-cell subspaces that run every cell at once."""
     return [(eps, m, 1.0 - run_search(SearchConfig(
                 n_ions=n_ions, marked_index=m, mode=mode, iterations=steps,
                 imperfection=ImperfectionSettings(epsilon=eps, reflection=reflection),
@@ -155,8 +157,88 @@ def sweep_by_search(n_ions, marked, epsilons, steps, mode, reflection):
             for eps in epsilons for m in marked]
 
 
+ROLES = ("init_pulse", "oracle", "reflection")
+
+
+def column_update(y, chis, products):
+    """y + Q (P - 1) Q^dagger y for each column of y, Q = [e0, chi]: column c
+    takes the 2x2 ``products[c]`` on its (ancilla, chis[:, c]) pair."""
+    q = np.zeros((len(y), 2, y.shape[1]), dtype=complex)  # (ancilla, bright)
+    q[0, 0] = 1.0
+    q[1:, 1] = chis
+    z = np.einsum("nic,nc->ic", q.conj(), y)
+    return y + np.einsum("nic,ic->nc", q, np.einsum("cij,jc->ic", products, z) - z)
+
+
+def sweep_by_block(n_ions, marked, epsilons, steps, mode, reflection):
+    """The sweep as the columns of one (N+1, cells) register block, each cell
+    planned by its own ``build_plan``, in grid order: every pulse slot is one
+    ``column_update`` of the block along each column's own chi and by its own
+    plan's 2x2 (the chain in physical mode; ideal, the init product, then
+    diag(1, e^{i phi})), in the order init, then (oracle, reflection)
+    ``steps`` times.  An oracle that is O(N) per pulse per cell."""
+    cells = [SearchConfig(n_ions=n_ions, marked_index=m, mode=mode, iterations=steps,
+                          imperfection=ImperfectionSettings(epsilon=eps,
+                                                            reflection=reflection))
+             for eps in epsilons for m in marked]
+    plans = [build_plan(c) for c in cells]
+    integ = IntegratorConfig()
+
+    def role(k, name):
+        pulses = [getattr(plan, name) for plan in plans]
+        if mode == "physical":
+            products = [dynamics._pulse_chain(p.rms_peak, p.detuning, p.shape,
+                                              integ.steps_per_pulse, integ.window,
+                                              integ.trajectory_stride)[1][:, :, -1]
+                        for p in pulses]
+        elif k == 0:
+            products = [plan.init_product for plan in plans]
+        else:
+            products = [np.diag([1.0, cmath.exp(1j * plan.phi)]) for plan in plans]
+        return np.stack([p.chi.components for p in pulses], axis=1), np.stack(products)
+
+    roles = [role(k, name) for k, name in enumerate(ROLES)]
+    block = np.eye(n_ions + 1, 1, dtype=complex).repeat(len(cells), axis=1)
+    for chis, products in [roles[0], *roles[1:] * steps]:
+        block = column_update(block, chis, products)
+    marked_amplitudes = block[[c.marked_index for c in cells], range(len(cells))]
+    p = np.abs(marked_amplitudes / np.linalg.norm(block, axis=0)) ** 2
+    return [(c.imperfection.epsilon, c.marked_index, 1.0 - min(1.0, q))
+            for c, q in zip(cells, p.tolist())]
+
+
+class TestSweepByBlock:
+    """The block oracle itself: against one pulse integration per column, and
+    against one search per cell."""
+
+    @pytest.mark.parametrize("delta", [0.0, 0.589])
+    def test_one_chi_per_column_matches_separate_calls(self, delta):
+        # a block of registers, each column driven along its own direction by
+        # one shared chain; unit chis of 0, +-1/2 and +-i/2 entries make
+        # |2 chi| exactly 2, so every separate call keys that same chain
+        rng = np.random.default_rng(11)
+        chis = np.zeros((4, 9), dtype=complex)
+        chis[:, 0] = [1.0, 0.0, 0.0, 0.0]
+        chis[:, 1:] = rng.choice([0.5, -0.5, 0.5j, -0.5j], size=(4, 8))
+        y = rng.normal(size=(5, 9)) + 1j * rng.normal(size=(5, 9))
+        y /= np.linalg.norm(y, axis=0)
+        product = dynamics._pulse_chain(2.0, delta, SECH, 600, 15.0, 0)[1][:, :, -1]
+        got = column_update(y, chis, np.broadcast_to(product, (9, 2, 2)))
+        for c in range(9):
+            ref = _integrate_pulse(y[:, c], 2.0 * chis[:, c], delta, SECH, 600, 15.0)
+            assert np.abs(got[:, c] - ref).max() <= 1e-15
+
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    @pytest.mark.parametrize("reflection", ["adapted", "uniform"])
+    def test_matches_one_search_per_cell(self, mode, reflection):
+        args = (6, [1, 4], [0.0, 0.2], 2, mode, reflection)
+        np.testing.assert_allclose([row[2] for row in sweep_by_block(*args)],
+                                   [row[2] for row in sweep_by_search(*args)],
+                                   rtol=0, atol=1e-12)
+
+
 class TestSweepBlock:
-    """All cells of a sweep advance as the columns of one register block."""
+    """All cells of a sweep advance together, each in its own subspace."""
 
     @pytest.mark.parametrize("mode", ["ideal", "physical"])
     @pytest.mark.parametrize("reflection", ["adapted", "uniform"])
@@ -172,27 +254,92 @@ class TestSweepBlock:
         np.testing.assert_allclose([r.infidelity for r in rows],
                                    [o[2] for o in oracle], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    @pytest.mark.parametrize("reflection", ["adapted", "uniform"])
+    def test_matches_the_block_at_n256(self, mode, reflection):
+        # the optimal count, an edge, a quarter and a centre ion
+        args = (256, [1, 64, 128], [0.0, 0.1, 0.2], iteration_count(256), mode,
+                reflection)
+        rows = infidelity_sweep(*args[:4], mode=mode, reflection=reflection)
+        oracle = sweep_by_block(*args)
+        assert [(r.epsilon, r.marked_index) for r in rows] == [o[:2] for o in oracle]
+        np.testing.assert_allclose([r.infidelity for r in rows],
+                                   [o[2] for o in oracle], rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("marked, epsilons", [([], [0.0, 0.1]), ([1, 3], [])])
     @pytest.mark.parametrize("mode", ["ideal", "physical"])
     def test_empty_grid(self, marked, epsilons, mode):
         assert infidelity_sweep(6, marked, epsilons, steps=2, mode=mode) == []
 
-    @pytest.mark.parametrize("k, role", [(0, "init_pulse"), (1, "oracle"),
-                                         (2, "reflection")])
-    def test_cells_must_share_their_pulses(self, monkeypatch, k, role):
-        real = grover.build_plan
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    @pytest.mark.parametrize("n_ions, marked, epsilons, reflection", [
+        (20, FIG4_IONS, FIG4_EPSILONS, "adapted"),
+        (9, [1, 3, 5], [0.0, 0.05, 0.3], "uniform"),
+    ])
+    def test_one_plan_holds_for_every_cell(self, monkeypatch, mode, n_ions, marked,
+                                           epsilons, reflection):
+        # the sweep plans its first cell only; every cell's own plan has the
+        # same role pulses but for their chis, the same phase and init product
+        real, plans = grover.build_plan, []
+        monkeypatch.setattr(grover, "build_plan",
+                            lambda cfg: plans.append(real(cfg)) or plans[-1])
+        infidelity_sweep(n_ions, marked, epsilons, steps=3, mode=mode,
+                         reflection=reflection)
+        assert len(plans) == 1
+        for eps in epsilons:
+            for m in marked:
+                own = real(SearchConfig(
+                    n_ions=n_ions, marked_index=m, mode=mode, iterations=3,
+                    imperfection=ImperfectionSettings(epsilon=eps,
+                                                      reflection=reflection)))
+                for role in ROLES:
+                    a, b = getattr(own, role), getattr(plans[0], role)
+                    assert (a.shape, a.rms_peak, a.detuning) == (b.shape, b.rms_peak,
+                                                                 b.detuning)
+                assert own.phi == plans[0].phi
+                np.testing.assert_array_equal(own.init_product, plans[0].init_product)
 
-        def plan(cfg):  # the profiled cells' pulse of this role a little stronger
-            p = real(cfg)
-            pulse = getattr(p, role)
-            stronger = PulseSpec(pulse.shape, pulse.chi,
-                                 pulse.rms_peak * (1.0 + cfg.imperfection.epsilon),
-                                 pulse.detuning)
-            return dataclasses.replace(p, **{role: stronger})
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    def test_runs_no_search_and_no_schedule(self, monkeypatch, mode):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep ran a search or a schedule")
 
-        monkeypatch.setattr(grover, "build_plan", plan)
-        with pytest.raises(ValueError, match=rf"of pulse {k} \({role}\)"):
-            infidelity_sweep(6, [1], [0.0, 0.1], steps=1)
+        monkeypatch.setattr(grover, "run_search", refuse)
+        monkeypatch.setattr(grover, "evolve_schedule", refuse)
+        monkeypatch.setattr(dynamics, "evolve_schedule", refuse)
+        assert len(infidelity_sweep(20, FIG4_IONS, FIG4_EPSILONS, steps=3,
+                                    mode=mode)) == 63
+
+    @pytest.mark.parametrize("marked, epsilons, message", [
+        ([1, 7], [0.0], "marked index 7 out of range for N=6"),
+        ([7, 1], [0.0, 0.1], "marked index 7 out of range for N=6"),
+        ([1, True], [0.0], "marked_index must be an integer, got True"),
+        ([True, 1], [0.1, 0.2], "marked_index must be an integer, got True"),
+        ([1, 2.0], [0.0], "marked_index must be an integer, got 2.0"),
+        ([1, 3], [0.1, 1.0], r"epsilon must be in \[0, 1\), got 1.0"),
+        ([1, 3], [1.0, 0.1], r"epsilon must be in \[0, 1\), got 1.0"),
+        ([1, 3], [0.1, 0.2, -0.5], r"epsilon must be in \[0, 1\), got -0.5"),
+    ])
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    def test_every_listed_value_is_checked(self, marked, epsilons, message, mode):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            infidelity_sweep(6, marked, epsilons, steps=1, mode=mode)
+
+    def test_the_first_failing_cell_names_the_error(self):
+        # cells are checked in grid order: the first epsilon, every ion, then
+        # the other epsilons, so a bad ion is named before a later bad epsilon
+        with pytest.raises(ValueError, match="marked index 9 out of range"):
+            infidelity_sweep(6, [1, 9], [0.0, 2.0], steps=1)
+        with pytest.raises(ValueError, match="epsilon must be in"):
+            infidelity_sweep(6, [1, 9], [2.0, 0.0], steps=1)
+
+    def test_ions_and_epsilons_keep_their_listed_values(self):
+        rows = infidelity_sweep(6, [np.int64(3), 1, 3], [0, 0.1, 0], steps=1,
+                                mode="ideal")
+        assert [(r.epsilon, r.marked_index) for r in rows] == [
+            (e, m) for e in (0.0, 0.1, 0.0) for m in (3, 1, 3)]
+        assert all(type(r.epsilon) is float for r in rows)
+        assert rows[0] == rows[2] == rows[6] == rows[8]
 
     @staticmethod
     def bent_chain(monkeypatch, bend):
