@@ -20,8 +20,9 @@ couples only to the bright ion state g/|g|, and the ion states orthogonal to
 it are dark and frozen.  A pulse is thus the 2x2 problem
 [[delta, f|g|/2], [f|g|/2, 0]] on (ancilla, bright).  A whole schedule stays
 in span{ancilla, start state, chi_1..chi_K} (Biham et al., PRA 60, 2742
-(1999)), so a run is carried as r <= K + 2 coordinates in one orthonormal
-basis of that span (``subspace``): O(N) once, O(r) per step after.
+(1999)), so a run, or a stack of sweep cells, is carried as r <= K + 2
+coordinates in one orthonormal basis of that span each (``subspace``): O(N)
+once, O(r) per step after; ``_search_rows`` steps searches by doubling.
 Fixed-step classical RK4 (bit-for-bit reproducible) is a polynomial in the
 stage Hamiltonians, so on this invariant space it is the same scheme as on
 the full register.  A lone pulse's 2x2 Hamiltonian is real, so its one-step
@@ -57,7 +58,6 @@ from .model import (
     RegisterState,
     Trajectory,
     check_number,
-    l2_norm,
     local_chi,
 )
 
@@ -235,34 +235,66 @@ def _bright_update(y, chi, product):
     return y + q @ (product @ z - z)
 
 
-def subspace(y, directions):
-    """Orthonormal basis q (N+1, r) of span{ancilla, ion part of y, directions},
-    ancilla first, with the r coordinates of y and of each ion-space direction.
+def subspace(vectors):
+    """Orthonormal ion rows (cells, k, N) spanning each cell's k ion vectors
+    (cells x k x N), and the vectors' coordinates (cells, k, k + 1): slot 0
+    (the ancilla) empty, slot i + 1 row i.  Gram-Schmidt, applied twice; a
+    remainder below 1e-10 leaves that cell's row and slot zero, and a row no
+    cell keeps is not formed.  The coordinates are the projection
+    coefficients, summed pairwise, so they stay exact where projecting the
+    whole vector afterwards would cancel."""
+    ions = np.array(vectors, dtype=complex)  # orthonormalized in place
+    k = ions.shape[1]
+    coords = np.zeros((len(ions), k, k + 1), dtype=complex)
+    n = 0  # rows formed
+    for j in range(k):
+        if n < j:
+            ions[:, n] = ions[:, j]
+        w = ions[:, n]
+        for _ in range(2 if n else 0):
+            a = np.add.reduce(ions[:, :n].conj() * w[:, None], axis=2)
+            w -= np.matmul(a[:, None], ions[:, :n])[:, 0]
+            coords[:, j, 1:n + 1] += a
+        norm = np.sqrt(np.add.reduce(w.view(float) ** 2, axis=1))
+        kept = norm > 1e-10  # else the cell's row (w / inf) and slot stay zero
+        w /= np.where(kept, norm, np.inf)[:, None]
+        coords[:, j, n + 1] = np.where(kept, norm, 0.0)
+        n += bool(kept.any())
+    ions[:, n:] = 0.0
+    return ions, coords
 
-    Gram-Schmidt, applied twice, runs over the ion part of y and then the
-    unit ``directions``; a remainder below 1e-10 adds no column.  The
-    coordinates are the projection coefficients, summed pairwise, so they stay
-    exact where projecting the whole vector afterwards would cancel.
-    """
-    ions = np.empty((len(directions) + 1, len(y) - 1), dtype=complex)  # q[1:, 1:].T
-    k, coords = 0, []
-    for v in [y[1:], *(d.components for d in directions)]:
-        w = np.array(v, dtype=complex)
-        c = np.zeros(len(directions) + 2, dtype=complex)
-        dual = ions[:k].conj()
-        for _ in range(2 if k else 0):
-            a = np.add.reduce(dual * w, axis=1)
-            w -= a @ ions[:k]
-            c[1:k + 1] += a
-        norm = l2_norm(w)
-        if norm > 1e-10:
-            ions[k], c[k + 1] = w / norm, norm
-            k += 1
-        coords.append(c)
-    q = np.eye(len(y), k + 1, dtype=complex)  # the ancilla, then the ion columns
-    q[1:, 1:] = ions[:k].T
-    coords[0][0] = y[0]
-    return q, coords[0][:k + 1], [c[:k + 1] for c in coords[1:]]
+
+def _basis(vectors):
+    """``subspace`` of one cell's k ion vectors, its empty slots dropped: the
+    basis q (N + 1, r), ancilla first, and the coordinates (k, r)."""
+    ions, coords = subspace([vectors])
+    r = 1 + np.count_nonzero(coords[0].any(axis=0))
+    q = np.eye(ions.shape[2] + 1, r, dtype=complex)
+    q[1:, 1:] = ions[0, :r - 1].T
+    return q, coords[0, :, :r]
+
+
+def _search_rows(chis, products, count):
+    """Rows (cells, count + 1, r) of each cell's search from the ancilla: the
+    init, then ``count`` times U = R O.  ``chis`` (cells, 2 or 3, r) holds the
+    init, oracle and, unless it is the init's, reflection chi coordinates;
+    role x is I + Q (P_x - 1) Q^dagger, Q = [e0, chi_x], P = ``products``
+    (3, 2, 2).  Doubling, a scan (Blelloch, CMU-CS-90-190 (1990)): rows[n:2n]
+    = rows[:n] (U^n)^T, then U <- U^2, ceil(log2(count + 1)) times."""
+    chis = chis[:, [0, 1, 2 if chis.shape[1] == 3 else 0]]
+    q = chis[..., None] * np.array([0.0, 1.0])  # Q = [e0, chi]; chi's slot 0 is empty
+    q[:, :, 0, 0] = 1.0
+    ops = np.eye(chis.shape[2]) + np.einsum("cxia,xab,cxjb->cxij", q,
+                                            products - np.eye(2), q.conj())
+    u = ops[:, 2] @ ops[:, 1]
+    rows = np.empty((len(chis), count + 1, chis.shape[2]), dtype=complex)
+    rows[:, 0] = ops[:, 0, :, 0]
+    n = 1
+    while n <= count:
+        m = min(n, count + 1 - n)
+        rows[:, n:n + m] = rows[:, :m] @ u.swapaxes(1, 2)
+        u, n = u @ u, 2 * n
+    return rows
 
 
 def _windows(pulses, column, cfg, stride):
@@ -361,12 +393,13 @@ def evolve_schedule(
     """Run a sequence of pulses; returns (final state, times, ``Trajectory``).
 
     The run is carried as its coordinates in the ``subspace`` of the state
-    and the distinct chis (by identity).  Non-overlapping windows (the default
-    spacing) are integrated pulse by pulse; nothing evolves between windows
-    because the drive and its rotating frame are only defined while a pulse
-    is on.  If windows overlap, the whole schedule is integrated under the
-    summed pulse Hamiltonians on a proportionally refined global grid (an
-    exploration mode for studying pulse-crowding effects).  A norm drift
+    and the distinct chis (by identity), one cell with its empty slots
+    dropped.  Non-overlapping windows (the default spacing) are integrated
+    pulse by pulse; nothing evolves between windows because the drive and
+    its rotating frame are only defined while a pulse is on.  If windows
+    overlap, the whole schedule is integrated under the summed pulse
+    Hamiltonians on a proportionally refined global grid (an exploration
+    mode for studying pulse-crowding effects).  A norm drift
     beyond the configured tolerance per pulse raises ``IntegrationError``;
     drift inside it is repaired, never hidden above it.  Every schedule is
     recorded at its start, every ``cfg.trajectory_stride`` steps of each
@@ -378,8 +411,9 @@ def evolve_schedule(
         if p.n_ions != state.n_ions:
             raise DimensionMismatchError("pulse and register sizes differ")
     distinct = list({id(p.chi): p.chi for p in pulses}.values())
-    q, z, coords = subspace(state.amplitudes, distinct)
-    column = dict(zip(map(id, distinct), coords))
+    q, coords = _basis([state.amplitudes[1:], *(c.components for c in distinct)])
+    z = np.append(state.amplitudes[0], coords[0, 1:])
+    column = dict(zip(map(id, distinct), coords[1:]))
     times, rows = [np.zeros(0)], [np.zeros((0, len(z)))]
     for t0, h, marks, e, products in _windows(pulses, column, cfg,
                                               cfg.trajectory_stride):

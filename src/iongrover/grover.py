@@ -1,13 +1,13 @@
 """End-to-end search orchestration: init, iteration schedule, detection.
 
 A search is init followed by repeated (oracle, global reflection) pairs.
-Every reflection is one laser pulse, and both modes read one plan of them:
-ideal mode applies the plan's exact init 2x2 to the ancilla, forms one
-iteration of the exact reflections about the pulses' chis at the plan's phase
-as an r x r matrix on the run's r <= 4 subspace coordinates and steps them by
-it, physical mode integrates the whole schedule as time-dependent dynamics.  The probabilistic variant uses resonant pulses
-(reflection phase pi); the deterministic variant detunes both pulses of each
-iteration to the matched phase that makes the final fidelity exactly one.
+Every reflection is one laser pulse, and both modes read one plan of them.
+Ideal mode is a sweep of one cell: the plan's chis in r <= 4 coordinates and
+each role's exact 2x2 on (ancilla, chi); physical mode integrates the whole
+schedule as time-dependent dynamics.  The probabilistic variant uses
+resonant pulses (reflection phase pi); the deterministic variant detunes both
+pulses of each iteration to the matched phase that makes the final fidelity
+exactly one.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # loaded lazily by numpy; here it loads with the package
 
-from .dynamics import IntegrationError, _bright_update, evolve, evolve_schedule, subspace
+from . import dynamics
+from .dynamics import IntegrationError, evolve, evolve_schedule
 from .householder import apply, generalized_hr  # noqa: F401 (tracers wrap apply)
 from .model import (
     CouplingVector,
+    ImperfectionSettings,
     PulseShape,
     PulseSpec,
     RegisterState,
@@ -108,35 +110,34 @@ class IterationPlan:
                           (0.5 + k) * self.spacing) for k, p in enumerate(pulses)]
 
 
-def _init_part(cfg: SearchConfig) -> tuple[PulseSpec, np.ndarray]:
-    """The plan's init pulse, resonant so never calibrated, and its exact 2x2
-    on (ancilla, chi): the (custom or Gaussian) beam profile at half the Rabi
-    frequency of a 2-pi pulse.  Calibrated trims the power for an rms-pi
-    transfer, [[0, -1], [1, 0]]; uncalibrated keeps the uniform-beam power,
-    a rotation by pi ||f|| / (2 sqrt(N))."""
-    imp = cfg.imperfection
+def _beam_chi(n_ions: int, imp: ImperfectionSettings) -> tuple[np.ndarray, float]:
+    """The unit chi of the (custom or Gaussian) beam factors, and their norm."""
     factors = (np.asarray(imp.custom_factors, dtype=float)
                if imp.custom_factors is not None
-               else beam_factors(cfg.n_ions, imp.epsilon, imp.scaling))
+               else beam_factors(n_ions, imp.epsilon, imp.scaling))
     # the norm of the factors scaled exactly into [1, 2): tiny ones' squares underflow
     scale = 2.0 ** (1 - math.frexp(factors.max())[1])
     norm = float(np.linalg.norm(factors * scale)) / scale
+    return factors / norm, norm
+
+
+def _init_part(cfg: SearchConfig) -> tuple[PulseSpec, np.ndarray]:
+    """The plan's init pulse, resonant so never calibrated, and its exact 2x2
+    on (ancilla, chi): the beam chi at half the Rabi frequency of a 2-pi
+    pulse.  Calibrated trims the power for an rms-pi transfer,
+    [[0, -1], [1, 0]]; uncalibrated keeps the uniform-beam power, a rotation
+    by pi ||f|| / (2 sqrt(N))."""
+    chi, norm = _beam_chi(cfg.n_ions, cfg.imperfection)
     shape = PulseShape(cfg.pulse.shape, cfg.pulse.width)
     peak = nominal_pulse(shape, math.pi, cfg.pulse.peak_coupling)[0] / 2.0
     product = np.array([[0.0, -1.0], [1.0, 0.0]])
-    if imp.calibration == "uncalibrated":
+    if cfg.imperfection.calibration == "uncalibrated":
         peak *= norm / math.sqrt(cfg.n_ions)
         half_area = math.pi * norm / (2.0 * math.sqrt(cfg.n_ions))
         product = np.array([[math.cos(half_area), -math.sin(half_area)],
                             [math.sin(half_area), math.cos(half_area)]])
     product.setflags(write=False)
-    return PulseSpec(shape, CouplingVector(factors / norm), peak), product
-
-
-def _exact_start(init_pulse: PulseSpec, init_product: np.ndarray) -> RegisterState:
-    """The init 2x2 applied to the ancilla, in O(N)."""
-    return RegisterState(_bright_update(basis_register(init_pulse.n_ions, 0).amplitudes,
-                                        init_pulse.chi.components, init_product))
+    return PulseSpec(shape, CouplingVector(chi), peak), product
 
 
 def build_plan(cfg: SearchConfig) -> IterationPlan:
@@ -165,8 +166,23 @@ def initialize(cfg: SearchConfig) -> RegisterState:
     physical mode."""
     init_pulse, init_product = _init_part(cfg)
     if cfg.mode == "ideal":
-        return _exact_start(init_pulse, init_product)
+        return RegisterState(dynamics._bright_update(basis_register(
+            cfg.n_ions, 0).amplitudes, init_pulse.chi.components, init_product))
     return evolve(basis_register(cfg.n_ions, 0), init_pulse, cfg.integrator)
+
+
+def _role_products(plan: IterationPlan, cfg: SearchConfig) -> np.ndarray:
+    """The (init, oracle, reflection) 2x2s on (ancilla, chi), (3, 2, 2): ideal,
+    the init product, then each exact reflection's eigenvalue at the phase;
+    physical, each pulse's memoized chain product at the config's stride."""
+    roles, i = (plan.init_pulse, plan.oracle, plan.reflection), cfg.integrator
+    if cfg.mode == "ideal":
+        return np.array([plan.init_product, *(np.diag(
+            [1.0, 1.0 + generalized_hr(p.chi, plan.phi).factor]) for p in roles[1:])])
+    return np.array([dynamics._pulse_chain(p.rms_peak, p.detuning, p.shape,
+                                           i.steps_per_pulse, i.window,
+                                           i.trajectory_stride)[1][:, :, -1]
+                     for p in roles])
 
 
 def run_search(cfg: SearchConfig) -> SearchResult:
@@ -191,18 +207,11 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     }
 
     if cfg.mode == "ideal":
-        # a search on r-1 virtual ions: the plan's exact start, its coordinates
-        # in its subspace with the chis, stepped by U = R O of the reflections
-        start = _exact_start(plan.init_pulse, plan.init_product)
-        q, z, coords = subspace(start.amplitudes, [plan.oracle.chi, plan.reflection.chi])
-        step = np.eye(len(z), dtype=complex)
-        for c in coords:
-            op = generalized_hr(CouplingVector(c[1:]), plan.phi)
-            step += op.factor * np.outer(op.vector, op.vector.conj() @ step)
-        rows = np.empty((plan.count + 1, len(z)), dtype=complex)
-        rows[0] = z
-        for k in range(plan.count):
-            rows[k + 1] = step @ rows[k]
+        # one cell in its distinct chis: an adapted reflection shares the init's
+        q, coords = dynamics._basis(list({id(p.chi): p.chi.components for p in (
+            plan.init_pulse, plan.oracle, plan.reflection)}.values()))
+        rows = dynamics._search_rows(coords[None], _role_products(plan, cfg),
+                                     plan.count)[0]
         # U is unitary only to rounding: each row back to norm 1
         trajectory = Trajectory(q, rows / np.linalg.norm(rows, axis=1, keepdims=True))
         times = np.arange(plan.count + 1, dtype=float)

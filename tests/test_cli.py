@@ -629,6 +629,19 @@ class TestConfigHardening:
                                          "calibration": "uncalibrated"})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
+    def test_beam_on_the_marked_ion_runs_in_both_modes(self, tmp_path):
+        # the beam chi is the marked ion's local chi within 1e-10, so the
+        # search's span holds one ion direction only
+        p = {}
+        for mode in ("ideal", "physical"):
+            cfg = write_config(tmp_path / "cfg.json", n_ions=5, marked_index=2,
+                               mode=mode, imperfection={
+                                   "custom_factors": [1e-12, 1, 1e-12, 1e-12, 1e-12]})
+            out = tmp_path / mode
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            p[mode] = json.loads((out / "result.json").read_text())["success_probability"]
+        assert abs(p["ideal"] - p["physical"]) <= 1e-9
+
     def test_overflowing_pulse_exits_3_before_writing(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", mode="physical",
                            pulse={"peak_coupling": 1e300})

@@ -306,3 +306,26 @@ class TestSchedule:
         _, times, pops = evolve_schedule(basis_register(2, 0), pulses, cfg)
         assert len(times) == 5  # initial point plus 4 strided samples
         assert len(pops) == len(times)
+
+
+class TestSubspace:
+    """One Gram-Schmidt for a stack of cells: each cell's rows are orthonormal
+    and its vectors are their coordinates in them."""
+
+    def test_cells_rebuild_their_vectors(self):
+        # cell 0: independent; cell 1: its third vector repeats its first, so
+        # only there row 2 stays zero; no cell keeps a zero first vector
+        rng = np.random.default_rng(7)
+        vectors = rng.normal(size=(2, 4, 6)) + 1j * rng.normal(size=(2, 4, 6))
+        vectors[:, 0] = 0.0
+        vectors[1, 3] = vectors[1, 1]
+        ions, coords = dynamics.subspace(vectors)
+        assert ions.shape == (2, 4, 6) and coords.shape == (2, 4, 5)
+        assert not ions[:, 3].any() and not coords[:, :, 4].any()  # not formed
+        assert not ions[1, 2].any() and not coords[1, :, 3].any()  # dropped
+        rebuilt = np.einsum("cki,cin->ckn", coords[:, :, 1:], ions)
+        assert np.abs(rebuilt - vectors).max() <= 1e-14
+        for c, formed in ((0, 3), (1, 2)):
+            rows = ions[c, :formed]
+            np.testing.assert_allclose(rows.conj() @ rows.T, np.eye(formed),
+                                       rtol=0, atol=1e-15)

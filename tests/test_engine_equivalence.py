@@ -145,8 +145,10 @@ def raw_windows(y, pulses, cfg, stride):
     """The reduced engine without the schedule's norm gate: the final register,
     the recorded times and the dense rows at them, rebuilt from the run's
     basis."""
-    q, z, coords = subspace(y, [p.chi for p in pulses])
-    column = {id(p.chi): c for p, c in zip(pulses, coords)}
+    q, coords = dynamics._basis(np.array([y[1:], *(p.chi.components for p in pulses)]))
+    z = coords[0].copy()
+    z[0] = y[0]
+    column = {id(p.chi): c for p, c in zip(pulses, coords[1:])}
     times, rows = [], []
     for t0, h, marks, e, products in dynamics._windows(pulses, column, cfg, stride):
         w = e.conj().T @ z
@@ -380,8 +382,9 @@ class TestSegmentChain:
         pulses = [PulseSpec(SECH, chis[0], 1.1, detuning=0.3, center=0.0),
                   PulseSpec(GAUSS, chis[1], 1.6, center=4.0),
                   PulseSpec(SECH, chis[0], 2.0, center=7.0)]
-        _, _, coords = subspace(random_state(rng, 6), chis)
-        column = dict(zip(map(id, chis), coords))
+        _, coords = subspace(np.array([[random_state(rng, 6)[1:],
+                                        *(c.components for c in chis)]]))
+        column = dict(zip(map(id, chis), coords[0, 1:]))
         cfg = IntegratorConfig(steps_per_pulse=1500)
         [got] = dynamics._windows(pulses, column, cfg, stride)
         monkeypatch.setattr(dynamics, "_chain", scan_chain)

@@ -13,7 +13,7 @@ from iongrover.grover import (
     run_search,
     sample_detection,
 )
-from iongrover.householder import apply, generalized_hr
+from iongrover.householder import Reflection, apply, generalized_hr
 from iongrover.model import (
     CouplingVector,
     ImperfectionSettings,
@@ -201,10 +201,10 @@ class TestReducedReflections:
         SearchConfig(n_ions=20, marked_index=5, imperfection=ImperfectionSettings(
             epsilon=0.2, reflection="uniform", calibration="uncalibrated")),
     ], ids=["N15", "N2048-deterministic", "N20-uniform"])
-    def test_an_ideal_search_builds_two_reflections_on_virtual_ions(self, cfg,
-                                                                     monkeypatch):
-        # the plan holds pulses; only the reduced oracle and reflection are
-        # operators, on r - 1 <= 3 virtual ions
+    def test_an_ideal_search_builds_two_reflections_and_no_matrix(self, cfg,
+                                                                  monkeypatch):
+        # the plan holds pulses; the oracle and the reflection are one rank-1
+        # operator each, read for its eigenvalue and never as a dense matrix
         import iongrover.grover as grover
 
         chis = []
@@ -213,10 +213,13 @@ class TestReducedReflections:
             chis.append(chi)
             return generalized_hr(chi, phi)
 
+        def refuse(self):
+            raise AssertionError("a reflection's dense matrix was built")
+
         monkeypatch.setattr(grover, "generalized_hr", recording)
+        monkeypatch.setattr(Reflection, "matrix", property(refuse))
         grover.run_search(cfg)
         assert len(chis) == 2
-        assert all(chi.n_ions <= 3 for chi in chis)
 
 
 class TestIdealRecord:
@@ -232,13 +235,16 @@ class TestIdealRecord:
 
 def apply_loop(cfg: SearchConfig) -> np.ndarray:
     """The ideal rows as two ``apply`` calls an iteration form them, each
-    reflected state a new, re-normalized ``RegisterState`` on the run's
-    r - 1 virtual ions."""
+    reflected state a new, re-normalized ``RegisterState`` on r - 1 virtual
+    ions: the span of the start and the chis, empty slots dropped."""
     plan = build_plan(cfg)
-    _, z, coords = subspace(initialize(cfg).amplitudes,
-                            [plan.oracle.chi, plan.reflection.chi])
+    start = initialize(cfg).amplitudes
+    _, coords = subspace(np.array([[start[1:], plan.oracle.chi.components,
+                                    plan.reflection.chi.components]]))
+    z, *chis = coords[0][:, :1 + np.count_nonzero(coords[0].any(axis=0))]  # rows formed
+    z[0] = start[0]
     oracle, reflection = (generalized_hr(CouplingVector(c[1:]), plan.phi)
-                          for c in coords)
+                          for c in chis)
     states = [RegisterState(z)]
     for _ in range(plan.count):
         states.append(apply(reflection, apply(oracle, states[-1])))
@@ -256,7 +262,9 @@ class TestIdealStep:
             "uniform-calibrated", "uniform-uncalibrated"])
     @pytest.mark.parametrize("variant", ["probabilistic", "deterministic"])
     @pytest.mark.parametrize("n", [2, 3, 15, 2048])
-    @pytest.mark.parametrize("iterations", [None, 1000])
+    # counts on both sides of powers of two, where the doubling's last block
+    # is full or one row long
+    @pytest.mark.parametrize("iterations", [None, 1, 2, 3, 4, 5, 7, 8, 9, 1000])
     def test_rows_match_the_apply_loop(self, n, variant, imperfection, iterations):
         cfg = SearchConfig(n_ions=n, marked_index=1, variant=variant,
                            iterations=iterations, imperfection=imperfection)

@@ -80,3 +80,26 @@ def test_dynamics_does_not_import_pulses():
     assert "pulses" not in graph()["dynamics"]
     assert iongrover.pulses.PulseShape is iongrover.model.PulseShape
     assert iongrover.pulses.PulseSpec is iongrover.model.PulseSpec
+
+
+def unexplained_unused_imports(name):
+    """(name, line) of each name the module imports but never reads, unless
+    the line that imports it carries a comment giving the reason."""
+    source = MODULES[name].read_text()
+    tree, lines = ast.parse(source), source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read and "#" not in lines[alias.lineno - 1]:
+                    unused.append((bound, alias.lineno))
+    return unused
+
+
+def test_every_import_is_used_or_explained():
+    # an import kept for its side effect or for a tracer says so on its line
+    unused = {m: unexplained_unused_imports(m) for m in MODULES if m != "__init__"}
+    assert {m: found for m, found in unused.items() if found} == {}
