@@ -212,9 +212,13 @@ def _write_json(path: Path, payload: dict) -> dict:
 
 
 def _trajectory_csv(result: SearchResult, marked_index: int) -> str:
-    """CSV text of time, p_marked, p_slot0, p_other_total from the reduced trajectory."""
-    columns = [result.trajectory_times, *result.trajectory.columns(marked_index).T]
-    return csv_text(["time", "p_marked", "p_slot0", "p_other_total"], columns)
+    """CSV text of time, p_marked, p_slot0, p_other_total from the reduced
+    trajectory; a non-finite population raises ``IntegrationError``."""
+    populations = result.trajectory.columns(marked_index)
+    if not np.isfinite(populations).all():
+        raise IntegrationError("non-finite trajectory population")
+    return csv_text(["time", "p_marked", "p_slot0", "p_other_total"],
+                    [result.trajectory_times, *populations.T])
 
 
 def _manifest(out_dir: Path, command: str, arguments: dict, resolved: dict,
@@ -237,8 +241,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if cfg.shots is not None and args.seed is None:
         raise ConfigError("shot sampling requires an explicit --seed")
     result = run_search(cfg)
+    csv = _trajectory_csv(result, cfg.marked_index)  # checked before any file is written
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    trajectory = _write_text(out_dir / "trajectory.csv", csv)
+    del csv  # not held while result.json is formed
     detection = detect(result.final_state)
 
     payload = {
@@ -262,13 +269,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "no_click": int(counts[0]),
             "ion_counts": counts[1:],
         }
-    outputs = [
-        _write_json(out_dir / "result.json", payload),
-        _write_text(out_dir / "trajectory.csv",
-                    _trajectory_csv(result, cfg.marked_index)),
-    ]
-    _manifest(out_dir, "run", {"config": str(args.config)},
-              result.parameters_used, outputs)
+    _manifest(out_dir, "run", {"config": str(args.config)}, result.parameters_used,
+              [_write_json(out_dir / "result.json", payload), trajectory])
     return 0
 
 

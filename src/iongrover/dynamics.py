@@ -22,7 +22,8 @@ it are dark and frozen.  A pulse is thus the 2x2 problem
 in span{ancilla, start state, chi_1..chi_K} (Biham et al., PRA 60, 2742
 (1999)), so a run, or a stack of sweep cells, is carried as r <= K + 2
 coordinates in one orthonormal basis of that span each (``subspace``): O(N)
-once, O(r) per step after; ``_search_rows`` steps searches by doubling.
+once, O(r) per step after; ``_search_rows`` steps searches by doubling, and
+``_search_last`` forms only their last row.
 Fixed-step classical RK4 (bit-for-bit reproducible) is a polynomial in the
 stage Hamiltonians, so on this invariant space it is the same scheme as on
 the full register.  A lone pulse's 2x2 Hamiltonian is real, so its one-step
@@ -274,27 +275,44 @@ def _basis(vectors):
     return q, coords[0, :, :r]
 
 
-def _search_rows(chis, products, count):
-    """Rows (cells, count + 1, r) of each cell's search from the ancilla: the
-    init, then ``count`` times U = R O.  ``chis`` (cells, 2 or 3, r) holds the
-    init, oracle and, unless it is the init's, reflection chi coordinates;
-    role x is I + Q (P_x - 1) Q^dagger, Q = [e0, chi_x], P = ``products``
-    (3, 2, 2).  Doubling, a scan (Blelloch, CMU-CS-90-190 (1990)): rows[n:2n]
-    = rows[:n] (U^n)^T, then U <- U^2, ceil(log2(count + 1)) times."""
+def _search_step(chis, products):
+    """Each cell's init row from the ancilla (cells, 1, r) and its iteration
+    U = R O (cells, r, r).  ``chis`` (cells, 2 or 3, r) holds the init, oracle
+    and, unless it is the init's, reflection chi coordinates; role x is
+    I + Q (P_x - 1) Q^dagger, Q = [e0, chi_x], P = ``products`` (3, 2, 2)."""
     chis = chis[:, [0, 1, 2 if chis.shape[1] == 3 else 0]]
     q = chis[..., None] * np.array([0.0, 1.0])  # Q = [e0, chi]; chi's slot 0 is empty
     q[:, :, 0, 0] = 1.0
     ops = np.eye(chis.shape[2]) + np.einsum("cxia,xab,cxjb->cxij", q,
                                             products - np.eye(2), q.conj())
-    u = ops[:, 2] @ ops[:, 1]
-    rows = np.empty((len(chis), count + 1, chis.shape[2]), dtype=complex)
-    rows[:, 0] = ops[:, 0, :, 0]
+    return ops[:, 0, None, :, 0], ops[:, 2] @ ops[:, 1]
+
+
+def _search_rows(chis, products, count):
+    """Rows (cells, count + 1, r) of each cell's search from the ancilla: the
+    init, then ``count`` times U (``_search_step``).  Doubling, a scan
+    (Blelloch, CMU-CS-90-190 (1990)): rows[n:2n] = rows[:n] (U^n)^T, then
+    U <- U^2, ceil(log2(count + 1)) times."""
+    start, u = _search_step(chis, products)
+    rows = np.empty((len(start), count + 1, start.shape[2]), dtype=complex)
+    rows[:, :1] = start
     n = 1
     while n <= count:
         m = min(n, count + 1 - n)
         rows[:, n:n + m] = rows[:, :m] @ u.swapaxes(1, 2)
         u, n = u @ u, 2 * n
     return rows
+
+
+def _search_last(chis, products, count):
+    """The last row of ``_search_rows`` alone, (cells, r): U^(2^i) applied for
+    each set bit i of ``count``, the lowest first, as the doubling forms it."""
+    row, u = _search_step(chis, products)
+    for bit in reversed(f"{count:b}"):
+        if bit == "1":
+            row = row @ u.swapaxes(1, 2)
+        u = u @ u
+    return row[:, 0]
 
 
 def _windows(pulses, column, cfg, stride):

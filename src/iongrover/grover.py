@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # loaded lazily by numpy; here it loads with the package
 
 from . import dynamics
 from .dynamics import IntegrationError, evolve, evolve_schedule
@@ -220,12 +219,11 @@ def run_search(cfg: SearchConfig) -> SearchResult:
         state, times, trajectory = evolve_schedule(
             basis_register(cfg.n_ions, 0), plan.timeline(), cfg.integrator
         )
-    columns = trajectory.columns(cfg.marked_index)
-    if not (np.all(np.isfinite(state.amplitudes)) and trajectory.is_finite()
-            and np.all(np.isfinite(columns))):
+    if not (np.all(np.isfinite(state.amplitudes)) and trajectory.is_finite()):
         raise IntegrationError("non-finite final state or trajectory")
     # ideal: the last recorded row, which the final register may round apart
-    success = (min(1.0, float(columns[-1, 0])) if cfg.mode == "ideal"
+    last = Trajectory(trajectory.basis, trajectory.coords[-1:])
+    success = (min(1.0, float(last.slots(cfg.marked_index)[0])) if cfg.mode == "ideal"
                else marked_probability(state, cfg.marked_index))
 
     return SearchResult(

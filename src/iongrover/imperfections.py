@@ -42,11 +42,11 @@ def infidelity_sweep(
     (its epsilon's beam chi, which the adapted reflection shares, its ion's
     ``local_chi`` and a uniform reflection's chi) take it to r <= 4
     coordinates by one ``subspace`` over all cells, where every cell steps
-    as a search would (``_search_rows``).  A norm drift past the budget of
-    ``evolve_schedule`` for its 1 + 2 ``steps`` pulses, or a non-finite
-    marked population, raises ``IntegrationError`` naming the cell.  ``jobs``
-    selects nothing: it is checked (at least 1) and otherwise ignored, kept
-    only for the callers that still pass it.
+    as a search would, to its last row only (``_search_last``).  A norm
+    drift past the budget of ``evolve_schedule`` for its 1 + 2 ``steps``
+    pulses, or a non-finite marked population, raises ``IntegrationError``
+    naming the cell.  ``jobs`` selects nothing: it is checked (at least 1)
+    and otherwise ignored, kept only for the callers that still pass it.
     """
     if steps < 1:
         raise ValueError("need at least one search step")
@@ -71,7 +71,7 @@ def infidelity_sweep(
     uniform = [plan.reflection.chi.components] if reflection == "uniform" else []
     _, coords = dynamics.subspace([[starts[eps], oracles[m], *uniform]
                                    for eps, m in cells])
-    z = dynamics._search_rows(coords, grover._role_products(plan, cfg), steps)[:, -1]
+    z = dynamics._search_last(coords, grover._role_products(plan, cfg), steps)
     budget = cfg.integrator.norm_tolerance * (1 + 2 * steps)  # one per pulse applied
 
     norms = np.linalg.norm(z, axis=1)

@@ -2,12 +2,15 @@
 
 Each check returns its measured value, the tolerance it was held to and the
 margin (tolerance - value, positive when passing), so regressions show up as
-shrinking margins before they become failures.
+shrinking margins before they become failures.  The random chis, phases and
+detunings come from the stdlib's ``random.Random(20080301)``, so a suite is
+reproducible and loads no ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -38,12 +41,12 @@ def _check(name: str, value: float, tolerance: float, detail: str) -> CheckResul
                        float(tolerance), detail)
 
 
-def _random_chi(rng: np.random.Generator, n: int) -> model.CouplingVector:
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+def _random_chi(rng: random.Random, n: int) -> model.CouplingVector:
+    v = np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(n)])
     return model.CouplingVector(v / np.linalg.norm(v))
 
 
-def _hr_algebra(rng: np.random.Generator) -> list[CheckResult]:
+def _hr_algebra(rng: random.Random) -> list[CheckResult]:
     chi = _random_chi(rng, 6)
     m = householder.standard_hr(chi)
     invol = np.linalg.norm((m.matrix @ m.matrix) - np.eye(m.dim))
@@ -92,7 +95,7 @@ def _probabilistic_closed_form(n_max: int) -> CheckResult:
                   f"max |p_k - sin^2((2k+1) theta)|, N=2..{n_max}")
 
 
-def _propagator_checks(rng: np.random.Generator, trials: int) -> list[CheckResult]:
+def _propagator_checks(rng: random.Random, trials: int) -> list[CheckResult]:
     worst_std = 0.0
     worst_gen = 0.0
     phi = 0.661 * math.pi
@@ -115,7 +118,7 @@ def _propagator_checks(rng: np.random.Generator, trials: int) -> list[CheckResul
     ]
 
 
-def _fitted_phase(rng: np.random.Generator, trials: int) -> CheckResult:
+def _fitted_phase(rng: random.Random, trials: int) -> CheckResult:
     # detuning capped at 2/T: the RK4 norm defect grows as (delta*h)^6 per
     # step, and beyond that the default step count would need raising
     worst = 0.0
@@ -176,7 +179,7 @@ def _w_init_physical() -> CheckResult:
 def run_suite(suite: str) -> list[CheckResult]:
     if suite not in ("fast", "full"):
         raise ValueError(f"suite must be 'fast' or 'full', got {suite!r}")
-    rng = np.random.default_rng(20080301)
+    rng = random.Random(20080301)
     full = suite == "full"
     # in this order: the checks share rng
     return [*_hr_algebra(rng), _detuning_round_trip(),

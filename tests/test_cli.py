@@ -685,6 +685,46 @@ class TestConfigHardening:
         assert not (tmp_path / "out").exists()
 
 
+class TestPopulationPass:
+    """A run forms its trajectory populations once, in the CSV writer, which
+    refuses a non-finite one before any file is written."""
+
+    @staticmethod
+    def spy_columns(monkeypatch, poison=None):
+        real, calls = Trajectory.columns, []
+
+        def columns(self, marked_index):
+            calls.append(marked_index)
+            out = real(self, marked_index)
+            if poison is not None:
+                out[-1, 1] = poison
+            return out
+
+        monkeypatch.setattr(Trajectory, "columns", columns)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    def test_one_pass_per_run(self, tmp_path, monkeypatch, mode):
+        calls = self.spy_columns(monkeypatch)
+        cfg = write_config(tmp_path / "cfg.json", n_ions=15, marked_index=3, mode=mode)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert calls == [3]
+        assert main(["reproduce", "--figure", "fig3", "--out", str(tmp_path / "f")]) == 0
+        assert calls == [3, 8, 8]  # one pass for each of fig3's two runs
+
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_population_exits_3(self, tmp_path, capsys, monkeypatch, mode,
+                                           value):
+        self.spy_columns(monkeypatch, poison=value)
+        cfg = write_config(tmp_path / "cfg.json", n_ions=15, marked_index=3, mode=mode)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: numerical failure: non-finite trajectory population"]
+        assert not out.exists()
+
+
 class TestPulseGrid:
     """Touching windows (the default spacing is twice the window) are lone
     pulses at any width; a genuinely overlapping schedule whose global grid
@@ -756,7 +796,8 @@ def heavy():
 import iongrover.cli
 from iongrover.cli import main
 
-found = {"import": sorted(m for m in sys.modules if m.split(".")[0] in UNUSED)}
+found = {"import": sorted(m for m in sys.modules if m.split(".")[0] in UNUSED
+                          or m.split(".")[:2] == ["numpy", "random"])}
 for name, argv in json.loads(sys.argv[1]):
     before = heavy()
     code = main(argv)
@@ -876,13 +917,15 @@ class TestImportHygiene:
 
     def test_commands_import_no_heavy_module(self, tmp_path):
         # scipy is a test oracle only, no command starts a process pool
-        # (concurrent.*, multiprocessing.*), and numpy.ma, numpy.random and
-        # locale (argparse's gettext) must load with the package, not inside a
-        # timed command;
+        # (concurrent.*, multiprocessing.*), numpy.random loads only for shot
+        # sampling, and numpy.ma and locale (argparse's gettext) must load with
+        # the package, not inside a timed command;
         # main freezes the import's objects, so no command's collection scans them
         physical = write_config(tmp_path / "physical.json", n_ions=15, marked_index=8,
                                 mode="physical", variant="deterministic")
         ideal = write_config(tmp_path / "ideal.json", n_ions=64, marked_index=8)
+        shots = write_config(tmp_path / "shots.json", n_ions=15, marked_index=3,
+                             shots=1000)
         commands = [
             ["run_physical", ["run", "--config", str(physical), "--out", str(tmp_path / "p")]],
             ["run_ideal", ["run", "--config", str(ideal), "--out", str(tmp_path / "i")]],
@@ -890,11 +933,21 @@ class TestImportHygiene:
             ["fig4", ["reproduce", "--figure", "fig4", "--jobs", "2",
                       "--out", str(tmp_path / "g")]],
             ["validate", ["validate", "--suite", "fast", "--out", str(tmp_path / "v")]],
+            # last: a module loads once a process
+            ["shots", ["run", "--config", str(shots), "--out", str(tmp_path / "s"),
+                       "--seed", "7"]],
         ]
         found = run_probe(IMPORT_PROBE, json.dumps(commands))
         assert found.pop("import") == []
         assert found.pop("frozen") is True
-        assert found == {name: [0, []] for name, _ in commands}
+        code, loaded = found.pop("shots")
+        assert code == 0 and "numpy.random" in loaded
+        assert all(m.split(".")[:2] == ["numpy", "random"] for m in loaded)
+        assert found == {name: [0, []] for name, _ in commands[:-1]}
+        # the counts written when grover loaded numpy.random with the package
+        assert json.loads((tmp_path / "s" / "result.json").read_text())["shots"] == {
+            "count": 1000, "seed": 7, "no_click": 0,
+            "ion_counts": [5, 7, 926, 4, 8, 1, 7, 7, 5, 4, 4, 4, 6, 6, 6]}
 
 
 def reference_write_csv(path, header, rows):

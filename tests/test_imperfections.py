@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from iongrover.model import (
     PulseShape,
     SearchConfig,
     beam_factors,
+    local_chi,
 )
 from iongrover.grover import build_plan, initialize, iteration_count, run_search
 
@@ -366,6 +368,82 @@ class TestSweepBlock:
         assert len(err) == 1 and err[0].startswith("error: numerical failure: sweep cell")
         assert message in err[0]
         assert not (tmp_path / "fig4_infidelity.csv").exists()
+
+
+# the peak is read from VmHWM: ru_maxrss also keeps the peak of the forked
+# parent that exec replaced
+SWEEP_MEMORY_PROBE = """
+import sys
+from iongrover.cli import FIG4_EPSILONS, FIG4_IONS
+from iongrover.imperfections import infidelity_sweep
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+def sweep(steps):
+    return infidelity_sweep(20, FIG4_IONS, FIG4_EPSILONS, steps, mode="ideal",
+                            reflection="uniform")
+
+sweep(3)  # every module and memo the sweep touches, before the baseline
+before = peak_kib()
+rows = sweep(int(sys.argv[1]))
+print(len(rows), peak_kib() - before)
+"""
+
+
+class TestSweepLastRow:
+    """The sweep steps each cell to its last iteration only."""
+
+    @staticmethod
+    def cells(mode, reflection):
+        """fig4's cells as the sweep forms them: r <= 4 coordinates of each
+        cell's chis, and the role products of the grid's first cell."""
+        cfg = SearchConfig(n_ions=20, marked_index=FIG4_IONS[0], mode=mode,
+                           imperfection=ImperfectionSettings(reflection=reflection))
+        plan = build_plan(cfg)
+        uniform = [plan.reflection.chi.components] if reflection == "uniform" else []
+        _, coords = dynamics.subspace([
+            [grover._beam_chi(20, ImperfectionSettings(epsilon=eps))[0],
+             local_chi(20, m).components, *uniform]
+            for eps in FIG4_EPSILONS for m in FIG4_IONS])
+        return coords, grover._role_products(plan, cfg)
+
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    @pytest.mark.parametrize("reflection", ["adapted", "uniform"])
+    @pytest.mark.parametrize("count", [*range(1, 10), 15, 16, 17, 10**4])
+    def test_matches_the_last_of_the_rows(self, mode, reflection, count):
+        coords, products = self.cells(mode, reflection)
+        last = dynamics._search_last(coords, products, count)
+        rows = dynamics._search_rows(coords, products, count)
+        assert last.shape == (63, coords.shape[2])
+        assert np.abs(last - rows[:, -1]).max() <= 1e-12
+
+    def test_forms_no_rows(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the sweep formed every row")
+
+        monkeypatch.setattr(dynamics, "_search_rows", refuse)
+        assert len(infidelity_sweep(20, FIG4_IONS, FIG4_EPSILONS, steps=3)) == 63
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak from /proc/self/status")
+    def test_peak_memory_does_not_grow_with_steps(self):
+        # every row of the 63 cells at 10^4 steps is 63 x 10001 x 4 complexes,
+        # 38 MiB; a fresh interpreter, so the growth is the sweep's
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import iongrover
+
+        src = str(Path(iongrover.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", SWEEP_MEMORY_PROBE, str(10**4)], capture_output=True,
+            text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        cells, growth_kib = map(int, proc.stdout.split())
+        assert cells == 63
+        assert growth_kib < 2 * 1024
 
 
 def dense_advantage(n_ions, epsilon, marked_index, max_steps=1000):
