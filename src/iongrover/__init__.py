@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .dynamics import (
     IntegrationError,
-    evolve,
     evolve_schedule,
     fit_hr_phase,
     hr_distance,

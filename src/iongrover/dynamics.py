@@ -31,6 +31,9 @@ matrices are that polynomial written out in the envelope samples
 (``_pulse_chain``); overlapping pulses take stage-matrix products (``_chain``)
 on one global grid.  Windows that only touch, as at the default spacing of
 twice the window, are lone pulses at any width.
+Every reader of a pulse's 2x2 takes its one memo entry from ``_spec_chain``,
+and every schedule, start register and sweep cell keeps one drift rule
+(``_check_drift``).
 Every envelope is even about its center, so a lone pulse's step steps-1-k is
 the transpose of step k (RK4 is time-reversible for a real time-symmetric H):
 on an even grid whose recorded steps mirror about the middle, only the first
@@ -217,13 +220,28 @@ def _pulse_chain(strength, delta, shape, steps, window, stride):
     return chain
 
 
+def _spec_chain(spec, cfg, stride):
+    """The memoized ``_pulse_chain`` of a pulse, keyed on its own rms peak,
+    detuning and shape, on ``cfg``'s grid at ``stride``."""
+    return _pulse_chain(spec.rms_peak, spec.detuning, spec.shape,
+                        cfg.steps_per_pulse, cfg.window, stride)
+
+
+def _check_drift(norm, pulses, cfg, where=""):
+    """Raise ``IntegrationError`` for a norm off 1 by more than
+    ``cfg.norm_tolerance`` per pulse applied; ``where`` prefixes the message."""
+    drift, budget = abs(norm - 1.0), cfg.norm_tolerance * max(1, pulses)
+    if not drift <= budget:
+        raise IntegrationError(f"{where}norm drift {drift:.3e} exceeds "
+                               f"schedule budget {budget:g}")
+
+
 def _integrate_pulse(y, couplings, delta, shape, steps, window):
     """Advance y (vector or matrix of columns) across one pulse window with RK4:
-    the full-window chain of rms peak |g| on (ancilla, g/|g|), by ``_bright_update``."""
-    g = np.asarray(couplings, dtype=complex)
-    strength = float(np.linalg.norm(g))
-    product = _pulse_chain(strength, delta, shape, steps, window, 0)[1][:, :, -1]
-    return _bright_update(y, g / (strength or 1.0), product)
+    the full-window chain of the pulse with couplings g (``HamiltonianSpec``)."""
+    spec = HamiltonianSpec(couplings, shape, delta)
+    product = _spec_chain(spec, IntegratorConfig(steps, window), 0)[1][:, :, -1]
+    return _bright_update(y, spec.chi.components, product)
 
 
 def _bright_update(y, chi, product):
@@ -354,19 +372,11 @@ def _windows(pulses, column, cfg, stride):
         yield lo, h, marks, e, products
         return
     for p, (lo, _) in zip(pulses, spans):
-        marks, products = _pulse_chain(p.rms_peak, p.detuning, p.shape,
-                                       cfg.steps_per_pulse, cfg.window, stride)
+        marks, products = _spec_chain(p, cfg, stride)
         e = np.eye(len(column[id(p.chi)]), 2, dtype=complex)  # [e0, c_chi]
         e[:, 1] = column[id(p.chi)]
         yield (lo, 2.0 * cfg.window * p.shape.width / cfg.steps_per_pulse,
                marks, e, products)
-
-
-def evolve(state: RegisterState, spec: PulseSpec,
-           cfg: IntegratorConfig | None = None) -> RegisterState:
-    """Propagate a register state across the full pulse window (its center
-    only places the pulse in time); ``IntegrationError`` as for a schedule."""
-    return evolve_schedule(state, [spec], cfg)[0]
 
 
 def propagator(spec: PulseSpec, cfg: IntegratorConfig | None = None,
@@ -376,9 +386,8 @@ def propagator(spec: PulseSpec, cfg: IntegratorConfig | None = None,
     The default unitarity gate suits production step counts; convergence
     studies that integrate deliberately coarsely may loosen it.
     """
-    cfg = cfg or IntegratorConfig()
-    u = _integrate_pulse(np.eye(spec.n_ions + 1), spec.couplings, spec.detuning,
-                         spec.shape, cfg.steps_per_pulse, cfg.window)
+    product = _spec_chain(spec, cfg or IntegratorConfig(), 0)[1][:, :, -1]
+    u = _bright_update(np.eye(spec.n_ions + 1), spec.chi.components, product)
     try:
         return Operator(u, unitarity_tol=unitarity_tol)
     except ValueError as exc:
@@ -445,12 +454,7 @@ def evolve_schedule(
         z = zs[-1]
 
     norm = float(np.linalg.norm(z))
-    drift = abs(norm - 1.0)
-    budget = cfg.norm_tolerance * max(1, len(pulses))
-    if not drift <= budget:
-        raise IntegrationError(
-            f"norm drift {drift:.3e} exceeds schedule budget {budget:g}"
-        )
+    _check_drift(norm, len(pulses), cfg)
     return (RegisterState(q @ (z / norm)), np.concatenate(times),
             Trajectory(q, np.concatenate(rows)))
 

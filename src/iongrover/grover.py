@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .dynamics import IntegrationError, evolve, evolve_schedule
+from .dynamics import IntegrationError, evolve_schedule
 from .householder import apply, generalized_hr  # noqa: F401 (tracers wrap apply)
 from .model import (
     CouplingVector,
@@ -160,14 +160,17 @@ def build_plan(cfg: SearchConfig) -> IterationPlan:
 
 def initialize(cfg: SearchConfig) -> RegisterState:
     """Prepare the start register from the init part of the plan alone (the
-    oracle and reflection are neither built nor calibrated): the init 2x2
-    applied to the ancilla in ideal mode, the init pulse integrated in
-    physical mode."""
-    init_pulse, init_product = _init_part(cfg)
-    if cfg.mode == "ideal":
-        return RegisterState(dynamics._bright_update(basis_register(
-            cfg.n_ions, 0).amplitudes, init_pulse.chi.components, init_product))
-    return evolve(basis_register(cfg.n_ions, 0), init_pulse, cfg.integrator)
+    oracle and reflection are neither built nor calibrated): the ancilla under
+    the init 2x2 that a run applies, the exact one or in physical mode the
+    memoized chain's, then the drift check of one pulse."""
+    init_pulse, product = _init_part(cfg)
+    i = cfg.integrator
+    if cfg.mode == "physical":
+        product = dynamics._spec_chain(init_pulse, i, i.trajectory_stride)[1][:, :, -1]
+    start = dynamics._bright_update(basis_register(cfg.n_ions, 0).amplitudes,
+                                    init_pulse.chi.components, product)
+    dynamics._check_drift(float(np.linalg.norm(start)), 1, i)
+    return RegisterState(start)
 
 
 def _role_products(plan: IterationPlan, cfg: SearchConfig) -> np.ndarray:
@@ -178,9 +181,7 @@ def _role_products(plan: IterationPlan, cfg: SearchConfig) -> np.ndarray:
     if cfg.mode == "ideal":
         return np.array([plan.init_product, *(np.diag(
             [1.0, 1.0 + generalized_hr(p.chi, plan.phi).factor]) for p in roles[1:])])
-    return np.array([dynamics._pulse_chain(p.rms_peak, p.detuning, p.shape,
-                                           i.steps_per_pulse, i.window,
-                                           i.trajectory_stride)[1][:, :, -1]
+    return np.array([dynamics._spec_chain(p, i, i.trajectory_stride)[1][:, :, -1]
                      for p in roles])
 
 

@@ -42,10 +42,10 @@ def infidelity_sweep(
     (its epsilon's beam chi, which the adapted reflection shares, its ion's
     ``local_chi`` and a uniform reflection's chi) take it to r <= 4
     coordinates by one ``subspace`` over all cells, where every cell steps
-    as a search would, to its last row only (``_search_last``).  A norm
-    drift past the budget of ``evolve_schedule`` for its 1 + 2 ``steps``
-    pulses, or a non-finite marked population, raises ``IntegrationError``
-    naming the cell.  ``jobs`` selects nothing: it is checked (at least 1)
+    as a search would, to its last row only (``_search_last``).  A
+    non-finite marked population, then a run's drift check for 1 + 2 ``steps``
+    pulses, raises ``IntegrationError`` naming the first failing cell.  ``jobs``
+    selects nothing: it is checked (at least 1)
     and otherwise ignored, kept only for the callers that still pass it.
     """
     if steps < 1:
@@ -72,19 +72,14 @@ def infidelity_sweep(
     _, coords = dynamics.subspace([[starts[eps], oracles[m], *uniform]
                                    for eps, m in cells])
     z = dynamics._search_last(coords, grover._role_products(plan, cfg), steps)
-    budget = cfg.integrator.norm_tolerance * (1 + 2 * steps)  # one per pulse applied
-
     norms = np.linalg.norm(z, axis=1)
     populations = abs(np.einsum("ci,ci->c", coords[:, 1].conj(), z) / norms) ** 2
     rows = []
     for (eps, m), p, norm in zip(cells, populations.tolist(), norms.tolist()):
-        drift = abs(norm - 1.0)
-        where = f"sweep cell epsilon={eps:g}, ion {m}"
+        where = f"sweep cell epsilon={eps:g}, ion {m}: "
         if not math.isfinite(p):
-            raise IntegrationError(f"{where}: non-finite marked population")
-        if not drift <= budget:
-            raise IntegrationError(f"{where}: norm drift {drift:.3e} exceeds "
-                                   f"schedule budget {budget:g}")
+            raise IntegrationError(f"{where}non-finite marked population")
+        dynamics._check_drift(norm, 1 + 2 * steps, cfg.integrator, where)
         rows.append(SweepRow(eps, m, 1.0 - min(1.0, p)))
     return rows
 

@@ -146,9 +146,9 @@ def _integrator_checks() -> list[CheckResult]:
     ratio_err = abs(ratio - 16.0)
     # drift must be read off the raw integrator output; the state constructor
     # repairs anything inside tolerance
-    state, cfg = model.basis_register(2, 0), model.IntegratorConfig()
-    raw = dynamics._integrate_pulse(state.amplitudes.copy(), spec.couplings,
-                                    spec.detuning, shape, cfg.steps_per_pulse, cfg.window)
+    product = dynamics._spec_chain(spec, model.IntegratorConfig(), 0)[1][:, :, -1]
+    raw = dynamics._bright_update(model.basis_register(2, 0).amplitudes,
+                                  chi.components, product)
     drift = abs(float(np.linalg.norm(raw)) - 1.0)
     return [
         _check("integrator_order", ratio_err, 4.0,

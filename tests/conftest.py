@@ -1,0 +1,18 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from iongrover import dynamics
+
+
+@pytest.fixture
+def chained(monkeypatch):
+    """The arguments of every chain integrated (each ``_products`` call, which
+    ``_pulse_chain`` and ``_chain`` both multiply through), counted from an
+    empty ``_pulse_chain`` memo (it is process-wide, so earlier tests fill it)."""
+    dynamics._pulse_chain.cache_clear()
+    calls = []
+    real_products = dynamics._products
+    monkeypatch.setattr(dynamics, "_products",
+                        lambda *a: calls.append(a) or real_products(*a))
+    return calls

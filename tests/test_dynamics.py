@@ -9,7 +9,6 @@ from iongrover.dynamics import (
     HamiltonianSpec,
     IntegrationError,
     IntegratorConfig,
-    evolve,
     evolve_schedule,
     hamiltonian_from_pulse,
     hr_distance,
@@ -29,7 +28,7 @@ from iongrover.model import (
     uniform_register,
     RegisterState,
 )
-from iongrover.pulses import phase_from_detuning
+from iongrover.pulses import build_global_pulse, phase_from_detuning
 
 SECH = PulseShape("sech", 1.0)
 
@@ -120,14 +119,14 @@ class TestEvolve:
     def test_zero_coupling_leaves_state(self):
         state = uniform_register(4)
         spec = HamiltonianSpec(np.zeros(4), SECH, 0.0)
-        out = evolve(state, spec)
+        out = evolve_schedule(state, [spec])[0]
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
     def test_two_pi_pulse_flips_driven_state(self):
         # a resonant rms-2pi pulse on chi = e1 sends |psi_1> to -|psi_1>
         state = basis_register(2, 1)
         spec = HamiltonianSpec(2.0 * local_chi(2, 1).components, SECH, 0.0)
-        out = evolve(state, spec)
+        out = evolve_schedule(state, [spec])[0]
         target = RegisterState(-state.amplitudes)
         assert fidelity(out, target) > 1 - 1e-6
         assert out.amplitudes[1].real == pytest.approx(-1.0, abs=1e-6)
@@ -136,20 +135,21 @@ class TestEvolve:
         for n in (4, 15):
             state = basis_register(n, 0)
             spec = HamiltonianSpec(1.0 * uniform_chi(n).components, SECH, 0.0)
-            out = evolve(state, spec)
+            out = evolve_schedule(state, [spec])[0]
             np.testing.assert_allclose(out.populations[1:], 1.0 / n, atol=1e-6)
             assert out.populations[0] < 1e-6
 
     def test_dimension_mismatch(self):
         spec = HamiltonianSpec(np.zeros(3), SECH, 0.0)
         with pytest.raises(DimensionMismatchError):
-            evolve(uniform_register(4), spec)
+            evolve_schedule(uniform_register(4), [spec])
 
     def test_norm_drift_raises_not_renormalizes(self):
         # unresolvably coarse stepping on a strong pulse must fail loudly
         spec = HamiltonianSpec(40.0 * uniform_chi(2).components, SECH, 0.0)
         with pytest.raises(IntegrationError):
-            evolve(basis_register(2, 0), spec, IntegratorConfig(steps_per_pulse=64))
+            evolve_schedule(basis_register(2, 0), [spec],
+                            IntegratorConfig(steps_per_pulse=64))
 
 
 class TestPropagator:
@@ -175,8 +175,17 @@ class TestPropagator:
         spec = HamiltonianSpec(2.0 * chi.components, SECH, 0.3)
         u = propagator(spec)
         for k in range(4):
-            col = evolve(basis_register(3, k), spec)
+            col = evolve_schedule(basis_register(3, k), [spec])[0]
             np.testing.assert_allclose(u.matrix[:, k], col.amplitudes, atol=1e-9)
+
+    def test_memo_is_keyed_on_the_pulse(self):
+        # one pulse, one chain: the key is the spec's rms peak, not the norm
+        # of its couplings, which rounds differently for each chi
+        dynamics._pulse_chain.cache_clear()
+        for n in (2, 5, 15):
+            for seed in range(3):
+                propagator(build_global_pulse(random_chi(100 * n + seed, n)))
+        assert dynamics._pulse_chain.cache_info().misses == 1
 
     def test_unitarity_defect_budget(self):
         spec = HamiltonianSpec(2.0 * uniform_chi(15).components, SECH, 0.589)
@@ -207,7 +216,7 @@ class TestIntegratorContracts:
 
     def test_total_population_conserved(self):
         spec = HamiltonianSpec(2.0 * uniform_chi(6).components, SECH, 0.4)
-        out = evolve(uniform_register(6), spec)
+        out = evolve_schedule(uniform_register(6), [spec])[0]
         assert out.populations.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_area_law_same_shape_family(self):
@@ -281,7 +290,7 @@ class TestSchedule:
         final, times, pops = evolve_schedule(state, pulses)
         manual = state
         for p in pulses:
-            manual = evolve(manual, p)  # evolve ignores the center
+            manual = evolve_schedule(manual, [p])[0]  # one pulse: its center only places it
         assert fidelity(final, manual) > 1 - 1e-12
         assert times[0] == 0.0 and times[-1] == pytest.approx(60.0)
         assert pops.slots(slice(None)).shape[1] == 4

@@ -45,19 +45,6 @@ GAUSS = PulseShape("gaussian", 1.3)
 EQUIVALENCE_TOL = 1e-12
 
 
-@pytest.fixture
-def chained(monkeypatch):
-    """The arguments of every chain integrated (each ``_products`` call, which
-    ``_pulse_chain`` and ``_chain`` both multiply through), counted from an
-    empty ``_pulse_chain`` memo (it is process-wide, so earlier tests fill it)."""
-    dynamics._pulse_chain.cache_clear()
-    calls = []
-    real_products = dynamics._products
-    monkeypatch.setattr(dynamics, "_products",
-                        lambda *a: calls.append(a) or real_products(*a))
-    return calls
-
-
 def coupling_matrix(couplings):
     n = len(couplings)
     c = np.zeros((n + 1, n + 1), dtype=complex)

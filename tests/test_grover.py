@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from iongrover.dynamics import hamiltonian_from_pulse, hr_distance, propagator, subspace
+from iongrover import dynamics
+from iongrover.dynamics import (
+    IntegrationError,
+    hamiltonian_from_pulse,
+    hr_distance,
+    propagator,
+    subspace,
+)
 from iongrover.grover import (
     build_plan,
     detect,
@@ -17,6 +24,7 @@ from iongrover.householder import Reflection, apply, generalized_hr
 from iongrover.model import (
     CouplingVector,
     ImperfectionSettings,
+    IntegratorConfig,
     PulseSettings,
     RegisterState,
     SearchConfig,
@@ -143,6 +151,52 @@ class TestInitialize:
                                     imperfection=imperfection)).populations
             for mode in ("ideal", "physical"))
         np.testing.assert_allclose(ideal, physical, rtol=0, atol=1e-6)
+
+
+class TestInitializeIsTheRunsStart:
+    """``initialize`` applies the 2x2 a run applies first: the plan's exact
+    one in ideal mode, the init pulse's memoized chain in physical mode."""
+
+    @pytest.mark.parametrize("imperfection", [
+        ImperfectionSettings(),
+        ImperfectionSettings(epsilon=0.2, calibration="uncalibrated"),
+    ], ids=["eps0", "uncalibrated"])
+    def test_physical_is_the_end_of_the_first_window(self, imperfection):
+        cfg = SearchConfig(n_ions=15, marked_index=8, mode="physical",
+                           imperfection=imperfection)
+        trajectory = run_search(cfg).trajectory
+        i = cfg.integrator
+        end = i.steps_per_pulse // i.trajectory_stride  # row 0 is the start
+        run = trajectory.basis @ trajectory.coords[end]
+        assert np.abs(initialize(cfg).amplitudes - run).max() <= 1e-15
+
+    @pytest.mark.parametrize("imperfection", [
+        ImperfectionSettings(),
+        ImperfectionSettings(epsilon=0.2, calibration="uncalibrated"),
+    ], ids=["eps0", "uncalibrated"])
+    def test_ideal_is_the_first_row(self, imperfection):
+        cfg = SearchConfig(n_ions=15, marked_index=8, imperfection=imperfection)
+        trajectory = run_search(cfg).trajectory
+        run = trajectory.basis @ trajectory.coords[0]
+        assert np.abs(initialize(cfg).amplitudes - run).max() <= 1e-15
+
+    def test_a_run_integrates_no_second_init_chain(self, chained):
+        cfg = SearchConfig(n_ions=15, marked_index=8, mode="physical")
+        run_search(cfg)
+        alone = len(chained)
+        dynamics._pulse_chain.cache_clear()
+        chained.clear()
+        initialize(cfg)
+        assert len(chained) == 1
+        run_search(cfg)
+        assert len(chained) == alone
+
+    def test_coarse_steps_exceed_the_drift_budget(self):
+        cfg = SearchConfig(n_ions=15, marked_index=8, mode="physical",
+                           integrator=IntegratorConfig(steps_per_pulse=16))
+        with pytest.raises(IntegrationError,
+                           match=r"^norm drift \S+ exceeds schedule budget 1e-09$"):
+            initialize(cfg)
 
 
 class TestRunSearchIdeal:
@@ -321,13 +375,13 @@ class TestRunSearchPhysical:
 
     def test_oracle_locality(self):
         # the oracle pulse must leave every unmarked slot magnitude alone
-        from iongrover.dynamics import evolve
+        from iongrover.dynamics import evolve_schedule
         from iongrover.pulses import build_global_pulse
 
         cfg = SearchConfig(n_ions=6, marked_index=3, mode="physical")
         state = initialize(cfg)
         pulse = build_global_pulse(local_chi(6, 3))
-        after = evolve(state, pulse, cfg.integrator)
+        after = evolve_schedule(state, [pulse], cfg.integrator)[0]
         before_mag = np.abs(state.amplitudes)
         after_mag = np.abs(after.amplitudes)
         for k in range(1, 7):

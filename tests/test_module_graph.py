@@ -103,3 +103,39 @@ def test_every_import_is_used_or_explained():
     # an import kept for its side effect or for a tracer says so on its line
     unused = {m: unexplained_unused_imports(m) for m in MODULES if m != "__init__"}
     assert {m: found for m, found in unused.items() if found} == {}
+
+
+#: exported types that callers receive from a function but never name
+UNNAMED_EXPORTS = {"Detection", "IterationPlan", "SweepRow", "NormalizationError"}
+
+
+def referenced_names(path):
+    """Every name a source file reads, imports or looks up as an attribute."""
+    tree, names = ast.parse(path.read_text()), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[-1])
+    return names
+
+
+def test_every_export_has_a_caller_outside_its_module():
+    # no public name that nothing uses: each is named in another module of the
+    # package, in a script, or in the acceptance tests
+    root = SRC.parent.parent
+    users = {path: referenced_names(path) for path in [
+        *(p for name, p in MODULES.items() if name != "__init__"),
+        *sorted((root / "scripts").glob("*.py")),
+        root / "tests" / "test_acceptance.py"]}
+    unused = set()
+    for name in iongrover.__all__:
+        obj = getattr(iongrover, name)
+        home = MODULES.get(getattr(obj, "__module__", obj.__name__).split(".")[-1])
+        if not any(name in found for path, found in users.items() if path != home):
+            unused.add(name)
+    assert unused == UNNAMED_EXPORTS

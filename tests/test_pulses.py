@@ -324,7 +324,7 @@ class TestCalibration:
         assert pulse.shape == GAUSS
 
     def test_probes_leave_the_pulse_memo_alone(self):
-        dynamics.evolve(uniform_register(3), build_global_pulse(uniform_chi(3)))
+        dynamics.evolve_schedule(uniform_register(3), [build_global_pulse(uniform_chi(3))])
         _calibrate.cache_clear()
         before = dynamics._pulse_chain.cache_info()
         build_global_pulse(uniform_chi(3), 0.661 * math.pi, GAUSS)
