@@ -29,11 +29,12 @@ stage Hamiltonians, so on this invariant space it is the same scheme as on
 the full register.  A lone pulse's 2x2 Hamiltonian is real, so its one-step
 matrices are that polynomial written out in the envelope samples
 (``_pulse_chain``); overlapping pulses take stage-matrix products (``_chain``)
-on one global grid.  Windows that only touch, as at the default spacing of
-twice the window, are lone pulses at any width.
+on one global grid, each pulse sampled only on the chunks its window meets.
+Windows that only touch, as at the default spacing of twice the window, are
+lone pulses at any width.
 Every reader of a pulse's 2x2 takes its one memo entry from ``_spec_chain``,
 and every schedule, start register and sweep cell keeps one drift rule
-(``_check_drift``).
+(``_check_drift``: ``NORM_REPAIR_TOL`` per pulse applied).
 Every envelope is even about its center, so a lone pulse's step steps-1-k is
 the transpose of step k (RK4 is time-reversible for a real time-symmetric H):
 on an even grid whose recorded steps mirror about the middle, only the first
@@ -54,6 +55,7 @@ import numpy as np
 
 from .householder import Operator, Reflection
 from .model import (
+    NORM_REPAIR_TOL,
     CouplingVector,
     DimensionMismatchError,
     IntegratorConfig,
@@ -127,20 +129,21 @@ def _chain(terms, t0, h, steps, stride):
     the grid t0 + h k.
 
     Each term is (r x r coupling block without envelope, detuning, shape,
-    center, span); a span (a, b) switches its pulse on for a <= t <= b only.
-    A step evaluates the stage matrices -i h H at t, t + h/2 and t + h and
-    multiplies them as classical RK4 does.
+    center, span (a, b)): the pulse is on for a <= t <= b only, and sampled
+    only where a chunk's stage times meet its span.  A step evaluates the stage
+    matrices -i h H at t, t + h/2 and t + h and multiplies them as RK4 does.
     """
     eye = np.eye(len(terms[0][0]))[:, :, None]
 
-    def stage(t):  # -i h H(t), one r x r matrix per time in t
+    def stage(t):  # -i h H(t), one r x r matrix per time in t, t ascending
         out = np.zeros(eye.shape[:2] + t.shape, dtype=complex)
-        for block, delta, shape, center, span in terms:
-            on = 1.0 if span is None else (span[0] <= t) & (t <= span[1])
-            # sampled inside the span only: far outside, cosh overflows
-            inside = t if span is None else np.clip(t, *span)
-            out += block[:, :, None] * (shape.envelope(inside - center) * on)
-            out[0, 0] += delta * on
+        for block, delta, shape, center, (a, b) in terms:
+            if a <= t[-1] and t[0] <= b:  # else it would add only zeros
+                on = (a <= t) & (t <= b)
+                # clipped: a chunk straddling an edge reaches where cosh overflows
+                f = shape.envelope(np.clip(t, a, b) - center) * on
+                out += block[:, :, None] * f
+                out[0, 0] += delta * on
         return (-1j * h) * out
 
     def rk4(first, n):
@@ -227,10 +230,10 @@ def _spec_chain(spec, cfg, stride):
                         cfg.steps_per_pulse, cfg.window, stride)
 
 
-def _check_drift(norm, pulses, cfg, where=""):
+def _check_drift(norm, pulses, where=""):
     """Raise ``IntegrationError`` for a norm off 1 by more than
-    ``cfg.norm_tolerance`` per pulse applied; ``where`` prefixes the message."""
-    drift, budget = abs(norm - 1.0), cfg.norm_tolerance * max(1, pulses)
+    ``NORM_REPAIR_TOL`` per pulse applied; ``where`` prefixes the message."""
+    drift, budget = abs(norm - 1.0), NORM_REPAIR_TOL * max(1, pulses)
     if not drift <= budget:
         raise IntegrationError(f"{where}norm drift {drift:.3e} exceeds "
                                f"schedule budget {budget:g}")
@@ -427,10 +430,10 @@ def evolve_schedule(
     overlap, the whole schedule is integrated under the summed pulse
     Hamiltonians on a proportionally refined global grid (an exploration
     mode for studying pulse-crowding effects).  A norm drift
-    beyond the configured tolerance per pulse raises ``IntegrationError``;
-    drift inside it is repaired, never hidden above it.  Every schedule is
-    recorded at its start, every ``cfg.trajectory_stride`` steps of each
-    window and each window's last step.
+    beyond ``NORM_REPAIR_TOL`` per pulse raises ``IntegrationError``; drift
+    inside it is repaired, never hidden above it.  Every schedule is recorded
+    at its start, the earliest window start (0.0 if it is empty), every
+    ``cfg.trajectory_stride`` steps of each window and each window's last step.
     """
     cfg = cfg or IntegratorConfig()
     pulses = sorted(pulses, key=lambda p: p.center)
@@ -441,20 +444,18 @@ def evolve_schedule(
     q, coords = _basis([state.amplitudes[1:], *(c.components for c in distinct)])
     z = np.append(state.amplitudes[0], coords[0, 1:])
     column = dict(zip(map(id, distinct), coords[1:]))
-    times, rows = [np.zeros(0)], [np.zeros((0, len(z)))]
+    start = min((p.center - cfg.window * p.shape.width for p in pulses), default=0.0)
+    times, rows = [[start]], [z[None]]
     for t0, h, marks, e, products in _windows(pulses, column, cfg,
                                               cfg.trajectory_stride):
         w = e.conj().T @ z
         zs = z + (np.einsum("ijm,j->mi", products, w) - w) @ e.T
-        if len(rows) == 1:  # the state at the start of the first window
-            times.append([t0])
-            rows.append(z[None])
         times.append(t0 + marks * h)
         rows.append(zs)
         z = zs[-1]
 
     norm = float(np.linalg.norm(z))
-    _check_drift(norm, len(pulses), cfg)
+    _check_drift(norm, len(pulses))
     return (RegisterState(q @ (z / norm)), np.concatenate(times),
             Trajectory(q, np.concatenate(rows)))
 

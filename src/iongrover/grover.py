@@ -169,7 +169,7 @@ def initialize(cfg: SearchConfig) -> RegisterState:
         product = dynamics._spec_chain(init_pulse, i, i.trajectory_stride)[1][:, :, -1]
     start = dynamics._bright_update(basis_register(cfg.n_ions, 0).amplitudes,
                                     init_pulse.chi.components, product)
-    dynamics._check_drift(float(np.linalg.norm(start)), 1, i)
+    dynamics._check_drift(float(np.linalg.norm(start)), 1)
     return RegisterState(start)
 
 

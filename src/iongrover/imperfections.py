@@ -79,7 +79,7 @@ def infidelity_sweep(
         where = f"sweep cell epsilon={eps:g}, ion {m}: "
         if not math.isfinite(p):
             raise IntegrationError(f"{where}non-finite marked population")
-        dynamics._check_drift(norm, 1 + 2 * steps, cfg.integrator, where)
+        dynamics._check_drift(norm, 1 + 2 * steps, where)
         rows.append(SweepRow(eps, m, 1.0 - min(1.0, p)))
     return rows
 

@@ -325,20 +325,16 @@ class IntegratorConfig:
 
     steps_per_pulse: int = 4000
     window: float = 15.0
-    norm_tolerance: float = NORM_REPAIR_TOL
     trajectory_stride: int = 8
 
     def __post_init__(self) -> None:
         check_number(self.steps_per_pulse, "steps_per_pulse", integer=True)
         check_number(self.trajectory_stride, "trajectory_stride", integer=True)
         check_number(self.window, "window")
-        check_number(self.norm_tolerance, "norm_tolerance")
         if self.steps_per_pulse < 16:
             raise ValueError("need at least 16 steps per pulse")
         if self.window <= 0:
             raise ValueError("window must be positive")
-        if not 0.0 < self.norm_tolerance <= NORM_REPAIR_TOL:
-            raise ValueError("norm tolerance must be in (0, 1e-9]")
         if self.trajectory_stride < 1:
             raise ValueError("trajectory stride must be at least 1")
 

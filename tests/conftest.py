@@ -3,6 +3,7 @@
 import pytest
 
 from iongrover import dynamics
+from iongrover.model import PulseShape
 
 
 @pytest.fixture
@@ -15,4 +16,17 @@ def chained(monkeypatch):
     real_products = dynamics._products
     monkeypatch.setattr(dynamics, "_products",
                         lambda *a: calls.append(a) or real_products(*a))
+    return calls
+
+
+@pytest.fixture
+def envelope_calls(monkeypatch):
+    """A one-item list counting every ``PulseShape.envelope`` call from now on."""
+    calls, envelope = [0], PulseShape.envelope
+
+    def counted(self, t):
+        calls[0] += 1
+        return envelope(self, t)
+
+    monkeypatch.setattr(PulseShape, "envelope", counted)
     return calls

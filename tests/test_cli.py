@@ -72,6 +72,15 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "cfg.json", detuningg=0.5)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_norm_tolerance_is_an_unknown_key(self, tmp_path, capsys):
+        # the drift budget is NORM_REPAIR_TOL per pulse, not a setting
+        cfg = write_config(tmp_path / "cfg.json", integrator={"norm_tolerance": 1e-9})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: config invalid: unknown key(s) "
+                                           "in integrator: norm_tolerance\n")
+        assert not out.exists()
+
     def test_malformed_json_exit_2(self, tmp_path):
         bad = tmp_path / "cfg.json"
         bad.write_text("{not json")
@@ -451,7 +460,7 @@ class TestConfigHardening:
         {"schema_version": True},
         {"imperfection": {"epsilon": False}},
         {"imperfection": {"custom_factors": [True] * 6}},
-        {"integrator": {"norm_tolerance": True}},
+        {"integrator": {"window": True}},
     ])
     def test_non_integral_or_mistyped_values_exit_2(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
@@ -862,10 +871,11 @@ print(json.dumps([code, err.getvalue()]))
 
 class TestNumpyWarnings:
     def test_overflow_leaves_one_error_line(self, tmp_path):
-        # overlapping windows evaluate each sech on the whole grid, so cosh
-        # overflows far from its center; numpy's warning must not reach stderr
-        # beside the error line.  A fresh interpreter prints warnings as a
-        # user sees them (pytest would record them)
+        # overlapping windows on a coarse grid drift past their budget; each
+        # sech is sampled only on the chunks its window meets, clipped to it,
+        # but no numpy warning on the way may reach stderr beside the error
+        # line.  A fresh interpreter prints warnings as a user sees them
+        # (pytest would record them)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_ions": 16, "marked_index": 3, "mode": "physical",
                                    "pulse": {"spacing": 150},
@@ -1318,7 +1328,6 @@ def run_configs(draw):
             "integrator": optional_keys(
                 steps_per_pulse=st.integers(16, 2000),
                 window=st.floats(0.01, 20.0),
-                norm_tolerance=st.floats(1e-12, 1e-9),
                 trajectory_stride=st.integers(1, 3000)),
         }))
 

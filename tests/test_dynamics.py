@@ -15,12 +15,15 @@ from iongrover.dynamics import (
     propagator,
     _integrate_pulse,
 )
+from iongrover.grover import run_search
 from iongrover.householder import generalized_hr, standard_hr
 from iongrover.model import (
     CouplingVector,
     DimensionMismatchError,
+    PulseSettings,
     PulseShape,
     PulseSpec,
+    SearchConfig,
     basis_register,
     fidelity,
     local_chi,
@@ -315,6 +318,28 @@ class TestSchedule:
         _, times, pops = evolve_schedule(basis_register(2, 0), pulses, cfg)
         assert len(times) == 5  # initial point plus 4 strided samples
         assert len(pops) == len(times)
+
+    def test_an_empty_schedule_records_its_start(self):
+        state = uniform_register(3)
+        final, times, pops = evolve_schedule(state, [])
+        np.testing.assert_allclose(final.amplitudes, state.amplitudes, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(times, [0.0])
+        assert pops.coords.dtype == np.complex128 and len(pops) == 1
+        np.testing.assert_allclose(pops.basis @ pops.coords[0], state.amplitudes,
+                                   rtol=0, atol=1e-15)
+
+    def test_crowded_schedules_sample_only_live_pulses(self, envelope_calls):
+        # spacing 29.9 overlaps all 13 windows of N = 64 into one global grid
+        # of 26 chunks; each pulse is sampled only on the chunks its window
+        # meets (114 envelope calls, against 1,014 for every pulse everywhere)
+        def run(spacing):
+            cfg = SearchConfig(64, 3, mode="physical",
+                               pulse=PulseSettings(spacing=spacing))
+            return run_search(cfg).success_probability
+
+        crowded = run(29.9)
+        assert envelope_calls[0] <= 150
+        assert abs(crowded - run(30.0)) <= 1e-9
 
 
 class TestSubspace:

@@ -269,7 +269,8 @@ class TestDenseEquivalence:
     @pytest.mark.parametrize("steps,stride", [(4000, 0), (4000, 160), (4000, 3), (7, 7)])
     def test_chain_marks(self, steps, stride):
         # recorded step counts: every stride steps and the last, sorted and unique
-        term = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), 0.3, SECH, 0.0, None)
+        term = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), 0.3, SECH, 0.0,
+                (-np.inf, np.inf))
         marks, products = dynamics._chain([term], -15.0, 30.0 / steps, steps, stride)
         expected = np.union1d(np.arange(stride or steps, steps, stride or steps), [steps])
         np.testing.assert_array_equal(marks, expected)
@@ -298,8 +299,8 @@ def scan_chain(terms, t0, h, steps, stride):
 
     def stage(t):
         out = np.zeros(eye.shape[:2] + t.shape, dtype=complex)
-        for block, delta, shape, center, span in terms:
-            on = 1.0 if span is None else (span[0] <= t) & (t <= span[1])
+        for block, delta, shape, center, (a, b) in terms:
+            on = (a <= t) & (t <= b)
             out += block[:, :, None] * (shape.envelope(t - center) * on)
             out[0, 0] += delta * on
         return (-1j * h) * out
@@ -329,7 +330,8 @@ class TestSegmentChain:
     recorded steps by a pairwise tree, then a scan over the segments.  Where
     its association is the full scan's, the bits are too."""
 
-    TERM = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), 0.589, SECH, 0.0, None)
+    TERM = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), 0.589, SECH, 0.0,
+            (-np.inf, np.inf))
 
     def chains(self, steps, stride):
         args = ([self.TERM], -15.0, 30.0 / steps, steps, stride)
@@ -359,6 +361,21 @@ class TestSegmentChain:
             marks, products = dynamics._chain(*args)
         with np.errstate(over="ignore"):
             ref_marks, ref = scan_chain(*args)
+        np.testing.assert_array_equal(marks, ref_marks)
+        np.testing.assert_array_equal(products, ref)
+
+    @pytest.mark.parametrize("stride", [0, 8])
+    def test_a_chunk_that_misses_a_span_does_not_sample_it(self, envelope_calls, stride):
+        # six chunks of a grid from t = -5000 to 1000: the span |t| <= 100 meets
+        # the fifth alone, whose three stages sample the envelope once each;
+        # the pulse is off on the others, so skipping it keeps the bits
+        term = (*self.TERM[:4], (-100.0, 100.0))
+        args = ([term], -5000.0, 0.5, 12000, stride)
+        with np.errstate(over="ignore"):
+            ref_marks, ref = scan_chain(*args)
+        envelope_calls[0] = 0
+        marks, products = dynamics._chain(*args)
+        assert envelope_calls[0] == 3
         np.testing.assert_array_equal(marks, ref_marks)
         np.testing.assert_array_equal(products, ref)
 
@@ -396,7 +413,7 @@ class TestClosedFormPulseChain:
     def test_matches_the_generic_chain(self, shape, delta, steps, stride):
         marks, products = dynamics._pulse_chain.__wrapped__(2.0, delta, shape, steps,
                                                             15.0, stride)
-        term = (np.array([[0.0, 1.0], [1.0, 0.0]]), delta, shape, 0.0, None)
+        term = (np.array([[0.0, 1.0], [1.0, 0.0]]), delta, shape, 0.0, (-np.inf, np.inf))
         ref_marks, ref = dynamics._chain([term], -15.0 * shape.width,
                                          30.0 * shape.width / steps, steps, stride)
         np.testing.assert_array_equal(marks, ref_marks)
