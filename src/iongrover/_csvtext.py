@@ -15,7 +15,8 @@ vectorized kernel, one numeric column of one row chunk per call:
 
 Each cell is laid out in fixed slots of a column-major uint8 plane, an unused
 slot 0, so one transpose and one ``translate`` deleting the 0 bytes turn a
-chunk into its rows.
+chunk into its rows, each appended as it is made to the table's text: that
+text is formed once, from the header line on.
 """
 
 from __future__ import annotations
@@ -164,8 +165,10 @@ def _template_text(columns: list, rows: int) -> str:
     return (row + "\n") * rows % tuple(cells)
 
 
-def _vector_text(columns: list, rows: int) -> str:
-    """The rows, CHUNK_ROWS at a time, each column laid out in its planes."""
+def _vector_text(columns: list, rows: int, text: str) -> str:
+    """``text`` and the rows, CHUNK_ROWS at a time, each column laid out in its
+    planes.  ``text`` has no other reference and these loops warm this code,
+    so CPython's specialized ``+=`` grows it in place (a cold ``+=`` copies)."""
     cells, spans, width = [], [], 0
     for col in columns:
         if isinstance(col[0], str):
@@ -181,7 +184,6 @@ def _vector_text(columns: list, rows: int) -> str:
     for span in spans:
         planes[span.stop] = ord(",")
     planes[-1] = ord("\n")
-    text = []
     for start in range(0, rows, CHUNK_ROWS):
         n = min(CHUNK_ROWS, rows - start)
         for col, span in zip(cells, spans):
@@ -190,16 +192,16 @@ def _vector_text(columns: list, rows: int) -> str:
                 _number_planes(chunk, planes[span, :n])
             else:
                 planes[span, :n] = chunk.view(np.uint8).reshape(n, -1).T
-        text.append(planes[:, :n].T.tobytes().translate(None, b"\0").decode())
-    return "".join(text)
+        text += planes[:, :n].T.tobytes().translate(None, b"\0").decode()
+    return text
 
 
 def csv_text(header: list[str], columns: list) -> str:
-    """The CSV text of equal-length columns (lists or arrays) under ``header``:
-    a column whose first cell is a str is written as it is, any other as
-    format(float(x), ".17g") of each cell."""
+    """The CSV text of equal-length columns (lists or arrays) under ``header``,
+    formed once from the header line on: a column whose first cell is a str
+    is written as it is, any other as format(float(x), ".17g") of each cell."""
+    text = ",".join(header) + "\n"
     rows = len(columns[0])
-    if not rows:
-        return ",".join(header) + "\n"
-    body = (_template_text if rows * len(columns) < VECTOR_CELLS else _vector_text)
-    return ",".join(header) + "\n" + body(columns, rows)
+    if rows * len(columns) >= VECTOR_CELLS:
+        return _vector_text(columns, rows, text)
+    return text + _template_text(columns, rows) if rows else text

@@ -50,6 +50,7 @@ BYTES_PER_ROW = 512
 #: an even grid integrates half its window; odd grids take 0.3-0.5 us a step
 MAX_STEPS_PER_PULSE = 10**7
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+_WRITE_SLICE = 1 << 16  # characters of a file encoded, hashed and written at a time
 
 
 class ConfigError(ValueError):
@@ -150,13 +151,16 @@ def load_config(path: Path) -> SearchConfig:
 
 
 def _write_text(path: Path, text: str) -> dict:
-    """Write ``text`` as UTF-8 and return its manifest entry: the file name,
-    and the sha256 and the byte count of what was written."""
-    data = text.encode()
+    """Write ``text`` as UTF-8 in slices, never holding its bytes whole, and
+    return its manifest entry: the file name, sha256 and byte count written.
+    The whole text still arrives as one str, which ``cli.output_bytes`` reads."""
+    digest, size = hashlib.sha256(), 0
     with open(path, "wb") as fh:
-        fh.write(data)
-    return {"path": path.name, "sha256": hashlib.sha256(data).hexdigest(),
-            "bytes": len(data)}
+        for start in range(0, len(text), _WRITE_SLICE):
+            data = text[start:start + _WRITE_SLICE].encode()
+            digest.update(data)
+            size += fh.write(data)
+    return {"path": path.name, "sha256": digest.hexdigest(), "bytes": size}
 
 
 def _json_list(item: str, count: int, indent: str) -> str:
@@ -167,15 +171,15 @@ def _json_list(item: str, count: int, indent: str) -> str:
     return "[\n" + ",\n".join([indent + "  " + item] * count) + "\n" + indent + "]"
 
 
-def _json_text(payload) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True), numpy arrays as their
-    tolist().  json lays the payload out; its ``default`` hook stands a NUL
-    string in for each finite float64 or int64 array of one or two
-    dimensions, whose text then replaces the placeholder at the indent of its
-    line: each distinct value (by bit pattern, so -0.0 stays apart from 0.0)
-    formatted once, with json's repr, into a template filled by one % call.
-    A payload string that spells a placeholder makes the counts differ, and
-    json then writes every array as its tolist()."""
+def _json_text(payload, end: str = "") -> str:
+    """json.dumps(payload, indent=2, sort_keys=True) joined with ``end``, numpy
+    arrays as their tolist().  json lays the payload out; its ``default`` hook
+    stands a NUL string in for each finite float64 or int64 array of one or
+    two dimensions, whose text then replaces the placeholder at the indent of
+    its line: each distinct value (by bit pattern, so -0.0 stays apart from
+    0.0) formatted once, with json's repr, into a template filled by one %
+    call.  A payload string that spells a placeholder makes the counts differ,
+    and json then writes every array as its tolist()."""
     arrays = []
 
     def stand_in(value):
@@ -188,7 +192,8 @@ def _json_text(payload) -> str:
     parts = json.dumps(payload, indent=2, sort_keys=True, default=stand_in).split(
         '"\\u0000"')
     if len(parts) != len(arrays) + 1:
-        return json.dumps(payload, indent=2, sort_keys=True, default=lambda a: a.tolist())
+        return json.dumps(payload, indent=2, sort_keys=True,
+                          default=lambda a: a.tolist()) + end
     pieces = [parts[0]]
     for value, before, after in zip(arrays, parts, parts[1:]):
         line = before[before.rfind("\n") + 1:]
@@ -202,13 +207,14 @@ def _json_text(payload) -> str:
             template = _json_list(template, value.shape[depth - 1],
                                   indent + "  " * (depth - 1))
         pieces += [template % tuple(cells), after]
-    return "".join(pieces)
+        del unique, inverse, cells, template  # not held while the pieces are joined
+    return "".join([*pieces, end])
 
 
 def _write_json(path: Path, payload: dict) -> dict:
     """Write json.dumps(payload, indent=2, sort_keys=True) and a newline,
     numpy arrays in the payload written as their tolist()."""
-    return _write_text(path, _json_text(payload) + "\n")
+    return _write_text(path, _json_text(payload, "\n"))
 
 
 def _trajectory_csv(result: SearchResult, marked_index: int) -> str:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -1089,8 +1091,8 @@ class TestVectorCsvWriter:
         fallback, per call."""
         seen = {"vector": [], "scalar": []}
         vector, scalar = _csvtext._vector_text, _csvtext._scalar_cells
-        monkeypatch.setattr(_csvtext, "_vector_text", lambda columns, rows: (
-            seen["vector"].append(rows * len(columns)) or vector(columns, rows)))
+        monkeypatch.setattr(_csvtext, "_vector_text", lambda columns, rows, text: (
+            seen["vector"].append(rows * len(columns)) or vector(columns, rows, text)))
         monkeypatch.setattr(_csvtext, "_scalar_cells", lambda values: (
             seen["scalar"].append(len(values)) or scalar(values)))
         return seen
@@ -1148,6 +1150,64 @@ class TestVectorCsvWriter:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert len(paths["vector"]) == 1 and paths["vector"][0] > 50000
         assert paths["scalar"] == []
+
+
+class TestSlicedWriter:
+    """``cli._write_text`` encodes, hashes and writes its text a slice of
+    ``_WRITE_SLICE`` characters at a time; the file and its manifest entry
+    are those of the whole text encoded at once."""
+
+    @pytest.mark.parametrize("slices, extra", [(0, 0), (1, -1), (1, 0), (1, 1), (3, 7)],
+                             ids=["empty", "slice-1", "slice", "slice+1", "3slice+7"])
+    def test_bytes_and_entry_are_those_of_the_whole_text(self, tmp_path, slices, extra):
+        edge = cli._WRITE_SLICE
+        chars = ["a"] * (slices * edge + extra)
+        # a 2-byte and a 4-byte UTF-8 character on either side of every slice
+        # edge and at the end, as a non-ASCII config path in a manifest
+        for at in [*range(edge, len(chars), edge), len(chars) - 1] if chars else []:
+            chars[at - 1:at + 1] = "é", "\U0001d11e"
+        text = "".join(chars)
+        entry = cli._write_text(tmp_path / "out.txt", text)
+        data = (tmp_path / "out.txt").read_bytes()
+        assert data == text.encode()
+        assert entry == {"path": "out.txt", "sha256": hashlib.sha256(data).hexdigest(),
+                         "bytes": len(data)}
+
+
+class TestOutputCopies:
+    """An output file's text is held once: ``csv_text`` forms it in place,
+    and ``_write_text`` holds one slice of its bytes at a time."""
+
+    @pytest.fixture(scope="class")
+    def columns(self):
+        rng = np.random.default_rng(30)
+        return [rng.standard_normal(100_000) * 10.0 ** rng.integers(-6, 6, 100_000)
+                for _ in range(4)]
+
+    @staticmethod
+    def peak(call):
+        """The most memory ``call`` held at once above what was held before
+        it, as tracemalloc counts it, and its result."""
+        call()  # warm-up: caches and lazy imports are not counted
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = call()
+            return tracemalloc.get_traced_memory()[1] - before, result
+        finally:
+            tracemalloc.stop()
+
+    def test_csv_text_holds_its_text_about_once(self, columns):
+        peak, text = self.peak(lambda: _csvtext.csv_text(["a", "b", "c", "d"], columns))
+        assert len(text) > 100_000 * 4 * 17
+        assert peak < 1.5 * len(text)
+
+    def test_write_text_holds_no_whole_copy(self, tmp_path, columns):
+        text = _csvtext.csv_text(["a", "b", "c", "d"], columns)
+        peak, entry = self.peak(lambda: cli._write_text(tmp_path / "out.csv", text))
+        assert entry["bytes"] == len(text)
+        assert peak < 0.1 * len(text)
 
 
 class TestCommandTrajectories:
