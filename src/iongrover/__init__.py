@@ -24,6 +24,7 @@ from .grover import (
     iteration_count,
     run_search,
     sample_detection,
+    sweep,
 )
 from .householder import (
     Operator,

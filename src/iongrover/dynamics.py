@@ -300,12 +300,12 @@ def _search_step(chis, products):
     """Each cell's init row from the ancilla (cells, 1, r) and its iteration
     U = R O (cells, r, r).  ``chis`` (cells, 2 or 3, r) holds the init, oracle
     and, unless it is the init's, reflection chi coordinates; role x is
-    I + Q (P_x - 1) Q^dagger, Q = [e0, chi_x], P = ``products`` (3, 2, 2)."""
+    I + Q (P_x - 1) Q^dagger, Q = [e0, chi_x], P = ``products`` ([cells,] 3, 2, 2)."""
     chis = chis[:, [0, 1, 2 if chis.shape[1] == 3 else 0]]
     q = chis[..., None] * np.array([0.0, 1.0])  # Q = [e0, chi]; chi's slot 0 is empty
     q[:, :, 0, 0] = 1.0
-    ops = np.eye(chis.shape[2]) + np.einsum("cxia,xab,cxjb->cxij", q,
-                                            products - np.eye(2), q.conj())
+    products = np.broadcast_to(products - np.eye(2), (len(chis), 3, 2, 2))
+    ops = np.eye(chis.shape[2]) + np.einsum("cxia,cxab,cxjb->cxij", q, products, q.conj())
     return ops[:, 0, None, :, 0], ops[:, 2] @ ops[:, 1]
 
 

@@ -2,12 +2,12 @@
 
 A search is init followed by repeated (oracle, global reflection) pairs.
 Every reflection is one laser pulse, and both modes read one plan of them.
-Ideal mode is a sweep of one cell: the plan's chis in r <= 4 coordinates and
-each role's exact 2x2 on (ancilla, chi); physical mode integrates the whole
-schedule as time-dependent dynamics.  The probabilistic variant uses
-resonant pulses (reflection phase pi); the deterministic variant detunes both
-pulses of each iteration to the matched phase that makes the final fidelity
-exactly one.
+``sweep`` steps configs as cells of one batch in r <= 4 coordinates under
+each role's 2x2 on (ancilla, chi), an ideal run as one cell; physical mode
+integrates the whole schedule as time-dependent dynamics.  The probabilistic
+variant uses resonant pulses (reflection phase pi); the deterministic variant
+detunes both pulses of each iteration to the matched phase that makes the
+final fidelity exactly one.
 """
 
 from __future__ import annotations
@@ -185,6 +185,50 @@ def _role_products(plan: IterationPlan, cfg: SearchConfig) -> np.ndarray:
                      for p in roles])
 
 
+def _cells(configs, plans):
+    """Step configs as the cells of one ``_search_rows`` to the largest count,
+    from one ``subspace`` per group of cells with as many distinct chis and N
+    of one bit length, zero-padded to the group's largest N.  Returns each
+    cell's ion rows (k, N), its (init, oracle, reflection) chi coordinates
+    (cells, 3, r; an adapted reflection's are the init's) and its rows."""
+    groups, ions = {}, [None] * len(configs)
+    for c, plan in enumerate(plans):
+        chis = list({id(p.chi): p.chi.components for p in (
+            plan.init_pulse, plan.oracle, plan.reflection)}.values())
+        groups.setdefault((len(chis), len(chis[0]).bit_length()), []).append((c, chis))
+    coords = np.zeros((len(configs), 3, 4), dtype=complex)
+    for (k, _), members in groups.items():
+        padded = np.zeros((len(members), k, max(len(v[0]) for _, v in members)), complex)
+        for row, (_, chis) in zip(padded, members):
+            row[:, :len(chis[0])] = chis
+        for (c, chis), b, x in zip(members, *dynamics.subspace(padded)):
+            ions[c], coords[c, :, :k + 1] = b[:, :len(chis[0])], x[[0, 1, 2 % k]]
+    r = 1 + np.count_nonzero(coords.any(axis=(0, 1)))  # the slots some cell keeps
+    products = np.array([_role_products(*cell) for cell in zip(plans, configs)])
+    rows = dynamics._search_rows(coords[:, :, :r], products, max(p.count for p in plans))
+    return ions, coords[:, :, :r], rows
+
+
+def sweep(configs: list[SearchConfig]) -> list[np.ndarray]:
+    """Each config's marked population at every iteration from the start, all
+    run as the cells of one batch (``_cells``).  Overlapping physical windows
+    raise ``ValueError``; a non-finite population or drift, ``IntegrationError``."""
+    if not configs:
+        return []
+    plans = [build_plan(cfg) for cfg in configs]
+    _, coords, rows = _cells(configs, plans)
+    norms = np.linalg.norm(rows, axis=2)
+    populations = abs(np.einsum("ci,cki->ck", coords[:, 1].conj(), rows) / norms) ** 2
+    for c, (cfg, plan) in enumerate(zip(configs, plans)):
+        where = f"sweep cell {c} (N={cfg.n_ions}, ion {cfg.marked_index}): "
+        if cfg.mode == "physical" and cfg.pulse.spacing < 2.0 * cfg.integrator.window:
+            raise ValueError(f"{where}pulse windows overlap")
+        if not np.isfinite(populations[c, :plan.count + 1]).all():
+            raise IntegrationError(f"{where}non-finite marked population")
+        dynamics._check_drift(float(norms[c, plan.count]), 1 + 2 * plan.count, where)
+    return [p[:plan.count + 1] for p, plan in zip(populations, plans)]
+
+
 def run_search(cfg: SearchConfig) -> SearchResult:
     """Execute init, all iterations, and detection for one config."""
     plan = build_plan(cfg)
@@ -206,12 +250,10 @@ def run_search(cfg: SearchConfig) -> SearchResult:
         "reflection": cfg.imperfection.reflection,
     }
 
-    if cfg.mode == "ideal":
-        # one cell in its distinct chis: an adapted reflection shares the init's
-        q, coords = dynamics._basis(list({id(p.chi): p.chi.components for p in (
-            plan.init_pulse, plan.oracle, plan.reflection)}.values()))
-        rows = dynamics._search_rows(coords[None], _role_products(plan, cfg),
-                                     plan.count)[0]
+    if cfg.mode == "ideal":  # one cell of the sweep engine
+        (ions,), _, (rows,) = _cells([cfg], [plan])
+        q = np.eye(cfg.n_ions + 1, rows.shape[1], dtype=complex)
+        q[1:, 1:] = ions[:rows.shape[1] - 1].T
         # U is unitary only to rounding: each row back to norm 1
         trajectory = Trajectory(q, rows / np.linalg.norm(rows, axis=1, keepdims=True))
         times = np.arange(plan.count + 1, dtype=float)

@@ -3,7 +3,7 @@
 
 The beam profile itself is ``model.beam_factors``.  Searches are planned and
 run through ``grover`` and ``dynamics``, looked up on the module at each
-call: the sweep as one batch of cells, the advantage as two searches.
+call: the sweep as one batch of cells, the advantage as a sweep of two.
 """
 
 from __future__ import annotations
@@ -89,17 +89,16 @@ def adapted_advantage(n_ions: int, epsilon: float,
     """Best success probability over step counts: adapted chi vs uniform chi.
 
     Two ideal searches of 1000 iterations on the profile-shaped register
-    (field scaling), one per global reflection, each read off its trajectory
-    record.  The adapted reflection turns the search into a clean two-level
-    rotation whose peak approaches 1, while the uniform reflection is capped
+    (field scaling), one per global reflection, as one ``grover.sweep``.
+    The adapted reflection turns the search into a clean two-level rotation
+    whose peak approaches 1, while the uniform reflection is capped
     by the register's overlap with its rotation plane; the ordering only
     becomes visible once the horizon is long enough for the adapted peaks to
     sample near pi/2, hence the generous horizon.
     """
-    best = []
-    for reflection in ("adapted", "uniform"):
-        imperfection = ImperfectionSettings(epsilon=epsilon, reflection=reflection)
-        trajectory = grover.run_search(SearchConfig(
-            n_ions, marked_index, iterations=1000, imperfection=imperfection)).trajectory
-        best.append(min(1.0, float(trajectory.slots(marked_index)[1:].max())))
-    return best[0], best[1]
+    configs = [SearchConfig(n_ions, marked_index, iterations=1000,
+                            imperfection=ImperfectionSettings(epsilon=epsilon,
+                                                              reflection=reflection))
+               for reflection in ("adapted", "uniform")]
+    adapted, uniform = (min(1.0, float(p[1:].max())) for p in grover.sweep(configs))
+    return adapted, uniform

@@ -72,27 +72,21 @@ def _detuning_round_trip() -> CheckResult:
 
 
 def _deterministic_fidelity(n_max: int) -> CheckResult:
-    worst = 0.0
-    for n in range(3, n_max + 1):
-        cfg = model.SearchConfig(n_ions=n, marked_index=1 + n // 2,
-                                 variant="deterministic")
-        worst = max(worst, 1.0 - grover.run_search(cfg).success_probability)
+    configs = [model.SearchConfig(n_ions=n, marked_index=1 + n // 2,
+                                  variant="deterministic") for n in range(2, n_max + 1)]
+    worst = max(0.0, *(1.0 - p[-1] for p in grover.sweep(configs)))
     return _check("deterministic_fidelity_ideal", worst, 1e-9,
-                  f"max final infidelity, exact operators, N=3..{n_max}")
+                  f"max final infidelity, exact operators, N=2..{n_max}")
 
 
 def _probabilistic_closed_form(n_max: int) -> CheckResult:
-    worst = 0.0
-    for n in range(2, n_max + 1):
-        cfg = model.SearchConfig(n_ions=n, marked_index=1 + n // 2)
-        result = grover.run_search(cfg)
-        theta = math.asin(1.0 / math.sqrt(n))
-        marked = result.trajectory.slots(cfg.marked_index)
-        for k in range(1, result.iterations_executed + 1):
-            expected = math.sin((2 * k + 1) * theta) ** 2
-            worst = max(worst, abs(marked[k] - expected))
+    configs = [model.SearchConfig(n_ions=n, marked_index=1 + n // 2)
+               for n in range(2, n_max + 1)]
+    worst = max(abs(p - math.sin((2 * k + 1) * math.asin(1.0 / math.sqrt(n))) ** 2)
+                for n, marked in zip(range(2, n_max + 1), grover.sweep(configs))
+                for k, p in enumerate(marked))
     return _check("probabilistic_closed_form", worst, 1e-12,
-                  f"max |p_k - sin^2((2k+1) theta)|, N=2..{n_max}")
+                  f"max |p_k - sin^2((2k+1) theta)|, k from 0, N=2..{n_max}")
 
 
 def _propagator_checks(rng: random.Random, trials: int) -> list[CheckResult]:

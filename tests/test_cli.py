@@ -209,6 +209,22 @@ class TestValidateCommand:
         assert all(c["passed"] and c["margin"] >= 0 for c in report["checks"])
 
 
+    @pytest.mark.parametrize("check", ["_deterministic_fidelity",
+                                       "_probabilistic_closed_form"])
+    def test_ideal_checks_run_as_one_sweep(self, monkeypatch, check):
+        from iongrover import grover, validation
+
+        calls = {"run_search": 0, "sweep": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(grover, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(grover, name, counted)
+        assert getattr(validation, check)(16).passed
+        assert calls == {"run_search": 0, "sweep": 1}
+
+
 class TestOutputDirectory:
     @pytest.mark.parametrize("command", [
         ["run", "--config", "{cfg}"],

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iongrover import dynamics
+from iongrover import dynamics, grover
 from iongrover.dynamics import (
     IntegrationError,
     hamiltonian_from_pulse,
@@ -19,6 +21,7 @@ from iongrover.grover import (
     iteration_count,
     run_search,
     sample_detection,
+    sweep,
 )
 from iongrover.householder import Reflection, apply, generalized_hr
 from iongrover.model import (
@@ -329,6 +332,91 @@ class TestIdealStep:
         uniform = imperfection.epsilon and imperfection.reflection == "uniform"
         assert rows.shape == (len(expected), 4 if uniform and n > 2 else 3)
         assert np.abs(rows - expected).max() <= 1e-12
+
+
+@st.composite
+def lone_pulse_configs(draw):
+    """Small configs of either mode and variant, every imperfection key drawn,
+    at a spacing of at least twice the window: physical pulses stay lone."""
+    n = draw(st.integers(2, 12))
+    custom = draw(st.none() | st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    integrator = IntegratorConfig(window=draw(st.sampled_from([6.0, 15.0])))
+    spacing = 2.0 * integrator.window + draw(st.sampled_from([0.0, 3.0]))  # touch or part
+    return SearchConfig(
+        n_ions=n, marked_index=draw(st.integers(1, n)),
+        mode=draw(st.sampled_from(["ideal", "physical"])),
+        variant=draw(st.sampled_from(["probabilistic", "deterministic"])),
+        iterations=draw(st.none() | st.integers(1, 4)),
+        pulse=PulseSettings(width=draw(st.sampled_from([0.5, 1.0, 1.7])),
+                            spacing=spacing),
+        imperfection=ImperfectionSettings(
+            epsilon=draw(st.floats(0.0, 0.6)),
+            scaling=draw(st.sampled_from(["field", "intensity"])),
+            calibration=draw(st.sampled_from(["calibrated", "uncalibrated"])),
+            reflection=draw(st.sampled_from(["adapted", "uniform"])),
+            custom_factors=None if custom is None else tuple(custom)),
+        integrator=integrator)
+
+
+class TestSweep:
+    """``sweep`` steps ideal and lone-pulse physical configs as one batch."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(configs=st.lists(lone_pulse_configs(), min_size=1, max_size=3))
+    def test_last_rows_are_the_runs_success(self, configs):
+        populations = sweep(configs)
+        for cfg, p in zip(configs, populations):
+            result = run_search(cfg)
+            assert len(p) == result.iterations_executed + 1
+            assert abs(p[-1] - result.success_probability) <= 1e-12
+
+    @staticmethod
+    def mixed():
+        return [SearchConfig(n_ions=n, marked_index=1 + n // 3, mode=mode,
+                             variant=variant, iterations=count,
+                             imperfection=ImperfectionSettings(epsilon=0.2,
+                                                               reflection=reflection))
+                for n in (2, 3, 5, 8, 15, 16, 33, 64)
+                for reflection in ("adapted", "uniform")
+                for mode, variant, count in (("ideal", "probabilistic", 1),
+                                             ("ideal", "deterministic", 2),
+                                             ("physical", "probabilistic", 3),
+                                             ("ideal", "probabilistic", 1000))]
+
+    def test_a_mixed_batch_is_its_cells_one_at_a_time(self):
+        configs = self.mixed()
+        batch = sweep(configs)
+        assert sweep([]) == []
+        for cfg, p in zip(configs, batch):
+            alone, = sweep([cfg])
+            assert p.shape == alone.shape
+            assert np.abs(p - alone).max() <= 1e-15
+
+    def test_ideal_run_search_is_a_one_cell_sweep(self):
+        for cfg in self.mixed()[::4]:
+            rows = run_search(cfg).trajectory.slots(cfg.marked_index)
+            assert np.abs(rows - sweep([cfg])[0]).max() <= 1e-15
+
+    def test_overlapping_windows_raise(self):
+        lone = SearchConfig(n_ions=15, marked_index=3, mode="physical")
+        crowded = SearchConfig(n_ions=15, marked_index=3, mode="physical",
+                               pulse=PulseSettings(spacing=29.9))
+        with pytest.raises(ValueError, match=r"sweep cell 1 \(N=15, ion 3\): "
+                                             "pulse windows overlap"):
+            sweep([lone, crowded])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_a_non_finite_cell_is_named(self, monkeypatch):
+        products = grover._role_products
+
+        def poisoned(plan, cfg):
+            return products(plan, cfg) * (np.nan if cfg.n_ions == 7 else 1.0)
+
+        monkeypatch.setattr(grover, "_role_products", poisoned)
+        configs = [SearchConfig(n_ions=n, marked_index=2) for n in (5, 7)]
+        with pytest.raises(IntegrationError, match=r"sweep cell 1 \(N=7, ion 2\): "
+                                                   "non-finite marked population"):
+            sweep(configs)
 
 
 class TestRecordSize:
