@@ -7,16 +7,20 @@ vectorized kernel, one numeric column of one row chunk per call:
 - e = floor(log10|x|) and D = round(|x| * 10**(16 - e)), the product formed
   as Dekker's exact two-product of |x| with 10**(16 - e) held as a
   double-double (Numer. Math. 18, 1971), which fixes the 17 digits and the
-  rounding direction to about 1e-14;
+  rounding direction to about 1e-14 (the powers of ten and their halves
+  are one table for the process, each column formed once);
 - the cells this cannot decide take the scalar formatter, as Grisu's fast
   path falls back to an exact one (Loitsch, PLDI 2010): a fraction within
   1e-9 of 1/2 (exact ties among them), NaN, the infinities and every nonzero
   |x| outside [1e-280, 1e280], subnormals included.
 
-Each cell is laid out in fixed slots of a column-major uint8 plane, an unused
-slot 0, so one transpose and one ``translate`` deleting the 0 bytes turn a
-chunk into its rows, each appended as it is made to the table's text: that
-text is formed once, from the header line on.
+A column may also be a function that gives a chunk's cells when asked, so a
+caller can form a long column CHUNK_ROWS rows at a time.  Each cell is laid
+out in fixed slots of a column-major uint8 plane, an unused slot 0.  A
+transpose and a ``translate`` deleting the 0 bytes turn EMIT_ROWS rows of a
+chunk's planes at a time into text; the slices are joined, so the chunk is
+one append to the table's text: that text is formed once, from the header
+line on.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ VECTOR_CELLS = 2500
 #: rows per chunk: its planes and temporaries stay in cache (of 1,024 to
 #: 16,384 rows, 4,096 formatted a physical N = 256 trajectory fastest)
 CHUNK_ROWS = 4096
+#: rows of a chunk transposed, stripped and decoded at a time: the chunk's
+#: text is then held about once, not as its planes' bytes three times over
+EMIT_ROWS = 1024
 #: slots of a number: sign, the "0.000" before a fixed 1e-4 <= |x| < 1, 17
 #: digits and the point among them, and "e+ddd"
 SLOTS = 29
@@ -45,33 +52,38 @@ SLOT = np.arange(18, dtype=np.uint8)[:, None]
 UNITS = 10 ** np.arange(8, -1, -1, dtype=np.uint32)[:, None]
 
 
-@functools.cache
-def _power_of_ten(k: int) -> tuple[float, float]:
-    """10**k as hi + lo: hi the double nearest it, lo the double nearest the
-    rest (int true division rounds correctly)."""
+#: 10**(16 - e) per exponent e from LOWEST_EXPONENT up, rows (hi, lo, hi's
+#: two Veltkamp halves), one table for the process: a column is filled the
+#: first time a cell needs it (filling all 563 at once costs about 2.5 ms)
+POWERS = np.full((4, 2 * -LOWEST_EXPONENT + 1), np.nan)
+
+
+def _power_of_ten(k: int) -> tuple[float, float, float, float]:
+    """10**k as hi + lo and hi's two Veltkamp halves: hi the double nearest
+    it, lo the double nearest the rest (int true division rounds correctly)."""
     num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
     hi = num / den
     n, d = hi.as_integer_ratio()
-    return hi, (num * d - n * den) / (den * d)
+    t = hi * SPLIT
+    big = t - (t - hi)
+    return hi, (num * d - n * den) / (den * d), big, hi - big
 
 
 def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Floor and fraction of a * 10**(16 - e), each a >= 0 normal, to about
     1e-14 of the exact product."""
-    k = 16 - e
-    first = int(k.min())
-    table = np.array([_power_of_ten(j) for j in range(first, int(k.max()) + 1)]).T
-    k -= first
-    hi, lo = table[0].take(k), table[1].take(k)
-    t = hi * SPLIT
-    hi_big = t - (t - hi)
-    hi_small = hi - hi_big
-    t = a * SPLIT
-    a_big = t - (t - a)
+    i = e - LOWEST_EXPONENT
+    for j in set(i[np.isnan(POWERS[0].take(i))].tolist()):
+        POWERS[:, j] = _power_of_ten(16 - LOWEST_EXPONENT - j)
+    hi, lo, hi_big, hi_small = POWERS.take(i, axis=1)
+    del i
+    a_big = a * SPLIT
+    a_big -= a_big - a
     a_small = a - a_big
     p = a * hi
     err = (((a_big * hi_big - p) + a_big * hi_small + a_small * hi_big)
            + a_small * hi_small + a * lo)
+    del hi, lo, hi_big, hi_small, a_big, a_small
     whole = np.floor(p)
     frac = p - whole + err
     carry = np.floor(frac)
@@ -106,7 +118,10 @@ def _scalar_cells(values: list) -> list[str]:
 
 def _number_planes(x: np.ndarray, out: np.ndarray) -> None:
     """Write the %.17g text of each float64 in ``x`` down its column of the
-    (SLOTS, len(x)) uint8 ``out``."""
+    (SLOTS, len(x)) uint8 ``out``.  Each temporary, ``_scaled``'s too, is
+    dropped once spent, so a CHUNK_ROWS column's scratch peaks near 400 KiB:
+    at 860 KiB glibc gave it back to the system after each call in some heap
+    layouts, and every call paid its page faults again."""
     a = np.abs(x)
     fast = (a >= 1e-280) & (a <= 1e280)
     a[~fast] = 1.0
@@ -129,12 +144,15 @@ def _number_planes(x: np.ndarray, out: np.ndarray) -> None:
     e[zero] = 0
 
     upper = (d // 10**8).astype(np.uint32)
-    halves = np.stack([upper, (d - upper * np.int64(10**8)).astype(np.uint32)])
-    quotients = halves[:, None, :] // UNITS      # (2, 9, n): floor(half / 10**j)
-    quotients[:, 1:] -= quotients[:, :-1] * np.uint32(10)
+    lower = (d - upper * np.int64(10**8)).astype(np.uint32)
     digits = np.zeros((19, len(x)), np.uint8)  # a 0 above and below the 17
-    digits[1:10] = quotients[0]
-    digits[10:18] = quotients[1, 1:]
+    # a digit of a half is floor(half / 10**j) less 10 times the row above;
+    # it lies in [0, 9], so the rows can hold them mod 256; the upper half
+    # goes last, over the lower half's leading 0
+    for half, rows in ((lower, slice(9, 18)), (upper, slice(1, 10))):
+        digits[rows] = half // UNITS
+        digits[rows][1:] -= digits[rows][:-1] * np.uint8(10)
+    del a, d, frac, half, upper, lower  # spent: the digits hold them
     kept = (digits[1:18].astype(bool) * RANK).max(axis=0)  # significant digits
     digits[1:18] += 48
     layout = _exponent_layout().take(e - LOWEST_EXPONENT).view(np.uint8)
@@ -145,7 +163,9 @@ def _number_planes(x: np.ndarray, out: np.ndarray) -> None:
     out[1:6] = layout[:5]
     # slot s holds digit s before the point slot, digit s - 1 after it
     np.copyto(out[6:24], digits[:-1])
-    out[6:24] += (SLOT < whole) * (digits[1:] - digits[:-1])
+    step = digits[1:] - digits[:-1]
+    step *= SLOT < whole
+    out[6:24] += step
     point = ((kept > whole) & (whole > 0)) * np.uint8(46)  # "." unless no fraction
     np.copyto(out[6:24], point, where=SLOT == whole)
     out[24:] = layout[5:10]
@@ -167,11 +187,16 @@ def _template_text(columns: list, rows: int) -> str:
 
 def _vector_text(columns: list, rows: int, text: str) -> str:
     """``text`` and the rows, CHUNK_ROWS at a time, each column laid out in its
-    planes.  ``text`` has no other reference and these loops warm this code,
-    so CPython's specialized ``+=`` grows it in place (a cold ``+=`` copies)."""
+    planes and a function column asked for that chunk's cells; each chunk's
+    planes become text EMIT_ROWS rows at a time, joined, so ``text`` takes one
+    append per chunk.  ``text`` has no other reference and these loops warm
+    this code, so CPython's specialized ``+=`` grows it in place (a cold
+    ``+=`` copies)."""
     cells, spans, width = [], [], 0
     for col in columns:
-        if isinstance(col[0], str):
+        if callable(col):
+            size = SLOTS
+        elif isinstance(col[0], str):
             col = np.array([cell.encode() for cell in col])
             size = col.itemsize
         else:
@@ -187,21 +212,30 @@ def _vector_text(columns: list, rows: int, text: str) -> str:
     for start in range(0, rows, CHUNK_ROWS):
         n = min(CHUNK_ROWS, rows - start)
         for col, span in zip(cells, spans):
-            chunk = col[start:start + n]
+            chunk = col(start, start + n) if callable(col) else col[start:start + n]
             if chunk.dtype == np.float64:
                 _number_planes(chunk, planes[span, :n])
             else:
                 planes[span, :n] = chunk.view(np.uint8).reshape(n, -1).T
-        text += planes[:, :n].T.tobytes().translate(None, b"\0").decode()
+        pieces = [planes[:, i:min(i + EMIT_ROWS, n)].T.tobytes()
+                  .translate(None, b"\0").decode() for i in range(0, n, EMIT_ROWS)]
+        # the pieces are freed after the append: freed before it, their heap
+        # run can take the text, which then grows by copies there
+        text += "".join(pieces)
+        del pieces
     return text
 
 
 def csv_text(header: list[str], columns: list) -> str:
-    """The CSV text of equal-length columns (lists or arrays) under ``header``,
-    formed once from the header line on: a column whose first cell is a str
-    is written as it is, any other as format(float(x), ".17g") of each cell."""
+    """The CSV text of equal-length columns under ``header``, formed once from
+    the header line on.  A column is a list or an array, or, after the first,
+    a function of (start, stop) that returns the float64 cells of those rows,
+    asked for at most CHUNK_ROWS rows at a time and read before its next call.
+    A column whose first cell is a str is written as it is, any other as
+    format(float(x), ".17g") of each cell."""
     text = ",".join(header) + "\n"
     rows = len(columns[0])
     if rows * len(columns) >= VECTOR_CELLS:
         return _vector_text(columns, rows, text)
+    columns = [col(0, rows) if callable(col) else col for col in columns]
     return text + _template_text(columns, rows) if rows else text

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._csvtext import csv_text
+from ._csvtext import CHUNK_ROWS, csv_text
 from .dynamics import IntegrationError
 from .grover import build_plan, count_and_phase, detect, run_search, sample_detection
 from .imperfections import infidelity_sweep
@@ -219,12 +219,22 @@ def _write_json(path: Path, payload: dict) -> dict:
 
 def _trajectory_csv(result: SearchResult, marked_index: int) -> str:
     """CSV text of time, p_marked, p_slot0, p_other_total from the reduced
-    trajectory; a non-finite population raises ``IntegrationError``."""
-    populations = result.trajectory.columns(marked_index)
-    if not np.isfinite(populations).all():
-        raise IntegrationError("non-finite trajectory population")
+    trajectory; a non-finite population raises ``IntegrationError``.  The
+    populations are formed a chunk of rows at a time, as the CSV kernel asks
+    for them, into one reused (chunk, 3) buffer, each chunk checked."""
+    trajectory = result.trajectory
+    block = np.empty((min(len(trajectory), CHUNK_ROWS), 3))
+
+    @functools.lru_cache(maxsize=1)  # the three columns of a chunk, formed once
+    def populations(start, stop):
+        out = trajectory.columns(marked_index, slice(start, stop), block[:stop - start])
+        if not np.isfinite(out).all():
+            raise IntegrationError("non-finite trajectory population")
+        return out
+
     return csv_text(["time", "p_marked", "p_slot0", "p_other_total"],
-                    [result.trajectory_times, *populations.T])
+                    [result.trajectory_times,
+                     *(lambda a, b, j=j: populations(a, b)[:, j] for j in range(3))])
 
 
 def _manifest(out_dir: Path, command: str, arguments: dict, resolved: dict,

@@ -433,7 +433,9 @@ def evolve_schedule(
     beyond ``NORM_REPAIR_TOL`` per pulse raises ``IntegrationError``; drift
     inside it is repaired, never hidden above it.  Every schedule is recorded
     at its start, the earliest window start (0.0 if it is empty), every
-    ``cfg.trajectory_stride`` steps of each window and each window's last step.
+    ``cfg.trajectory_stride`` steps of each window and each window's last step:
+    the rows are counted from the windows' marks before any is stepped, and
+    each window writes its rows and times into the one preallocated record.
     """
     cfg = cfg or IntegratorConfig()
     pulses = sorted(pulses, key=lambda p: p.center)
@@ -444,20 +446,22 @@ def evolve_schedule(
     q, coords = _basis([state.amplitudes[1:], *(c.components for c in distinct)])
     z = np.append(state.amplitudes[0], coords[0, 1:])
     column = dict(zip(map(id, distinct), coords[1:]))
-    start = min((p.center - cfg.window * p.shape.width for p in pulses), default=0.0)
-    times, rows = [[start]], [z[None]]
-    for t0, h, marks, e, products in _windows(pulses, column, cfg,
-                                              cfg.trajectory_stride):
+    windows = list(_windows(pulses, column, cfg, cfg.trajectory_stride))
+    total = 1 + sum(len(marks) for _, _, marks, _, _ in windows)
+    times, rows = np.empty(total), np.empty((total, len(z)), dtype=complex)
+    times[0] = min((p.center - cfg.window * p.shape.width for p in pulses), default=0.0)
+    rows[0] = z
+    end = 1
+    for t0, h, marks, e, products in windows:
         w = e.conj().T @ z
-        zs = z + (np.einsum("ijm,j->mi", products, w) - w) @ e.T
-        times.append(t0 + marks * h)
-        rows.append(zs)
-        z = zs[-1]
+        first, end = end, end + len(marks)
+        rows[first:end] = z + (np.einsum("ijm,j->mi", products, w) - w) @ e.T
+        times[first:end] = t0 + marks * h
+        z = rows[end - 1]
 
     norm = float(np.linalg.norm(z))
     _check_drift(norm, len(pulses))
-    return (RegisterState(q @ (z / norm)), np.concatenate(times),
-            Trajectory(q, np.concatenate(rows)))
+    return RegisterState(q @ (z / norm)), times, Trajectory(q, rows)
 
 
 def hr_distance(candidate: Operator | Reflection | np.ndarray,

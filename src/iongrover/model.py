@@ -419,12 +419,19 @@ class Trajectory:
         """Row sums, ||coords[m]||^2 (the basis is an isometry)."""
         return _squared(self.coords).sum(axis=-1)
 
-    def columns(self, marked_index: int) -> np.ndarray:
-        """Per row: the marked slot, the ancilla and the total of every other
-        slot, shape (rows, 3)."""
-        out = np.empty((len(self), 3))
-        out[:, :2] = self.slots([marked_index, 0])
-        out[:, 2] = self.totals() - out[:, 0] - out[:, 1]
+    def columns(self, marked_index: int, rows: slice = slice(None),
+                out: np.ndarray | None = None) -> np.ndarray:
+        """Per row of ``rows`` (every row by default): the marked slot, the
+        ancilla and the total of every other slot, shape (rows, 3), written
+        into ``out`` if given.  Each row has the bits of the whole table's:
+        matmul forms a lone row (gemv) otherwise than several (gemm), so a
+        lone row after the first is formed with the row before it."""
+        start, stop, _ = rows.indices(len(self))
+        first = max(0, min(start, stop - 2))
+        coords = self.coords[first:stop]
+        out = np.empty((stop - start, 3)) if out is None else out
+        out[:, :2] = _squared(coords @ self.basis[[marked_index, 0]].T)[start - first:]
+        out[:, 2] = _squared(coords[start - first:]).sum(axis=-1) - out[:, 0] - out[:, 1]
         return out
 
 

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -720,9 +722,9 @@ class TestPopulationPass:
     def spy_columns(monkeypatch, poison=None):
         real, calls = Trajectory.columns, []
 
-        def columns(self, marked_index):
+        def columns(self, marked_index, *chunk):
             calls.append(marked_index)
-            out = real(self, marked_index)
+            out = real(self, marked_index, *chunk)
             if poison is not None:
                 out[-1, 1] = poison
             return out
@@ -1219,11 +1221,144 @@ class TestOutputCopies:
         assert len(text) > 100_000 * 4 * 17
         assert peak < 1.5 * len(text)
 
+    def test_a_column_chunk_holds_little_scratch(self, columns):
+        # the kernel drops each temporary once spent: 407 KiB for 4,096 rows
+        # (864 KiB when every temporary lived to the end of the call)
+        x = columns[0][:_csvtext.CHUNK_ROWS]
+        out = np.zeros((_csvtext.SLOTS, len(x)), np.uint8)
+        peak, _ = self.peak(lambda: _csvtext._number_planes(x, out))
+        assert peak < 500 * 1024
+
     def test_write_text_holds_no_whole_copy(self, tmp_path, columns):
         text = _csvtext.csv_text(["a", "b", "c", "d"], columns)
         peak, entry = self.peak(lambda: cli._write_text(tmp_path / "out.csv", text))
         assert entry["bytes"] == len(text)
         assert peak < 0.1 * len(text)
+
+
+CSV_HEADER = ["time", "p_marked", "p_slot0", "p_other_total"]
+
+
+class TestChunkedTrajectoryCsv:
+    """``_trajectory_csv`` forms the populations a chunk of rows at a time and
+    writes the bytes of the whole table formed at once."""
+
+    ROWS = [1, 1023, 1024, 1025, 4095, 4096, 4097, 3 * 4096 + 5]
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        """A run of each mode with more rows than the largest record here."""
+        ideal = run_search(SearchConfig(n_ions=15, marked_index=8, mode="ideal",
+                                        iterations=max(self.ROWS)))
+        physical = run_search(SearchConfig(n_ions=256, marked_index=77,
+                                           mode="physical", variant="deterministic"))
+        assert min(len(ideal.trajectory), len(physical.trajectory)) >= max(self.ROWS)
+        return {"ideal": (ideal, 8), "physical": (physical, 77)}
+
+    @staticmethod
+    def first_rows(result, rows, coords=None):
+        trajectory = result.trajectory
+        return dataclasses.replace(
+            result, trajectory_times=result.trajectory_times[:rows],
+            trajectory=Trajectory(trajectory.basis,
+                                  trajectory.coords[:rows] if coords is None else coords))
+
+    @staticmethod
+    def spy_rows(monkeypatch):
+        """The row count of every population request."""
+        real, counts = Trajectory.columns, []
+
+        def columns(self, marked_index, rows=slice(None), out=None):
+            counts.append(len(range(*rows.indices(len(self)))))
+            return real(self, marked_index, rows, out)
+
+        monkeypatch.setattr(Trajectory, "columns", columns)
+        return counts
+
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    def test_chunks_write_the_whole_table(self, results, monkeypatch, mode, rows):
+        result, marked = results[mode]
+        result = self.first_rows(result, rows)
+        whole = _csvtext.csv_text(CSV_HEADER, [result.trajectory_times,
+                                               *result.trajectory.columns(marked).T])
+        counts = self.spy_rows(monkeypatch)
+        assert cli._trajectory_csv(result, marked) == whole
+        assert whole.count("\n") == rows + 1
+        # each chunk's populations are formed once, never more than a chunk
+        assert max(counts) <= _csvtext.CHUNK_ROWS and sum(counts) == rows
+
+    @pytest.mark.parametrize("rows", [1, 1025, 3 * 4096 + 5])
+    def test_chunk_rows_are_those_of_the_whole_table(self, results, rows):
+        # matmul forms a lone row otherwise than several; every slice keeps
+        # the whole table's bits, a lone last row included
+        result, marked = results["physical"]
+        trajectory = self.first_rows(result, rows).trajectory
+        whole = trajectory.columns(marked)
+        for start in range(rows):
+            for stop in {start + 1, start + 2, min(rows, start + 1024)}:
+                out = np.empty((max(0, min(stop, rows) - start), 3))
+                got = trajectory.columns(marked, slice(start, stop), out)
+                assert got is out
+                np.testing.assert_array_equal(got, whole[start:stop])
+            if start > 8:
+                break
+        for start in range(max(0, rows - 3), rows):
+            np.testing.assert_array_equal(trajectory.columns(marked, slice(start, rows)),
+                                          whole[start:])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_last_chunk_exits_3(self, tmp_path, capsys, monkeypatch,
+                                           results, value):
+        result, marked = results["physical"]
+        rows = 3 * 4096 + 5
+        coords = result.trajectory.coords[:rows].copy()
+        coords[-1, 1] = value
+        poisoned = self.first_rows(result, rows, coords)
+        monkeypatch.setattr(cli, "run_search", lambda cfg: poisoned)
+        counts = self.spy_rows(monkeypatch)
+        cfg = write_config(tmp_path / "cfg.json", n_ions=256, marked_index=marked,
+                           mode="physical", variant="deterministic")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: numerical failure: non-finite trajectory population"]
+        assert not out.exists()
+        assert counts == [4096, 4096, 4096, 5]  # found in the last chunk
+
+
+RUN_PEAK_PROBE = """
+import json, sys
+import iongrover.cli as cli
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+config, out = sys.argv[1:]
+before = peak_kib()
+code = cli.main(["run", "--config", config, "--out", out])
+print(json.dumps([code, peak_kib() - before]))
+"""
+
+
+class TestRunPeak:
+    """A large physical run holds its record once and its CSV scratch a chunk
+    at a time."""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak from /proc/self/status")
+    def test_peak_memory_of_a_large_physical_run(self, tmp_path):
+        # physical N = 16,384: a record of 101,501 rows, a CSV of 8.1 MB and a
+        # result.json of 1.7 MB; the growth past the import's peak read 18 MiB,
+        # and 24-30 MiB with the record joined from per-window pieces and the
+        # populations formed for the whole table at once
+        cfg = write_config(tmp_path / "cfg.json", n_ions=16384, marked_index=7,
+                           mode="physical", variant="deterministic")
+        code, growth_kib = run_probe(RUN_PEAK_PROBE, str(cfg), str(tmp_path / "out"))
+        assert code == 0
+        assert (tmp_path / "out" / "trajectory.csv").stat().st_size > 8_000_000
+        assert growth_kib < 23 * 1024
 
 
 class TestCommandTrajectories:

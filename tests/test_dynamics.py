@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from iongrover import dynamics
+from iongrover import dynamics, grover
 from iongrover.dynamics import (
     HamiltonianSpec,
     IntegrationError,
@@ -327,6 +327,53 @@ class TestSchedule:
         assert pops.coords.dtype == np.complex128 and len(pops) == 1
         np.testing.assert_allclose(pops.basis @ pops.coords[0], state.amplitudes,
                                    rtol=0, atol=1e-15)
+
+    @staticmethod
+    def window_by_window(state, pulses, cfg):
+        """The record as each window's rows, stepped from the last row of the
+        window before and joined at the end."""
+        pulses = sorted(pulses, key=lambda p: p.center)
+        distinct = list({id(p.chi): p.chi for p in pulses}.values())
+        q, coords = dynamics._basis([state.amplitudes[1:],
+                                     *(c.components for c in distinct)])
+        z = np.append(state.amplitudes[0], coords[0, 1:])
+        column = dict(zip(map(id, distinct), coords[1:]))
+        times = [[min((p.center - cfg.window * p.shape.width for p in pulses),
+                      default=0.0)]]
+        rows = [z[None]]
+        for t0, h, marks, e, products in dynamics._windows(pulses, column, cfg,
+                                                           cfg.trajectory_stride):
+            w = e.conj().T @ z
+            rows.append(z + (np.einsum("ijm,j->mi", products, w) - w) @ e.T)
+            times.append(t0 + marks * h)
+            z = rows[-1][-1]
+        return np.concatenate(times), np.concatenate(rows)
+
+    @pytest.mark.parametrize("schedule", ["search", "search-stride-7", "overlapping",
+                                          "empty"])
+    def test_record_is_the_windows_joined(self, schedule):
+        # evolve_schedule counts the rows first and fills one record
+        cfg = IntegratorConfig(trajectory_stride=7 if schedule.endswith("7") else 8)
+        if schedule.startswith("search"):
+            plan = grover.build_plan(SearchConfig(15, 8, mode="physical",
+                                                  variant="deterministic"))
+            state, pulses = basis_register(15, 0), plan.timeline()
+        else:
+            state = uniform_register(3)
+            pulses = ([PulseSpec(SECH, local_chi(3, 2), 2.0, center=15.0),
+                       PulseSpec(SECH, uniform_chi(3), 2.0, center=25.0)]
+                      if schedule == "overlapping" else [])
+        _, times, trajectory = evolve_schedule(state, pulses, cfg)
+        ref_times, ref_rows = self.window_by_window(state, pulses, cfg)
+        np.testing.assert_array_equal(times, ref_times)
+        np.testing.assert_array_equal(trajectory.coords, ref_rows)
+        assert times.dtype == np.float64 and trajectory.coords.dtype == np.complex128
+        # the start, then 4000 / stride marks in each of N = 15's 7 pulses
+        rows = {"search": 1 + 7 * 500, "search-stride-7": 1 + 7 * 572, "empty": 1}
+        if schedule in rows:
+            assert len(times) == rows[schedule]
+        else:  # the overlapping pair, one window on a global grid
+            assert len(times) > 2
 
     def test_crowded_schedules_sample_only_live_pulses(self, envelope_calls):
         # spacing 29.9 overlaps all 13 windows of N = 64 into one global grid
