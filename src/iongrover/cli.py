@@ -217,11 +217,11 @@ def _write_json(path: Path, payload: dict) -> dict:
     return _write_text(path, _json_text(payload, "\n"))
 
 
-def _trajectory_csv(result: SearchResult, marked_index: int) -> str:
-    """CSV text of time, p_marked, p_slot0, p_other_total from the reduced
-    trajectory; a non-finite population raises ``IntegrationError``.  The
-    populations are formed a chunk of rows at a time, as the CSV kernel asks
-    for them, into one reused (chunk, 3) buffer, each chunk checked."""
+def _trajectory_table(result: SearchResult, marked_index: int) -> tuple[list, list]:
+    """CSV header and columns of time, p_marked, p_slot0, p_other_total from
+    the reduced trajectory; a non-finite population raises ``IntegrationError``.
+    The populations are formed a chunk of rows at a time, as the CSV kernel
+    asks for them, into one reused (chunk, 3) buffer, each chunk checked."""
     trajectory = result.trajectory
     block = np.empty((min(len(trajectory), CHUNK_ROWS), 3))
 
@@ -232,9 +232,9 @@ def _trajectory_csv(result: SearchResult, marked_index: int) -> str:
             raise IntegrationError("non-finite trajectory population")
         return out
 
-    return csv_text(["time", "p_marked", "p_slot0", "p_other_total"],
-                    [result.trajectory_times,
-                     *(lambda a, b, j=j: populations(a, b)[:, j] for j in range(3))])
+    return (["time", "p_marked", "p_slot0", "p_other_total"],
+            [result.trajectory_times,
+             *(lambda a, b, j=j: populations(a, b)[:, j] for j in range(3))])
 
 
 def _manifest(out_dir: Path, command: str, arguments: dict, resolved: dict,
@@ -257,7 +257,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if cfg.shots is not None and args.seed is None:
         raise ConfigError("shot sampling requires an explicit --seed")
     result = run_search(cfg)
-    csv = _trajectory_csv(result, cfg.marked_index)  # checked before any file is written
+    csv = csv_text(*_trajectory_table(result, cfg.marked_index))  # checked before writing
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trajectory = _write_text(out_dir / "trajectory.csv", csv)
@@ -290,13 +290,35 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pulse_timeline_columns(cfg: SearchConfig) -> list[list]:
+def _fig3(args: argparse.Namespace, resolved: dict):
+    """Both variants' physical traces at N = 15, and the deterministic pulses."""
+    for variant in ("probabilistic", "deterministic"):
+        cfg = SearchConfig(n_ions=15, marked_index=8, mode="physical", variant=variant)
+        result = run_search(cfg)
+        resolved[variant] = result.parameters_used
+        yield f"fig3_{variant}.csv", *_trajectory_table(result, cfg.marked_index)
     plan = build_plan(cfg)
     pulses = plan.timeline()
-    return [[str(i) for i in range(len(pulses))],
+    yield ("fig3_pulses.csv",
+           ["index", "kind", "center", "width", "rms_area", "detuning"],
+           [[str(i) for i in range(len(pulses))],
             ["init"] + ["oracle", "global"] * plan.count,
             [p.center for p in pulses], [p.shape.width for p in pulses],
-            [rms_area(p) for p in pulses], [p.detuning for p in pulses]]
+            [rms_area(p) for p in pulses], [p.detuning for p in pulses]])
+
+
+def _fig4(args: argparse.Namespace, resolved: dict):
+    """The N = 20 physical infidelity after 3 steps over fig4's grid."""
+    rows = infidelity_sweep(20, FIG4_IONS, FIG4_EPSILONS, steps=3, jobs=args.jobs)
+    resolved.update(n_ions=20, steps=3, ions=FIG4_IONS, epsilons=FIG4_EPSILONS)
+    yield ("fig4_infidelity.csv", ["epsilon", "ion", "infidelity"],
+           [[r.epsilon for r in rows], [str(r.marked_index) for r in rows],
+            [r.infidelity for r in rows]])
+
+
+#: figure -> a generator of its files' (name, CSV header, columns), each yielded
+#: as its search ends and written before the next; it fills the resolved parameters
+_FIGURES = {"fig3": _fig3, "fig4": _fig4}
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
@@ -304,31 +326,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
     resolved: dict = {}
-    if args.figure == "fig3":
-        for variant in ("probabilistic", "deterministic"):
-            cfg = SearchConfig(n_ions=15, marked_index=8, mode="physical",
-                               variant=variant)
-            result = run_search(cfg)
-            outputs.append(_write_text(out_dir / f"fig3_{variant}.csv",
-                                       _trajectory_csv(result, cfg.marked_index)))
-            resolved[variant] = result.parameters_used
-        # the deterministic search's pulses
-        outputs.append(_write_text(
-            out_dir / "fig3_pulses.csv",
-            csv_text(["index", "kind", "center", "width", "rms_area", "detuning"],
-                     _pulse_timeline_columns(cfg))))
-    else:
-        rows = infidelity_sweep(20, FIG4_IONS, FIG4_EPSILONS, steps=3,
-                                mode="physical", jobs=args.jobs)
-        outputs.append(_write_text(
-            out_dir / "fig4_infidelity.csv",
-            csv_text(["epsilon", "ion", "infidelity"],
-                     [[r.epsilon for r in rows], [str(r.marked_index) for r in rows],
-                      [r.infidelity for r in rows]])))
-        resolved = {"n_ions": 20, "steps": 3, "ions": FIG4_IONS,
-                    "epsilons": FIG4_EPSILONS}
+    outputs = [_write_text(out_dir / name, csv_text(header, columns))
+               for name, header, columns in _FIGURES[args.figure](args, resolved)]
     _manifest(out_dir, "reproduce", {"figure": args.figure}, resolved, outputs)
     return 0
 
@@ -372,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="RNG seed, required iff the config enables shots")
 
     rep_p = sub.add_parser("reproduce", help="emit the data behind a figure")
-    rep_p.add_argument("--figure", required=True, choices=("fig3", "fig4"))
+    rep_p.add_argument("--figure", required=True, choices=tuple(_FIGURES))
     rep_p.add_argument("--out", required=True, help="output directory")
     rep_p.add_argument("--jobs", type=int, default=1,
                        help="accepted and checked (at least 1) but has no effect: "

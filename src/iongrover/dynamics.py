@@ -298,14 +298,13 @@ def _basis(vectors):
 
 def _search_step(chis, products):
     """Each cell's init row from the ancilla (cells, 1, r) and its iteration
-    U = R O (cells, r, r).  ``chis`` (cells, 2 or 3, r) holds the init, oracle
-    and, unless it is the init's, reflection chi coordinates; role x is
-    I + Q (P_x - 1) Q^dagger, Q = [e0, chi_x], P = ``products`` ([cells,] 3, 2, 2)."""
-    chis = chis[:, [0, 1, 2 if chis.shape[1] == 3 else 0]]
+    U = R O (cells, r, r).  ``chis`` (cells, 3, r) holds the init, oracle and
+    reflection chi coordinates; role x is I + Q (P_x - 1) Q^dagger,
+    Q = [e0, chi_x], P = ``products`` (cells, 3, 2, 2)."""
     q = chis[..., None] * np.array([0.0, 1.0])  # Q = [e0, chi]; chi's slot 0 is empty
     q[:, :, 0, 0] = 1.0
-    products = np.broadcast_to(products - np.eye(2), (len(chis), 3, 2, 2))
-    ops = np.eye(chis.shape[2]) + np.einsum("cxia,cxab,cxjb->cxij", q, products, q.conj())
+    ops = np.eye(chis.shape[2]) + np.einsum("cxia,cxab,cxjb->cxij", q,
+                                            products - np.eye(2), q.conj())
     return ops[:, 0, None, :, 0], ops[:, 2] @ ops[:, 1]
 
 
@@ -326,14 +325,14 @@ def _search_rows(chis, products, count):
 
 
 def _search_last(chis, products, count):
-    """The last row of ``_search_rows`` alone, (cells, r): U^(2^i) applied for
-    each set bit i of ``count``, the lowest first, as the doubling forms it."""
+    """The last row of ``_search_rows`` alone, (cells, 1, r): U^(2^i) applied
+    for each set bit i of ``count``, the lowest first, as the doubling forms it."""
     row, u = _search_step(chis, products)
     for bit in reversed(f"{count:b}"):
         if bit == "1":
             row = row @ u.swapaxes(1, 2)
         u = u @ u
-    return row[:, 0]
+    return row
 
 
 def _windows(pulses, column, cfg, stride):

@@ -2,12 +2,12 @@
 
 A search is init followed by repeated (oracle, global reflection) pairs.
 Every reflection is one laser pulse, and both modes read one plan of them.
-``sweep`` steps configs as cells of one batch in r <= 4 coordinates under
-each role's 2x2 on (ancilla, chi), an ideal run as one cell; physical mode
-integrates the whole schedule as time-dependent dynamics.  The probabilistic
-variant uses resonant pulses (reflection phase pi); the deterministic variant
-detunes both pulses of each iteration to the matched phase that makes the
-final fidelity exactly one.
+``sweep`` steps configs as cells of one batch, planned once per group that
+shares its pulses, in r <= 4 coordinates under each role's 2x2 on (ancilla,
+chi), an ideal run as one cell; physical mode integrates the whole schedule.
+The probabilistic variant uses resonant pulses (reflection phase pi); the
+deterministic variant detunes both pulses of each iteration to the matched
+phase that makes the final fidelity exactly one.
 """
 
 from __future__ import annotations
@@ -185,80 +185,93 @@ def _role_products(plan: IterationPlan, cfg: SearchConfig) -> np.ndarray:
                      for p in roles])
 
 
-def _cells(configs, plans):
-    """Step configs as the cells of one ``_search_rows`` to the largest count,
-    from one ``subspace`` per group of cells with as many distinct chis and N
-    of one bit length, zero-padded to the group's largest N.  Returns each
-    cell's ion rows (k, N), its (init, oracle, reflection) chi coordinates
-    (cells, 3, r; an adapted reflection's are the init's) and its rows."""
-    groups, ions = {}, [None] * len(configs)
-    for c, plan in enumerate(plans):
-        chis = list({id(p.chi): p.chi.components for p in (
-            plan.init_pulse, plan.oracle, plan.reflection)}.values())
+def _cells(configs):
+    """Plan configs as the cells of one batch: configs equal but for their
+    chis (the ion; with a calibrated init the beam) share one ``build_plan``
+    and role products, each distinct chi is formed once, and one ``subspace``
+    serves each group of cells with as many chis and N of one bit length,
+    zero-padded to its largest N.  Returns each cell's plan, ion rows (k, N)
+    by cell, chi coordinates (cells, 3, r) and role products (cells, 3, 2, 2)."""
+    plans, beams, oracles, cells, groups = {}, {}, {}, [], {}
+    for c, cfg in enumerate(configs):
+        n, m, imp = cfg.n_ions, cfg.marked_index, cfg.imperfection
+        # a custom beam is its cell's own: comparing its factors costs O(N) a lookup
+        beam = (n, imp.epsilon, imp.scaling, None if imp.custom_factors is None else c)
+        key = (n, cfg.mode, cfg.variant, cfg.iterations, cfg.pulse, cfg.integrator,
+               imp.reflection, None if imp.calibration == "calibrated" else beam)
+        cell = plans.get(key)
+        if cell is None:
+            plan = build_plan(cfg)
+            cell = plans[key] = plan, _role_products(plan, cfg)
+            beams.setdefault(beam, plan.init_pulse.chi.components)
+            oracles.setdefault((n, m), plan.oracle.chi.components)
+        if beam not in beams:
+            beams[beam] = CouplingVector(_beam_chi(n, imp)[0]).components
+        if (n, m) not in oracles:
+            oracles[n, m] = local_chi(n, m).components
+        cells.append(cell)
+        chis = [beams[beam], oracles[n, m]]
+        if imp.reflection == "uniform":
+            chis.append(cell[0].reflection.chi.components)
         groups.setdefault((len(chis), len(chis[0]).bit_length()), []).append((c, chis))
-    coords = np.zeros((len(configs), 3, 4), dtype=complex)
+    coords, ions = np.zeros((len(cells), 3, 4), dtype=complex), {}
     for (k, _), members in groups.items():
         padded = np.zeros((len(members), k, max(len(v[0]) for _, v in members)), complex)
         for row, (_, chis) in zip(padded, members):
             row[:, :len(chis[0])] = chis
-        for (c, chis), b, x in zip(members, *dynamics.subspace(padded)):
-            ions[c], coords[c, :, :k + 1] = b[:, :len(chis[0])], x[[0, 1, 2 % k]]
+        index = [c for c, _ in members]
+        rows, x = dynamics.subspace(padded)
+        coords[index, :, :k + 1] = x[:, [0, 1, 2 % k]]
+        ions.update(zip(index, rows))  # zero-padded past each cell's own N
     r = 1 + np.count_nonzero(coords.any(axis=(0, 1)))  # the slots some cell keeps
-    products = np.array([_role_products(*cell) for cell in zip(plans, configs)])
-    rows = dynamics._search_rows(coords[:, :, :r], products, max(p.count for p in plans))
-    return ions, coords[:, :, :r], rows
+    return ([plan for plan, _ in cells], ions, coords[:, :, :r],
+            np.array([products for _, products in cells]).reshape(-1, 3, 2, 2))
+
+
+def _populations(configs, step):
+    """Each config's marked population at every row up to its count that
+    ``step`` (``dynamics._search_rows``, or ``_search_last`` for cells of one
+    count) forms from ``_cells``.  Overlapping physical windows raise
+    ``ValueError``; a non-finite population or drift, ``IntegrationError``."""
+    plans, _, coords, products = _cells(configs)
+    count = max((p.count for p in plans), default=0)  # an empty batch steps no cell
+    rows = step(coords, products, count)
+    norms = np.linalg.norm(rows, axis=2)
+    populations = abs(np.einsum("ci,cki->ck", coords[:, 1].conj(), rows) / norms) ** 2
+    # each cell's last row: the rows stop at the largest count
+    cells, last = range(len(plans)), [rows.shape[1] - 1 - count + p.count for p in plans]
+    finite = np.logical_and.accumulate(np.isfinite(populations), axis=1)[cells, last]
+    for c, cfg, plan, norm, ok in zip(cells, configs, plans, norms[cells, last].tolist(),
+                                      finite.tolist()):
+        where = (f"sweep cell {c} (N={cfg.n_ions}, ion {cfg.marked_index}, "
+                 f"epsilon={cfg.imperfection.epsilon:g}): ")
+        if cfg.mode == "physical" and cfg.pulse.spacing < 2.0 * cfg.integrator.window:
+            raise ValueError(f"{where}pulse windows overlap")
+        if not ok:
+            raise IntegrationError(f"{where}non-finite marked population")
+        dynamics._check_drift(norm, 1 + 2 * plan.count, where)
+    return [p[:end + 1] for p, end in zip(populations, last)]
 
 
 def sweep(configs: list[SearchConfig]) -> list[np.ndarray]:
     """Each config's marked population at every iteration from the start, all
-    run as the cells of one batch (``_cells``).  Overlapping physical windows
-    raise ``ValueError``; a non-finite population or drift, ``IntegrationError``."""
-    if not configs:
-        return []
-    plans = [build_plan(cfg) for cfg in configs]
-    _, coords, rows = _cells(configs, plans)
-    norms = np.linalg.norm(rows, axis=2)
-    populations = abs(np.einsum("ci,cki->ck", coords[:, 1].conj(), rows) / norms) ** 2
-    for c, (cfg, plan) in enumerate(zip(configs, plans)):
-        where = f"sweep cell {c} (N={cfg.n_ions}, ion {cfg.marked_index}): "
-        if cfg.mode == "physical" and cfg.pulse.spacing < 2.0 * cfg.integrator.window:
-            raise ValueError(f"{where}pulse windows overlap")
-        if not np.isfinite(populations[c, :plan.count + 1]).all():
-            raise IntegrationError(f"{where}non-finite marked population")
-        dynamics._check_drift(float(norms[c, plan.count]), 1 + 2 * plan.count, where)
-    return [p[:plan.count + 1] for p, plan in zip(populations, plans)]
+    run as the cells of one batch (``_cells``) through ``_search_rows``."""
+    return _populations(configs, dynamics._search_rows)
 
 
 def run_search(cfg: SearchConfig) -> SearchResult:
     """Execute init, all iterations, and detection for one config."""
-    plan = build_plan(cfg)
-    params = {
-        "n_ions": cfg.n_ions,
-        "marked_index": cfg.marked_index,
-        "mode": cfg.mode,
-        "variant": cfg.variant,
-        "iterations": plan.count,
-        "phi": plan.phi,
-        "delta_t": plan.reflection.detuning * plan.reflection.shape.width,
-        "peak_coupling": plan.reflection.rms_peak,
-        "pulse_shape": cfg.pulse.shape,
-        "pulse_width": cfg.pulse.width,
-        "pulse_spacing": cfg.pulse.spacing,
-        "epsilon": cfg.imperfection.epsilon,
-        "scaling": cfg.imperfection.scaling,
-        "calibration": cfg.imperfection.calibration,
-        "reflection": cfg.imperfection.reflection,
-    }
-
     if cfg.mode == "ideal":  # one cell of the sweep engine
-        (ions,), _, (rows,) = _cells([cfg], [plan])
+        (plan,), ions, coords, products = _cells([cfg])
+        rows = dynamics._search_rows(coords, products, plan.count)[0]
         q = np.eye(cfg.n_ions + 1, rows.shape[1], dtype=complex)
-        q[1:, 1:] = ions[:rows.shape[1] - 1].T
+        q[1:, 1:] = ions[0][:rows.shape[1] - 1].T
         # U is unitary only to rounding: each row back to norm 1
         trajectory = Trajectory(q, rows / np.linalg.norm(rows, axis=1, keepdims=True))
         times = np.arange(plan.count + 1, dtype=float)
         state = RegisterState(q @ trajectory.coords[-1])
     else:
+        plan = build_plan(cfg)
         state, times, trajectory = evolve_schedule(
             basis_register(cfg.n_ions, 0), plan.timeline(), cfg.integrator
         )
@@ -275,7 +288,23 @@ def run_search(cfg: SearchConfig) -> SearchResult:
         trajectory_times=np.asarray(times, dtype=float),
         trajectory=trajectory,
         iterations_executed=plan.count,
-        parameters_used=params,
+        parameters_used={
+            "n_ions": cfg.n_ions,
+            "marked_index": cfg.marked_index,
+            "mode": cfg.mode,
+            "variant": cfg.variant,
+            "iterations": plan.count,
+            "phi": plan.phi,
+            "delta_t": plan.reflection.detuning * plan.reflection.shape.width,
+            "peak_coupling": plan.reflection.rms_peak,
+            "pulse_shape": cfg.pulse.shape,
+            "pulse_width": cfg.pulse.width,
+            "pulse_spacing": cfg.pulse.spacing,
+            "epsilon": cfg.imperfection.epsilon,
+            "scaling": cfg.imperfection.scaling,
+            "calibration": cfg.imperfection.calibration,
+            "reflection": cfg.imperfection.reflection,
+        },
     )
 
 

@@ -12,6 +12,7 @@ so do the pulse types, an envelope ``PulseShape`` and a pulse ``PulseSpec``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -306,10 +307,16 @@ class ImperfectionSettings:
         if self.reflection not in VALID_REFLECTIONS:
             raise ValueError(f"reflection must be one of {VALID_REFLECTIONS}")
         if self.custom_factors is not None:
-            factors = tuple(self.custom_factors)
+            given = self.custom_factors
+            # any non-empty sequence, but no string, mapping or lone value
+            factors = () if isinstance(given, (str, bytes, Mapping)) else given
+            factors = tuple(factors) if isinstance(factors, Iterable) else ()
+            if not factors:
+                raise ValueError("custom_factors must be a non-empty list of numbers, "
+                                 f"got {given!r}")
             for f in factors:
-                check_number(f, "custom factor")
-            if not factors or not all(0 < f <= 1 for f in factors):
+                check_number(f, "custom_factors entry")
+            if not all(0 < f <= 1 for f in factors):
                 raise ValueError("custom factors must lie in (0, 1]")
             object.__setattr__(self, "custom_factors", tuple(map(float, factors)))
 

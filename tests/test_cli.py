@@ -16,7 +16,7 @@ from iongrover import _csvtext, cli, grover
 from iongrover.cli import main
 from iongrover.grover import build_plan, run_search
 from iongrover.imperfections import SweepRow
-from iongrover.model import SearchConfig, Trajectory
+from iongrover.model import ImperfectionSettings, SearchConfig, Trajectory
 from iongrover.pulses import rms_area
 
 
@@ -192,6 +192,55 @@ class TestReproduceFig4:
         ideal = 1 - math.sin(7 * math.asin(1 / math.sqrt(20))) ** 2
         assert float(first[0]) == 0.0
         assert float(first[2]) == pytest.approx(ideal, abs=1e-3)
+
+
+def figure_choices():
+    """The choices argparse offers for ``reproduce --figure``."""
+    commands = next(a for a in cli._build_parser()._actions if a.choices)
+    return next(a for a in commands.choices["reproduce"]._actions
+                if a.dest == "figure").choices
+
+
+@pytest.mark.parametrize("figure", list(cli._FIGURES))
+def test_every_figure_of_the_table(tmp_path, figure):
+    # two runs give the same bytes, and the manifest lists every file it
+    # wrote with its sha256 and byte count
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["reproduce", "--figure", figure, "--out", str(out)]) == 0
+    names = sorted(path.name for path in runs[0].iterdir())
+    assert names == sorted(path.name for path in runs[1].iterdir())
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    outputs = json.loads((runs[0] / "manifest.json").read_text())["outputs"]
+    assert sorted(entry["path"] for entry in outputs) == [
+        name for name in names if name != "manifest.json"]
+    for entry in outputs:
+        data = (runs[0] / entry["path"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+        assert entry["bytes"] == len(data)
+    assert list(figure_choices()) == list(cli._FIGURES)
+
+
+def test_each_figure_file_is_written_before_the_next_search(tmp_path, monkeypatch):
+    written, real = [], cli.run_search
+
+    def search(cfg):
+        written.append(sorted(path.name for path in tmp_path.iterdir()))
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "run_search", search)
+    assert main(["reproduce", "--figure", "fig3", "--out", str(tmp_path)]) == 0
+    assert written == [[], ["fig3_probabilistic.csv"]]
+
+
+def test_fig4_passes_jobs_to_the_sweep(tmp_path, monkeypatch):
+    jobs, real = [], cli.infidelity_sweep
+    monkeypatch.setattr(cli, "infidelity_sweep",
+                        lambda *a, **k: jobs.append(k["jobs"]) or real(*a, **k))
+    assert main(["reproduce", "--figure", "fig4", "--out", str(tmp_path),
+                 "--jobs", "2"]) == 0
+    assert jobs == [2]
 
 
 class TestValidateCommand:
@@ -486,6 +535,26 @@ class TestConfigHardening:
         cfg = write_config(tmp_path / "cfg.json", **overrides)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factors, got", [
+        ("abc", "'abc'"), ({"a": 1}, "{'a': 1}"), (True, "True"), (5, "5"), ([], "[]")])
+    def test_custom_factors_of_the_wrong_type_exit_2(self, tmp_path, capsys, factors,
+                                                     got):
+        cfg = write_config(tmp_path / "cfg.json",
+                           imperfection={"custom_factors": factors})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: config invalid: custom_factors must be a non-empty "
+                       f"list of numbers, got {got}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("factors", [
+        [0.5, 1], (0.5, 1), np.array([0.5, 1.0]), range(1, 2), iter([0.5, 1])],
+        ids=["list", "tuple", "ndarray", "range", "iterator"])
+    def test_custom_factors_of_any_sequence_are_kept_as_floats(self, factors):
+        kept = ImperfectionSettings(custom_factors=factors).custom_factors
+        assert type(kept) is tuple and all(type(f) is float for f in kept)
+        assert kept == ((1.0,) if isinstance(factors, range) else (0.5, 1.0))
 
     @pytest.mark.parametrize("section", ["pulse", "imperfection", "integrator"])
     @pytest.mark.parametrize("value", [[], None, 3, "sech"])
@@ -1038,7 +1107,8 @@ class TestBulkCsvWriter:
         columns = [result.trajectory_times, *result.trajectory.columns(cfg.marked_index).T]
         header = ["time", "p_marked", "p_slot0", "p_other_total"]
         reference_write_csv(tmp_path / "ref.csv", header, list(zip(*columns)))
-        cli._write_text(tmp_path / "got.csv", cli._trajectory_csv(result, cfg.marked_index))
+        text = _csvtext.csv_text(*cli._trajectory_table(result, cfg.marked_index))
+        cli._write_text(tmp_path / "got.csv", text)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         # the columns agree with the rows computed from the dense populations
         ref = np.array(reference_trajectory_rows(result, cfg.marked_index))
@@ -1240,7 +1310,7 @@ CSV_HEADER = ["time", "p_marked", "p_slot0", "p_other_total"]
 
 
 class TestChunkedTrajectoryCsv:
-    """``_trajectory_csv`` forms the populations a chunk of rows at a time and
+    """``_trajectory_table`` forms the populations a chunk of rows at a time and
     writes the bytes of the whole table formed at once."""
 
     ROWS = [1, 1023, 1024, 1025, 4095, 4096, 4097, 3 * 4096 + 5]
@@ -1283,7 +1353,7 @@ class TestChunkedTrajectoryCsv:
         whole = _csvtext.csv_text(CSV_HEADER, [result.trajectory_times,
                                                *result.trajectory.columns(marked).T])
         counts = self.spy_rows(monkeypatch)
-        assert cli._trajectory_csv(result, marked) == whole
+        assert _csvtext.csv_text(*cli._trajectory_table(result, marked)) == whole
         assert whole.count("\n") == rows + 1
         # each chunk's populations are formed once, never more than a chunk
         assert max(counts) <= _csvtext.CHUNK_ROWS and sum(counts) == rows

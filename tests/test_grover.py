@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iongrover import dynamics, grover
+from iongrover.cli import FIG4_EPSILONS, FIG4_IONS
 from iongrover.dynamics import (
     IntegrationError,
     hamiltonian_from_pulse,
@@ -364,11 +366,42 @@ class TestSweep:
     @settings(max_examples=25, deadline=None)
     @given(configs=st.lists(lone_pulse_configs(), min_size=1, max_size=3))
     def test_last_rows_are_the_runs_success(self, configs):
-        populations = sweep(configs)
-        for cfg, p in zip(configs, populations):
-            result = run_search(cfg)
+        # every config whose own run integrates is compared; a config whose
+        # run refuses makes the whole batch refuse, naming the first such cell
+        runs = {}
+        for c, cfg in enumerate(configs):
+            try:
+                runs[c] = run_search(cfg)
+            except IntegrationError:
+                pass
+        refused = [c for c in range(len(configs)) if c not in runs]
+        if refused:
+            with pytest.raises(IntegrationError,
+                               match=f"^sweep cell {refused[0]} .*norm drift"):
+                sweep(configs)
+        populations = sweep([configs[c] for c in runs])
+        for result, p in zip(runs.values(), populations, strict=True):
             assert len(p) == result.iterations_executed + 1
             assert abs(p[-1] - result.success_probability) <= 1e-12
+
+    def test_a_cell_its_run_refuses_refuses_the_batch(self):
+        # at 4,000 RK4 steps over a 15-width window each detuned pulse of the
+        # deterministic search loses up to 1.9e-8 of norm, 19 budgets; the
+        # uncalibrated start at N = 2 meets that loss, the calibrated one not
+        coarse = SearchConfig(
+            n_ions=2, marked_index=1, mode="physical", variant="deterministic",
+            iterations=3, pulse=PulseSettings(spacing=30.0),
+            imperfection=ImperfectionSettings(epsilon=0.5, calibration="uncalibrated"),
+            integrator=IntegratorConfig(window=15.0))
+        calibrated = dataclasses.replace(coarse, imperfection=ImperfectionSettings(0.5))
+        with pytest.raises(IntegrationError, match="^norm drift 1.172e-08 exceeds "
+                                                   "schedule budget 7e-09$"):
+            run_search(coarse)
+        with pytest.raises(IntegrationError, match=r"^sweep cell 1 \(N=2, ion 1, "
+                                                   r"epsilon=0.5\): norm drift 1.17"):
+            sweep([calibrated, coarse])
+        [p] = sweep([calibrated])
+        assert abs(p[-1] - run_search(calibrated).success_probability) <= 1e-12
 
     @staticmethod
     def mixed():
@@ -397,11 +430,35 @@ class TestSweep:
             rows = run_search(cfg).trajectory.slots(cfg.marked_index)
             assert np.abs(rows - sweep([cfg])[0]).max() <= 1e-15
 
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    def test_cells_that_share_their_pulses_share_one_plan(self, monkeypatch, mode):
+        def grid(steps):
+            return [SearchConfig(n_ions=20, marked_index=m, mode=mode, iterations=steps,
+                                 imperfection=ImperfectionSettings(epsilon=eps))
+                    for eps in FIG4_EPSILONS for m in FIG4_IONS]
+
+        fig4, longer = grid(3), grid(5)
+        interleaved = [cfg for pair in zip(fig4, longer) for cfg in pair]
+        alone = [p for pair in zip(sweep(fig4), sweep(longer)) for p in pair]
+        validate = [SearchConfig(n_ions=n, marked_index=1 + n // 2,
+                                 variant="deterministic") for n in range(2, 17)]
+        real, plans = grover.build_plan, []
+        monkeypatch.setattr(grover, "build_plan",
+                            lambda cfg: plans.append(cfg) or real(cfg))
+        for configs, count in ((fig4, 1), (validate, 15), (interleaved, 2)):
+            plans.clear()
+            batch = sweep(configs)
+            assert len(plans) == count
+        # the interleaved batch is each grid swept alone
+        for p, q in zip(batch, alone, strict=True):
+            assert p.shape == q.shape
+            assert np.abs(p - q).max() <= 1e-15
+
     def test_overlapping_windows_raise(self):
         lone = SearchConfig(n_ions=15, marked_index=3, mode="physical")
         crowded = SearchConfig(n_ions=15, marked_index=3, mode="physical",
                                pulse=PulseSettings(spacing=29.9))
-        with pytest.raises(ValueError, match=r"sweep cell 1 \(N=15, ion 3\): "
+        with pytest.raises(ValueError, match=r"sweep cell 1 \(N=15, ion 3, epsilon=0\): "
                                              "pulse windows overlap"):
             sweep([lone, crowded])
 
@@ -414,8 +471,8 @@ class TestSweep:
 
         monkeypatch.setattr(grover, "_role_products", poisoned)
         configs = [SearchConfig(n_ions=n, marked_index=2) for n in (5, 7)]
-        with pytest.raises(IntegrationError, match=r"sweep cell 1 \(N=7, ion 2\): "
-                                                   "non-finite marked population"):
+        with pytest.raises(IntegrationError, match=r"sweep cell 1 \(N=7, ion 2, "
+                                                   r"epsilon=0\): non-finite marked"):
             sweep(configs)
 
 

@@ -15,7 +15,6 @@ from iongrover.model import (
     PulseShape,
     SearchConfig,
     beam_factors,
-    local_chi,
 )
 from iongrover.grover import build_plan, initialize, iteration_count, run_search
 
@@ -280,8 +279,8 @@ class TestSweepBlock:
     ])
     def test_one_plan_holds_for_every_cell(self, monkeypatch, mode, n_ions, marked,
                                            epsilons, reflection):
-        # the sweep plans its first cell only; every cell's own plan has the
-        # same role pulses but for their chis, the same phase and init product
+        # the grid's cells share one plan; every cell's own plan has the same
+        # role pulses but for their chis, the same phase and init product
         real, plans = grover.build_plan, []
         monkeypatch.setattr(grover, "build_plan",
                             lambda cfg: plans.append(real(cfg)) or plans[-1])
@@ -353,7 +352,7 @@ class TestSweepBlock:
 
     def test_norm_drift_raises_naming_the_cell(self, monkeypatch):
         self.bent_chain(monkeypatch, lambda products: products * (1.0 + 1e-6))
-        with pytest.raises(IntegrationError, match=r"epsilon=0\.1, ion 3: norm drift"):
+        with pytest.raises(IntegrationError, match=r"ion 3, epsilon=0\.1\): norm drift"):
             infidelity_sweep(6, [3], [0.1], steps=1)
 
     @pytest.mark.parametrize("bend, message", [
@@ -397,17 +396,14 @@ class TestSweepLastRow:
 
     @staticmethod
     def cells(mode, reflection):
-        """fig4's cells as the sweep forms them: r <= 4 coordinates of each
-        cell's chis, and the role products of the grid's first cell."""
-        cfg = SearchConfig(n_ions=20, marked_index=FIG4_IONS[0], mode=mode,
-                           imperfection=ImperfectionSettings(reflection=reflection))
-        plan = build_plan(cfg)
-        uniform = [plan.reflection.chi.components] if reflection == "uniform" else []
-        _, coords = dynamics.subspace([
-            [grover._beam_chi(20, ImperfectionSettings(epsilon=eps))[0],
-             local_chi(20, m).components, *uniform]
+        """fig4's cells as the sweep forms them (``grover._cells``): r <= 4
+        coordinates of each cell's chis, and each cell's role products."""
+        _, _, coords, products = grover._cells([
+            SearchConfig(n_ions=20, marked_index=m, mode=mode, iterations=3,
+                         imperfection=ImperfectionSettings(epsilon=eps,
+                                                           reflection=reflection))
             for eps in FIG4_EPSILONS for m in FIG4_IONS])
-        return coords, grover._role_products(plan, cfg)
+        return coords, products
 
     @pytest.mark.parametrize("mode", ["ideal", "physical"])
     @pytest.mark.parametrize("reflection", ["adapted", "uniform"])
@@ -416,8 +412,8 @@ class TestSweepLastRow:
         coords, products = self.cells(mode, reflection)
         last = dynamics._search_last(coords, products, count)
         rows = dynamics._search_rows(coords, products, count)
-        assert last.shape == (63, coords.shape[2])
-        assert np.abs(last - rows[:, -1]).max() <= 1e-12
+        assert last.shape == (63, 1, coords.shape[2])
+        assert np.abs(last - rows[:, -1:]).max() <= 1e-12
 
     def test_forms_no_rows(self, monkeypatch):
         def refuse(*args):
