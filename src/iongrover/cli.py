@@ -31,7 +31,7 @@ from ._csvtext import CHUNK_ROWS, csv_text
 from .dynamics import IntegrationError
 from .grover import build_plan, count_and_phase, detect, run_search, sample_detection
 from .imperfections import infidelity_sweep
-from .model import PulseShape, SearchConfig, SearchResult
+from .model import PulseSettings, PulseShape, SearchConfig, SearchResult
 from .pulses import NoSolutionError, calibrates, nominal_pulse, rms_area
 
 FIG4_EPSILONS = [round(0.01 * i, 2) for i in range(21)]
@@ -316,9 +316,23 @@ def _fig4(args: argparse.Namespace, resolved: dict):
             [r.infidelity for r in rows]])
 
 
+def _crowding(args: argparse.Namespace, resolved: dict):
+    """The N = 15 probabilistic search's final and peak marked population as
+    its pulses crowd, from touching windows (spacing 30) to spacing 4."""
+    spacings, final, peak = [30.0, 20.0, 12.0, 10.0, 8.0, 7.0, 6.0, 5.0, 4.0], [], []
+    for spacing in spacings:
+        result = run_search(SearchConfig(n_ions=15, marked_index=8, mode="physical",
+                                         pulse=PulseSettings(spacing=spacing)))
+        final.append(result.success_probability)
+        peak.append(float(np.max(result.trajectory.slots(8))))
+    resolved.update(n_ions=15, marked_index=8, mode="physical", spacings=spacings)
+    yield ("crowding.csv", ["spacing", "final_probability", "peak_probability"],
+           [spacings, final, peak])
+
+
 #: figure -> a generator of its files' (name, CSV header, columns), each yielded
 #: as its search ends and written before the next; it fills the resolved parameters
-_FIGURES = {"fig3": _fig3, "fig4": _fig4}
+_FIGURES = {"fig3": _fig3, "fig4": _fig4, "crowding": _crowding}
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:

@@ -30,8 +30,8 @@ the full register.  A lone pulse's 2x2 Hamiltonian is real, so its one-step
 matrices are that polynomial written out in the envelope samples
 (``_pulse_chain``); overlapping pulses take stage-matrix products (``_chain``)
 on one global grid, each pulse sampled only on the chunks its window meets.
-Windows that only touch, as at the default spacing of twice the window, are
-lone pulses at any width.
+One rule, ``_overlaps``, tells them from windows that only touch, as at the
+default spacing of twice the window: lone pulses at any width, run or sweep.
 Every reader of a pulse's 2x2 takes its one memo entry from ``_spec_chain``,
 and every schedule, start register and sweep cell keeps one drift rule
 (``_check_drift``: ``NORM_REPAIR_TOL`` per pulse applied).
@@ -335,26 +335,29 @@ def _search_last(chis, products, count):
     return row
 
 
+def _overlaps(centers, widths, window):
+    """Whether windows about ascending ``centers`` overlap a neighbour: by more than
+    1e-9 of the narrower width and 4 ulps of their times (the centers' rounding)."""
+    spans = [(c - window * w, c + window * w) for c, w in zip(centers, widths)]
+    return any(a[1] - b[0] > max(1e-9 * min(v, w), 4.0 * math.ulp(a[1]))
+               for a, b, v, w in zip(spans, spans[1:], widths, widths[1:]))
+
+
 def _windows(pulses, column, cfg, stride):
     """Each integrated window as (start, step, recorded step counts, e, P): P
     holds the running propagators on the orthonormal columns e of the run's
     coordinates, where ``column`` maps each chi, by identity, to its own.
 
     A pulse alone drives e = [e0, c_chi], by its (ancilla, bright) chain from
-    the process memo ``_pulse_chain``.  Windows that touch, as at the default
-    spacing of twice the window, are lone pulses at any width and time: two
-    windows overlap only by more than 1e-9 of the narrower width and 4 ulps
-    of their times, above the rounding of their centers.  Overlapping windows
-    form one window on all coordinates: a global grid, refined so the
-    narrowest pulse keeps its step count, with each pulse (detuning included)
-    on only in its own span.  A grid whose step count leaves the float range
-    raises ``IntegrationError``.
+    the process memo ``_pulse_chain``.  Windows that ``_overlaps`` finds
+    overlapping form one window on all coordinates: a global grid, refined so
+    the narrowest pulse keeps its step count, with each pulse (detuning
+    included) on only in its own span.  A grid whose step count leaves the
+    float range raises ``IntegrationError``.
     """
     spans = [(p.center - cfg.window * p.shape.width,
               p.center + cfg.window * p.shape.width) for p in pulses]
-    if any(a[1] - b[0] > max(1e-9 * min(p.shape.width, q.shape.width),
-                             4.0 * math.ulp(a[1]))
-           for a, b, p, q in zip(spans, spans[1:], pulses, pulses[1:])):
+    if _overlaps([p.center for p in pulses], [p.shape.width for p in pulses], cfg.window):
         e = np.eye(len(column[id(pulses[0].chi)]))
         lo, hi = min(s[0] for s in spans), max(s[1] for s in spans)
         base = 2.0 * cfg.window * min(p.shape.width for p in pulses)
@@ -426,9 +429,9 @@ def evolve_schedule(
     dropped.  Non-overlapping windows (the default spacing) are integrated
     pulse by pulse; nothing evolves between windows because the drive and
     its rotating frame are only defined while a pulse is on.  If windows
-    overlap, the whole schedule is integrated under the summed pulse
-    Hamiltonians on a proportionally refined global grid (an exploration
-    mode for studying pulse-crowding effects).  A norm drift
+    overlap (``_overlaps``), the whole schedule is integrated under the summed
+    pulse Hamiltonians on a proportionally refined global grid, as the
+    crowding figure's spacings below 30 are.  A norm drift
     beyond ``NORM_REPAIR_TOL`` per pulse raises ``IntegrationError``; drift
     inside it is repaired, never hidden above it.  Every schedule is recorded
     at its start, the earliest window start (0.0 if it is empty), every

@@ -185,13 +185,21 @@ def _role_products(plan: IterationPlan, cfg: SearchConfig) -> np.ndarray:
                      for p in roles])
 
 
+def _where(c, cfg):
+    """The prefix of a sweep error that names cell ``c`` by its config."""
+    return (f"sweep cell {c} (N={cfg.n_ions}, ion {cfg.marked_index}, "
+            f"epsilon={cfg.imperfection.epsilon:g}): ")
+
+
 def _cells(configs):
     """Plan configs as the cells of one batch: configs equal but for their
     chis (the ion; with a calibrated init the beam) share one ``build_plan``
     and role products, each distinct chi is formed once, and one ``subspace``
     serves each group of cells with as many chis and N of one bit length,
     zero-padded to its largest N.  Returns each cell's plan, ion rows (k, N)
-    by cell, chi coordinates (cells, 3, r) and role products (cells, 3, 2, 2)."""
+    by cell, chi coordinates (cells, 3, r) and role products (cells, 3, 2, 2).
+    A physical plan whose windows overlap (``dynamics._overlaps``) raises
+    ``ValueError`` for its first cell, before its pulses are integrated."""
     plans, beams, oracles, cells, groups = {}, {}, {}, [], {}
     for c, cfg in enumerate(configs):
         n, m, imp = cfg.n_ions, cfg.marked_index, cfg.imperfection
@@ -202,6 +210,10 @@ def _cells(configs):
         cell = plans.get(key)
         if cell is None:
             plan = build_plan(cfg)
+            pulses = plan.timeline() if cfg.mode == "physical" else []
+            if dynamics._overlaps([p.center for p in pulses],
+                                  [p.shape.width for p in pulses], cfg.integrator.window):
+                raise ValueError(f"{_where(c, cfg)}pulse windows overlap")
             cell = plans[key] = plan, _role_products(plan, cfg)
             beams.setdefault(beam, plan.init_pulse.chi.components)
             oracles.setdefault((n, m), plan.oracle.chi.components)
@@ -231,8 +243,8 @@ def _cells(configs):
 def _populations(configs, step):
     """Each config's marked population at every row up to its count that
     ``step`` (``dynamics._search_rows``, or ``_search_last`` for cells of one
-    count) forms from ``_cells``.  Overlapping physical windows raise
-    ``ValueError``; a non-finite population or drift, ``IntegrationError``."""
+    count) forms from ``_cells``.  A non-finite population or drift raises
+    ``IntegrationError``."""
     plans, _, coords, products = _cells(configs)
     count = max((p.count for p in plans), default=0)  # an empty batch steps no cell
     rows = step(coords, products, count)
@@ -243,13 +255,9 @@ def _populations(configs, step):
     finite = np.logical_and.accumulate(np.isfinite(populations), axis=1)[cells, last]
     for c, cfg, plan, norm, ok in zip(cells, configs, plans, norms[cells, last].tolist(),
                                       finite.tolist()):
-        where = (f"sweep cell {c} (N={cfg.n_ions}, ion {cfg.marked_index}, "
-                 f"epsilon={cfg.imperfection.epsilon:g}): ")
-        if cfg.mode == "physical" and cfg.pulse.spacing < 2.0 * cfg.integrator.window:
-            raise ValueError(f"{where}pulse windows overlap")
         if not ok:
-            raise IntegrationError(f"{where}non-finite marked population")
-        dynamics._check_drift(norm, 1 + 2 * plan.count, where)
+            raise IntegrationError(f"{_where(c, cfg)}non-finite marked population")
+        dynamics._check_drift(norm, 1 + 2 * plan.count, _where(c, cfg))
     return [p[:end + 1] for p, end in zip(populations, last)]
 
 

@@ -16,7 +16,7 @@ from iongrover import _csvtext, cli, grover
 from iongrover.cli import main
 from iongrover.grover import build_plan, run_search
 from iongrover.imperfections import SweepRow
-from iongrover.model import ImperfectionSettings, SearchConfig, Trajectory
+from iongrover.model import ImperfectionSettings, PulseSettings, SearchConfig, Trajectory
 from iongrover.pulses import rms_area
 
 
@@ -232,6 +232,22 @@ def test_each_figure_file_is_written_before_the_next_search(tmp_path, monkeypatc
     monkeypatch.setattr(cli, "run_search", search)
     assert main(["reproduce", "--figure", "fig3", "--out", str(tmp_path)]) == 0
     assert written == [[], ["fig3_probabilistic.csv"]]
+
+
+def test_crowding_figure(tmp_path):
+    # at spacing 30 the windows touch: the closed form sin^2((2J + 1) beta);
+    # every row is the run at its spacing, its peak at least its final value
+    assert main(["reproduce", "--figure", "crowding", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "crowding.csv").read_text().splitlines()
+    assert lines[0] == "spacing,final_probability,peak_probability"
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    assert [row[0] for row in rows] == [30, 20, 12, 10, 8, 7, 6, 5, 4]
+    assert abs(rows[0][1] - math.sin(7 * math.asin(15 ** -0.5)) ** 2) <= 1e-9
+    for spacing, final, peak in rows:
+        cfg = SearchConfig(n_ions=15, marked_index=8, mode="physical",
+                           pulse=PulseSettings(spacing=spacing))
+        assert final == run_search(cfg).success_probability
+        assert peak >= final
 
 
 def test_fig4_passes_jobs_to_the_sweep(tmp_path, monkeypatch):

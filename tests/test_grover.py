@@ -462,6 +462,41 @@ class TestSweep:
                                              "pulse windows overlap"):
             sweep([lone, crowded])
 
+    # the run's one overlap rule: windows that touch within 1e-9 of a width,
+    # and at width 1.36 round into each other, are lone pulses in both; at
+    # spacing 30 - 1e-9 the rounded spans overlap by 1.0000036e-9, one grid
+    @pytest.mark.parametrize("spacing, width, crowded", [
+        (30.0, 1.0, False), (30.0 - 1e-12, 1.0, False), (30.0 - 1e-9, 1.0, True),
+        (30.0, 1.36, False), (29.9, 1.0, True), (20.0, 1.0, True)])
+    def test_the_sweep_refuses_what_the_run_integrates_on_one_grid(
+            self, monkeypatch, spacing, width, crowded):
+        cfg = SearchConfig(n_ions=15, marked_index=8, mode="physical",
+                           pulse=PulseSettings(spacing=spacing, width=width))
+        grids, chain = [], dynamics._chain
+        monkeypatch.setattr(dynamics, "_chain", lambda *a: grids.append(a) or chain(*a))
+        run = run_search(cfg)
+        assert len(grids) == crowded  # one global-grid window, or none
+        if grids:
+            with pytest.raises(ValueError, match=r"sweep cell 0 \(N=15, ion 8, "
+                                                 r"epsilon=0\): pulse windows overlap"):
+                sweep([cfg])
+        else:
+            [populations] = sweep([cfg])
+            assert abs(populations[-1] - run.success_probability) <= 1e-12
+
+    def test_overlap_is_refused_before_any_cell_is_stepped(self, monkeypatch):
+        stepped, integrated, products = [], [], grover._role_products
+        monkeypatch.setattr(dynamics, "_search_rows", lambda *a: stepped.append(a))
+        monkeypatch.setattr(grover, "_role_products", lambda plan, cfg: (
+            integrated.append(cfg.pulse.spacing) or products(plan, cfg)))
+        configs = [SearchConfig(n_ions=15, marked_index=3, mode="physical",
+                                pulse=PulseSettings(spacing=s)) for s in (30.0, 20.0, 29.9)]
+        # the first crowded cell in batch order, before its pulses or any cell's rows
+        with pytest.raises(ValueError, match=r"sweep cell 1 \(N=15, ion 3, epsilon=0\): "
+                                             "pulse windows overlap"):
+            sweep(configs)
+        assert integrated == [30.0] and stepped == []
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_a_non_finite_cell_is_named(self, monkeypatch):
         products = grover._role_products

@@ -126,11 +126,10 @@ def referenced_names(path):
 
 def test_every_export_has_a_caller_outside_its_module():
     # no public name that nothing uses: each is named in another module of the
-    # package, in a script, or in the acceptance tests
+    # package or in the acceptance tests
     root = SRC.parent.parent
     users = {path: referenced_names(path) for path in [
         *(p for name, p in MODULES.items() if name != "__init__"),
-        *sorted((root / "scripts").glob("*.py")),
         root / "tests" / "test_acceptance.py"]}
     unused = set()
     for name in iongrover.__all__:
