@@ -18,9 +18,8 @@ A column may also be a function that gives a chunk's cells when asked, so a
 caller can form a long column CHUNK_ROWS rows at a time.  Each cell is laid
 out in fixed slots of a column-major uint8 plane, an unused slot 0.  A
 transpose and a ``translate`` deleting the 0 bytes turn EMIT_ROWS rows of a
-chunk's planes at a time into text; the slices are joined, so the chunk is
-one append to the table's text: that text is formed once, from the header
-line on.
+chunk's planes at a time into one piece of text: the table is a stream of
+pieces, the header line first, and its text is never held whole.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ VECTOR_CELLS = 2500
 #: rows per chunk: its planes and temporaries stay in cache (of 1,024 to
 #: 16,384 rows, 4,096 formatted a physical N = 256 trajectory fastest)
 CHUNK_ROWS = 4096
-#: rows of a chunk transposed, stripped and decoded at a time: the chunk's
-#: text is then held about once, not as its planes' bytes three times over
+#: rows of a chunk transposed, stripped and decoded into one piece of text,
+#: so those three copies of its bytes stay a quarter of the chunk's planes
 EMIT_ROWS = 1024
 #: slots of a number: sign, the "0.000" before a fixed 1e-4 <= |x| < 1, 17
 #: digits and the point among them, and "e+ddd"
@@ -185,13 +184,10 @@ def _template_text(columns: list, rows: int) -> str:
     return (row + "\n") * rows % tuple(cells)
 
 
-def _vector_text(columns: list, rows: int, text: str) -> str:
-    """``text`` and the rows, CHUNK_ROWS at a time, each column laid out in its
-    planes and a function column asked for that chunk's cells; each chunk's
-    planes become text EMIT_ROWS rows at a time, joined, so ``text`` takes one
-    append per chunk.  ``text`` has no other reference and these loops warm
-    this code, so CPython's specialized ``+=`` grows it in place (a cold
-    ``+=`` copies)."""
+def _vector_pieces(columns: list, rows: int):
+    """The rows, CHUNK_ROWS at a time, each column laid out in its planes and
+    a function column asked for that chunk's cells; each chunk's planes are
+    yielded as text EMIT_ROWS rows at a time."""
     cells, spans, width = [], [], 0
     for col in columns:
         if callable(col):
@@ -217,25 +213,22 @@ def _vector_text(columns: list, rows: int, text: str) -> str:
                 _number_planes(chunk, planes[span, :n])
             else:
                 planes[span, :n] = chunk.view(np.uint8).reshape(n, -1).T
-        pieces = [planes[:, i:min(i + EMIT_ROWS, n)].T.tobytes()
-                  .translate(None, b"\0").decode() for i in range(0, n, EMIT_ROWS)]
-        # the pieces are freed after the append: freed before it, their heap
-        # run can take the text, which then grows by copies there
-        text += "".join(pieces)
-        del pieces
-    return text
+        for i in range(0, n, EMIT_ROWS):
+            yield (planes[:, i:min(i + EMIT_ROWS, n)].T.tobytes()
+                   .translate(None, b"\0").decode())
 
 
-def csv_text(header: list[str], columns: list) -> str:
-    """The CSV text of equal-length columns under ``header``, formed once from
-    the header line on.  A column is a list or an array, or, after the first,
-    a function of (start, stop) that returns the float64 cells of those rows,
-    asked for at most CHUNK_ROWS rows at a time and read before its next call.
-    A column whose first cell is a str is written as it is, any other as
-    format(float(x), ".17g") of each cell."""
-    text = ",".join(header) + "\n"
+def csv_pieces(header: list[str], columns: list):
+    """The CSV text of equal-length columns under ``header``, yielded as str
+    pieces: the header line, then the rows.  A column is a list or an array,
+    or, after the first, a function of (start, stop) that returns the float64
+    cells of those rows, asked for at most CHUNK_ROWS rows at a time and read
+    before its next call.  A column whose first cell is a str is written as it
+    is, any other as format(float(x), ".17g") of each cell."""
+    yield ",".join(header) + "\n"
     rows = len(columns[0])
     if rows * len(columns) >= VECTOR_CELLS:
-        return _vector_text(columns, rows, text)
-    columns = [col(0, rows) if callable(col) else col for col in columns]
-    return text + _template_text(columns, rows) if rows else text
+        yield from _vector_pieces(columns, rows)
+    elif rows:
+        yield _template_text([col(0, rows) if callable(col) else col for col in columns],
+                             rows)

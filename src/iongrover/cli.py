@@ -12,6 +12,7 @@ too large for physical memory included), 3 numerical or internal failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import gc
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._csvtext import CHUNK_ROWS, csv_text
+from ._csvtext import CHUNK_ROWS, csv_pieces
 from .dynamics import IntegrationError
 from .grover import build_plan, count_and_phase, detect, run_search, sample_detection
 from .imperfections import infidelity_sweep
@@ -50,7 +51,6 @@ BYTES_PER_ROW = 512
 #: an even grid integrates half its window; odd grids take 0.3-0.5 us a step
 MAX_STEPS_PER_PULSE = 10**7
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-_WRITE_SLICE = 1 << 16  # characters of a file encoded, hashed and written at a time
 
 
 class ConfigError(ValueError):
@@ -150,17 +150,57 @@ def load_config(path: Path) -> SearchConfig:
     return cfg
 
 
-def _write_text(path: Path, text: str) -> dict:
-    """Write ``text`` as UTF-8 in slices, never holding its bytes whole, and
-    return its manifest entry: the file name, sha256 and byte count written.
-    The whole text still arrives as one str, which ``cli.output_bytes`` reads."""
-    digest, size = hashlib.sha256(), 0
-    with open(path, "wb") as fh:
-        for start in range(0, len(text), _WRITE_SLICE):
-            data = text[start:start + _WRITE_SLICE].encode()
-            digest.update(data)
-            size += fh.write(data)
+def _write_text(sink, text: str) -> None:
+    """Append the str piece ``text`` to ``sink``, an open output file and its
+    running sha256, as UTF-8."""
+    fh, digest = sink
+    data = text.encode()
+    digest.update(data)
+    fh.write(data)
+
+
+def _write_file(path: Path, pieces) -> dict:
+    """Write the str ``pieces`` to ``path`` and return its manifest entry: the
+    file name, sha256 and byte count written.  Each piece is encoded, hashed
+    and written as it comes, into a temporary name beside ``path`` that
+    takes its place when complete, so the file only ever appears whole; if
+    the pieces fail, the temporary file is removed and an old ``path`` stays."""
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    try:
+        digest = hashlib.sha256()
+        with open(part, "wb") as fh:
+            sink = fh, digest
+            for text in pieces:
+                _write_text(sink, text)
+                del text  # not held while the next piece is formed
+            size = fh.tell()
+        # ext4 makes a rename over an existing file write out the new file's
+        # data first (auto_da_alloc); with the old file unlinked it only renames
+        path.unlink(missing_ok=True)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     return {"path": path.name, "sha256": digest.hexdigest(), "bytes": size}
+
+
+@contextlib.contextmanager
+def _output_dir(name: str):
+    """The directory ``name``, made with its missing parents.  If the block
+    raises, the directories made here are removed with the files written in
+    them, so a failed command leaves no new directory behind."""
+    out_dir = Path(name)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield out_dir
+    except BaseException:
+        with contextlib.suppress(OSError):  # the command's own error is reported
+            for d in made:  # deepest first: only out_dir holds files
+                for f in d.iterdir():
+                    f.unlink()
+                d.rmdir()
+        raise
 
 
 def _json_list(item: str, count: int, indent: str) -> str:
@@ -171,15 +211,40 @@ def _json_list(item: str, count: int, indent: str) -> str:
     return "[\n" + ",\n".join([indent + "  " + item] * count) + "\n" + indent + "]"
 
 
-def _json_text(payload, end: str = "") -> str:
+def _json_array(value: np.ndarray, indent: str):
+    """The text of a finite float64 or int64 array of one or two dimensions
+    at ``indent``, as json.dumps(value.tolist(), indent=2) lays it out, yielded
+    a block of CHUNK_ROWS rows at a time."""
+    if not len(value):
+        yield "[]"
+        return
+    item = indent + "  " + ("%s" if value.ndim == 1 else
+                            _json_list("%s", value.shape[1], indent + "  "))
+    for start in range(0, len(value), CHUNK_ROWS):
+        yield _json_block(value[start:start + CHUNK_ROWS], item, start)
+    yield "\n" + indent + "]"
+
+
+def _json_block(block: np.ndarray, item: str, start: int) -> str:
+    """The rows of ``block`` as list items of the template ``item``, opening
+    the list at ``start`` 0: each distinct value (by bit pattern, so -0.0
+    stays apart from 0.0) formatted once, with json's repr, and the cells
+    filled in by one % call."""
+    unique, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+    form = float.__repr__ if block.dtype == np.float64 else int.__repr__
+    text = np.array(list(map(form, unique.view(block.dtype).tolist())), dtype=object)
+    template = ("," if start else "[") + "\n" + ",\n".join([item] * len(block))
+    return template % tuple(text[inverse].tolist())
+
+
+def _json_pieces(payload, end: str = ""):
     """json.dumps(payload, indent=2, sort_keys=True) joined with ``end``, numpy
-    arrays as their tolist().  json lays the payload out; its ``default`` hook
-    stands a NUL string in for each finite float64 or int64 array of one or
-    two dimensions, whose text then replaces the placeholder at the indent of
-    its line: each distinct value (by bit pattern, so -0.0 stays apart from
-    0.0) formatted once, with json's repr, into a template filled by one %
-    call.  A payload string that spells a placeholder makes the counts differ,
-    and json then writes every array as its tolist()."""
+    arrays as their tolist(), yielded as str pieces.  json lays the payload
+    out; its ``default`` hook stands a NUL string in for each finite float64
+    or int64 array of one or two dimensions, whose text ``_json_array`` then
+    yields in place of the placeholder, at the indent of its line.  A payload
+    string that spells a placeholder makes the counts differ, and json then
+    writes every array as its tolist()."""
     arrays = []
 
     def stand_in(value):
@@ -192,29 +257,21 @@ def _json_text(payload, end: str = "") -> str:
     parts = json.dumps(payload, indent=2, sort_keys=True, default=stand_in).split(
         '"\\u0000"')
     if len(parts) != len(arrays) + 1:
-        return json.dumps(payload, indent=2, sort_keys=True,
-                          default=lambda a: a.tolist()) + end
-    pieces = [parts[0]]
+        yield json.dumps(payload, indent=2, sort_keys=True,
+                         default=lambda a: a.tolist()) + end
+        return
+    parts[-1] += end
+    yield parts[0]
     for value, before, after in zip(arrays, parts, parts[1:]):
         line = before[before.rfind("\n") + 1:]
-        indent = line[:len(line) - len(line.lstrip(" "))]
-        unique, inverse = np.unique(value.view(np.int64).ravel(), return_inverse=True)
-        text = map(float.__repr__ if value.dtype == np.float64 else int.__repr__,
-                   unique.view(value.dtype).tolist())
-        cells = np.array(list(text), dtype=object)[inverse].tolist()
-        template = "%s"
-        for depth in range(value.ndim, 0, -1):
-            template = _json_list(template, value.shape[depth - 1],
-                                  indent + "  " * (depth - 1))
-        pieces += [template % tuple(cells), after]
-        del unique, inverse, cells, template  # not held while the pieces are joined
-    return "".join([*pieces, end])
+        yield from _json_array(value, line[:len(line) - len(line.lstrip(" "))])
+        yield after
 
 
 def _write_json(path: Path, payload: dict) -> dict:
     """Write json.dumps(payload, indent=2, sort_keys=True) and a newline,
     numpy arrays in the payload written as their tolist()."""
-    return _write_text(path, _json_text(payload, "\n"))
+    return _write_file(path, _json_pieces(payload, "\n"))
 
 
 def _trajectory_table(result: SearchResult, marked_index: int) -> tuple[list, list]:
@@ -257,11 +314,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if cfg.shots is not None and args.seed is None:
         raise ConfigError("shot sampling requires an explicit --seed")
     result = run_search(cfg)
-    csv = csv_text(*_trajectory_table(result, cfg.marked_index))  # checked before writing
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trajectory = _write_text(out_dir / "trajectory.csv", csv)
-    del csv  # not held while result.json is formed
     detection = detect(result.final_state)
 
     payload = {
@@ -285,8 +337,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "no_click": int(counts[0]),
             "ion_counts": counts[1:],
         }
-    _manifest(out_dir, "run", {"config": str(args.config)}, result.parameters_used,
-              [_write_json(out_dir / "result.json", payload), trajectory])
+    with _output_dir(args.out) as out_dir:
+        # each chunk's populations are checked as its rows are written
+        trajectory = _write_file(out_dir / "trajectory.csv",
+                                 csv_pieces(*_trajectory_table(result, cfg.marked_index)))
+        _manifest(out_dir, "run", {"config": str(args.config)}, result.parameters_used,
+                  [_write_json(out_dir / "result.json", payload), trajectory])
     return 0
 
 
@@ -338,12 +394,11 @@ _FIGURES = {"fig3": _fig3, "fig4": _fig4, "crowding": _crowding}
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     resolved: dict = {}
-    outputs = [_write_text(out_dir / name, csv_text(header, columns))
-               for name, header, columns in _FIGURES[args.figure](args, resolved)]
-    _manifest(out_dir, "reproduce", {"figure": args.figure}, resolved, outputs)
+    with _output_dir(args.out) as out_dir:
+        outputs = [_write_file(out_dir / name, csv_pieces(header, columns))
+                   for name, header, columns in _FIGURES[args.figure](args, resolved)]
+        _manifest(out_dir, "reproduce", {"figure": args.figure}, resolved, outputs)
     return 0
 
 
@@ -358,9 +413,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         "checks": [c.to_dict() for c in checks],
     }
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "validation_report.json", report)
+        with _output_dir(args.out) as out_dir:
+            _write_json(out_dir / "validation_report.json", report)
     else:
         print(json.dumps(report, indent=2, sort_keys=True))
     for c in checks:

@@ -230,12 +230,12 @@ def _spec_chain(spec, cfg, stride):
                         cfg.steps_per_pulse, cfg.window, stride)
 
 
-def _check_drift(norm, pulses, where=""):
+def _check_drift(norm, pulses):
     """Raise ``IntegrationError`` for a norm off 1 by more than
-    ``NORM_REPAIR_TOL`` per pulse applied; ``where`` prefixes the message."""
+    ``NORM_REPAIR_TOL`` per pulse applied."""
     drift, budget = abs(norm - 1.0), NORM_REPAIR_TOL * max(1, pulses)
     if not drift <= budget:
-        raise IntegrationError(f"{where}norm drift {drift:.3e} exceeds "
+        raise IntegrationError(f"norm drift {drift:.3e} exceeds "
                                f"schedule budget {budget:g}")
 
 

@@ -257,7 +257,10 @@ def _populations(configs, step):
                                       finite.tolist()):
         if not ok:
             raise IntegrationError(f"{_where(c, cfg)}non-finite marked population")
-        dynamics._check_drift(norm, 1 + 2 * plan.count, _where(c, cfg))
+        try:
+            dynamics._check_drift(norm, 1 + 2 * plan.count)
+        except IntegrationError as exc:  # the prefix is formed only for a failure
+            raise IntegrationError(f"{_where(c, cfg)}{exc}") from None
     return [p[:end + 1] for p, end in zip(populations, last)]
 
 

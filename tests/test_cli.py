@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from iongrover import _csvtext, cli, grover
 from iongrover.cli import main
+from iongrover.dynamics import IntegrationError
 from iongrover.grover import build_plan, run_search
 from iongrover.imperfections import SweepRow
 from iongrover.model import ImperfectionSettings, PulseSettings, SearchConfig, Trajectory
@@ -838,6 +840,13 @@ class TestPopulationPass:
         assert err == ["error: numerical failure: non-finite trajectory population"]
         assert not out.exists()
 
+    def test_a_failed_run_removes_the_directories_it_made(self, tmp_path, monkeypatch):
+        self.spy_columns(monkeypatch, poison=np.nan)
+        cfg = write_config(tmp_path / "cfg.json", n_ions=15, marked_index=3)
+        out = tmp_path / "made" / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
+
 
 class TestPulseGrid:
     """Touching windows (the default spacing is twice the window) are lone
@@ -909,6 +918,7 @@ def heavy():
 
 import iongrover.cli
 from iongrover.cli import main
+from iongrover.dynamics import IntegrationError
 
 found = {"import": sorted(m for m in sys.modules if m.split(".")[0] in UNUSED
                           or m.split(".")[:2] == ["numpy", "random"])}
@@ -927,6 +937,7 @@ import json, math, sys
 sys.modules["scipy"] = None  # every import of scipy now raises ImportError
 
 from iongrover.cli import main
+from iongrover.dynamics import IntegrationError
 from iongrover.dynamics import IntegratorConfig, fit_hr_phase, hr_distance, propagator
 from iongrover.householder import generalized_hr
 from iongrover.model import CouplingVector, PulseShape
@@ -966,6 +977,7 @@ STDERR_PROBE = """
 import contextlib, io, json, sys
 
 from iongrover.cli import main
+from iongrover.dynamics import IntegrationError
 
 err = io.StringIO()
 with contextlib.redirect_stderr(err):
@@ -1066,7 +1078,7 @@ class TestImportHygiene:
 
 
 def reference_write_csv(path, header, rows):
-    """The per-cell writer the bulk ``csv_text`` replaced."""
+    """The per-cell writer the bulk ``csv_pieces`` replaced."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
@@ -1100,11 +1112,11 @@ def reference_pulse_timeline_rows(cfg):
 
 
 class TestBulkCsvWriter:
-    """``csv_text`` writes the same bytes as the per-cell reference."""
+    """``csv_pieces`` writes the same bytes as the per-cell reference."""
 
     def assert_same_bytes(self, tmp_path, header, rows, columns):
         reference_write_csv(tmp_path / "ref.csv", header, rows)
-        cli._write_text(tmp_path / "got.csv", _csvtext.csv_text(header, columns))
+        cli._write_file(tmp_path / "got.csv", _csvtext.csv_pieces(header, columns))
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_awkward_floats(self, tmp_path):
@@ -1123,8 +1135,8 @@ class TestBulkCsvWriter:
         columns = [result.trajectory_times, *result.trajectory.columns(cfg.marked_index).T]
         header = ["time", "p_marked", "p_slot0", "p_other_total"]
         reference_write_csv(tmp_path / "ref.csv", header, list(zip(*columns)))
-        text = _csvtext.csv_text(*cli._trajectory_table(result, cfg.marked_index))
-        cli._write_text(tmp_path / "got.csv", text)
+        pieces = _csvtext.csv_pieces(*cli._trajectory_table(result, cfg.marked_index))
+        cli._write_file(tmp_path / "got.csv", pieces)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         # the columns agree with the rows computed from the dense populations
         ref = np.array(reference_trajectory_rows(result, cfg.marked_index))
@@ -1186,7 +1198,7 @@ class TestVectorCsvWriter:
 
     def assert_same_bytes(self, tmp_path, columns):
         reference_write_csv(tmp_path / "ref.csv", self.header, list(zip(*columns)))
-        cli._write_text(tmp_path / "got.csv", _csvtext.csv_text(self.header, columns))
+        cli._write_file(tmp_path / "got.csv", _csvtext.csv_pieces(self.header, columns))
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.fixture
@@ -1194,9 +1206,9 @@ class TestVectorCsvWriter:
         """The cells each table sends to the vector path and to the scalar
         fallback, per call."""
         seen = {"vector": [], "scalar": []}
-        vector, scalar = _csvtext._vector_text, _csvtext._scalar_cells
-        monkeypatch.setattr(_csvtext, "_vector_text", lambda columns, rows, text: (
-            seen["vector"].append(rows * len(columns)) or vector(columns, rows, text)))
+        vector, scalar = _csvtext._vector_pieces, _csvtext._scalar_cells
+        monkeypatch.setattr(_csvtext, "_vector_pieces", lambda columns, rows: (
+            seen["vector"].append(rows * len(columns)) or vector(columns, rows)))
         monkeypatch.setattr(_csvtext, "_scalar_cells", lambda values: (
             seen["scalar"].append(len(values)) or scalar(values)))
         return seen
@@ -1245,7 +1257,7 @@ class TestVectorCsvWriter:
         header = ["x", "y", "label", "z"]
         tmp_path = tmp_path_factory.mktemp("cells")
         reference_write_csv(tmp_path / "ref.csv", header, list(zip(*columns)))
-        cli._write_text(tmp_path / "got.csv", _csvtext.csv_text(header, columns))
+        cli._write_file(tmp_path / "got.csv", _csvtext.csv_pieces(header, columns))
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_physical_trajectory_needs_no_fallback(self, tmp_path, paths):
@@ -1256,31 +1268,51 @@ class TestVectorCsvWriter:
         assert paths["scalar"] == []
 
 
-class TestSlicedWriter:
-    """``cli._write_text`` encodes, hashes and writes its text a slice of
-    ``_WRITE_SLICE`` characters at a time; the file and its manifest entry
-    are those of the whole text encoded at once."""
+class TestFileWriter:
+    """``cli._write_file`` encodes, hashes and writes its str pieces one at a
+    time, through ``cli._write_text``; the file and its manifest entry are
+    those of the whole text encoded at once."""
+
+    PIECE = 1 << 16  # characters of a piece
 
     @pytest.mark.parametrize("slices, extra", [(0, 0), (1, -1), (1, 0), (1, 1), (3, 7)],
                              ids=["empty", "slice-1", "slice", "slice+1", "3slice+7"])
     def test_bytes_and_entry_are_those_of_the_whole_text(self, tmp_path, slices, extra):
-        edge = cli._WRITE_SLICE
+        edge = self.PIECE
         chars = ["a"] * (slices * edge + extra)
-        # a 2-byte and a 4-byte UTF-8 character on either side of every slice
+        # a 2-byte and a 4-byte UTF-8 character on either side of every piece
         # edge and at the end, as a non-ASCII config path in a manifest
         for at in [*range(edge, len(chars), edge), len(chars) - 1] if chars else []:
             chars[at - 1:at + 1] = "é", "\U0001d11e"
         text = "".join(chars)
-        entry = cli._write_text(tmp_path / "out.txt", text)
+        pieces = [text[i:i + edge] for i in range(0, len(text), edge)]
+        entry = cli._write_file(tmp_path / "out.txt", iter(pieces))
         data = (tmp_path / "out.txt").read_bytes()
         assert data == text.encode()
         assert entry == {"path": "out.txt", "sha256": hashlib.sha256(data).hexdigest(),
                          "bytes": len(data)}
+        assert [path.name for path in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_a_failed_stream_leaves_the_old_file_and_no_part(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("complete")
+
+        def pieces():
+            yield "partial"
+            raise IntegrationError("late failure")
+
+        with pytest.raises(IntegrationError, match="late failure"):
+            cli._write_file(path, pieces())
+        assert path.read_text() == "complete"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        cli._write_file(path, iter(["new ", "text"]))
+        assert path.read_text() == "new text"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestOutputCopies:
-    """An output file's text is held once: ``csv_text`` forms it in place,
-    and ``_write_text`` holds one slice of its bytes at a time."""
+    """An output file's text is never held whole: ``csv_pieces`` yields it a
+    slice of rows at a time, and ``_write_file`` holds one piece's bytes."""
 
     @pytest.fixture(scope="class")
     def columns(self):
@@ -1302,10 +1334,11 @@ class TestOutputCopies:
         finally:
             tracemalloc.stop()
 
-    def test_csv_text_holds_its_text_about_once(self, columns):
-        peak, text = self.peak(lambda: _csvtext.csv_text(["a", "b", "c", "d"], columns))
-        assert len(text) > 100_000 * 4 * 17
-        assert peak < 1.5 * len(text)
+    def test_csv_pieces_hold_a_slice_of_the_text(self, columns):
+        peak, size = self.peak(
+            lambda: sum(map(len, _csvtext.csv_pieces(["a", "b", "c", "d"], columns))))
+        assert size > 100_000 * 4 * 17
+        assert peak < 0.2 * size
 
     def test_a_column_chunk_holds_little_scratch(self, columns):
         # the kernel drops each temporary once spent: 407 KiB for 4,096 rows
@@ -1315,11 +1348,13 @@ class TestOutputCopies:
         peak, _ = self.peak(lambda: _csvtext._number_planes(x, out))
         assert peak < 500 * 1024
 
-    def test_write_text_holds_no_whole_copy(self, tmp_path, columns):
-        text = _csvtext.csv_text(["a", "b", "c", "d"], columns)
-        peak, entry = self.peak(lambda: cli._write_text(tmp_path / "out.csv", text))
-        assert entry["bytes"] == len(text)
-        assert peak < 0.1 * len(text)
+    def test_write_file_holds_no_whole_copy(self, tmp_path, columns):
+        pieces = list(_csvtext.csv_pieces(["a", "b", "c", "d"], columns))
+        size = sum(map(len, pieces))
+        peak, entry = self.peak(lambda: cli._write_file(tmp_path / "out.csv",
+                                                        iter(pieces)))
+        assert entry["bytes"] == size
+        assert peak < 0.1 * size
 
 
 CSV_HEADER = ["time", "p_marked", "p_slot0", "p_other_total"]
@@ -1366,10 +1401,10 @@ class TestChunkedTrajectoryCsv:
     def test_chunks_write_the_whole_table(self, results, monkeypatch, mode, rows):
         result, marked = results[mode]
         result = self.first_rows(result, rows)
-        whole = _csvtext.csv_text(CSV_HEADER, [result.trajectory_times,
-                                               *result.trajectory.columns(marked).T])
+        whole = "".join(_csvtext.csv_pieces(CSV_HEADER, [
+            result.trajectory_times, *result.trajectory.columns(marked).T]))
         counts = self.spy_rows(monkeypatch)
-        assert _csvtext.csv_text(*cli._trajectory_table(result, marked)) == whole
+        assert "".join(_csvtext.csv_pieces(*cli._trajectory_table(result, marked))) == whole
         assert whole.count("\n") == rows + 1
         # each chunk's populations are formed once, never more than a chunk
         assert max(counts) <= _csvtext.CHUNK_ROWS and sum(counts) == rows
@@ -1412,6 +1447,110 @@ class TestChunkedTrajectoryCsv:
         assert not out.exists()
         assert counts == [4096, 4096, 4096, 5]  # found in the last chunk
 
+    def test_a_failed_run_leaves_an_earlier_run_whole(self, tmp_path, capsys,
+                                                      monkeypatch, results):
+        # each file is streamed into a temporary name that replaces it only
+        # when complete, and a directory that was there stays
+        result, marked = results["physical"]
+        rows = 3 * 4096 + 5
+        whole = self.first_rows(result, rows)
+        coords = whole.trajectory.coords.copy()
+        coords[-1, 1] = np.nan
+        poisoned = self.first_rows(result, rows, coords)
+        cfg = write_config(tmp_path / "cfg.json", n_ions=256, marked_index=marked,
+                           mode="physical", variant="deterministic")
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        monkeypatch.setattr(cli, "run_search", lambda cfg: whole)
+        assert main(argv) == 0
+        before = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+        assert sorted(before) == ["manifest.json", "result.json", "trajectory.csv"]
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "run_search", lambda cfg: poisoned)
+        counts = self.spy_rows(monkeypatch)
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: numerical failure: non-finite trajectory population"]
+        assert counts == [4096, 4096, 4096, 5]
+        after = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+        assert after == before
+
+
+class TestStreamedPeak:
+    """The writers' memory is bounded by a chunk of rows, not by the file:
+    four times the rows raise the tracemalloc peak by less than one chunk's
+    text."""
+
+    R = 3 * 4096 + 5
+
+    @pytest.fixture(scope="class")
+    def long_result(self):
+        return run_search(SearchConfig(n_ions=15, marked_index=8, mode="ideal",
+                                       iterations=4 * self.R))
+
+    def test_trajectory_csv(self, tmp_path, monkeypatch, long_result):
+        cfg = write_config(tmp_path / "cfg.json", n_ions=15, marked_index=8)
+        peaks, sizes = [], []
+        for rows in (self.R, 4 * self.R):
+            result = TestChunkedTrajectoryCsv.first_rows(long_result, rows)
+            monkeypatch.setattr(cli, "run_search", lambda cfg, result=result: result)
+            out = tmp_path / f"out{rows}"
+            peak, code = TestOutputCopies.peak(
+                lambda: main(["run", "--config", str(cfg), "--out", str(out)]))
+            assert code == 0
+            peaks.append(peak)
+            sizes.append((out / "trajectory.csv").stat().st_size)
+        assert sizes[1] > 3.9 * sizes[0]
+        chunk = sizes[1] / (4 * self.R + 1) * _csvtext.CHUNK_ROWS
+        assert peaks[1] - peaks[0] < chunk
+
+    def test_result_json(self, tmp_path):
+        rng = np.random.default_rng(36)
+        peaks, sizes = [], []
+        for rows in (4096 + 1, 4 * 4096 + 1):
+            # distinct values: every cell's text is formed
+            payload = {"final_state": rng.standard_normal((rows, 2)), "schema_version": 1}
+            path = tmp_path / f"result{rows}.json"
+            peak, entry = TestOutputCopies.peak(lambda: cli._write_json(path, payload))
+            peaks.append(peak)
+            sizes.append(entry["bytes"])
+        assert sizes[1] > 3.9 * sizes[0]
+        chunk = sizes[1] / (4 * 4096 + 1) * _csvtext.CHUNK_ROWS
+        assert peaks[1] - peaks[0] < chunk
+
+
+class TestTracedOutputBytes:
+    """A tracer that wraps ``cli._write_text`` at its module name, as
+    perfbench/spans.py does, and sums len(text.encode()) over the calls counts
+    every byte of every file a command writes, manifests included."""
+
+    @pytest.fixture
+    def traced(self, monkeypatch):
+        original, total = cli._write_text, [0]
+        signature = inspect.signature(original)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            total[0] += len(signature.bind(*args, **kwargs).arguments["text"].encode())
+            return result
+
+        monkeypatch.setattr(cli, "_write_text", wrapper)
+        return total
+
+    @pytest.mark.parametrize("argv, files", [
+        (["run", "--config", "{cfg}"], ["manifest.json", "result.json", "trajectory.csv"]),
+        (["reproduce", "--figure", "fig3"],
+         ["fig3_deterministic.csv", "fig3_probabilistic.csv", "fig3_pulses.csv",
+          "manifest.json"]),
+        (["validate", "--suite", "fast"], ["validation_report.json"]),
+    ], ids=["run", "reproduce", "validate"])
+    def test_the_count_is_the_bytes_written(self, tmp_path, traced, argv, files):
+        cfg = write_config(tmp_path / "cfg.json", n_ions=256, marked_index=77,
+                           mode="physical", variant="deterministic")
+        out = tmp_path / "out"
+        assert main([a.format(cfg=cfg) for a in argv] + ["--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == files
+        assert traced[0] == sum(path.stat().st_size for path in out.iterdir())
+
 
 RUN_PEAK_PROBE = """
 import json, sys
@@ -1444,7 +1583,7 @@ class TestRunPeak:
         code, growth_kib = run_probe(RUN_PEAK_PROBE, str(cfg), str(tmp_path / "out"))
         assert code == 0
         assert (tmp_path / "out" / "trajectory.csv").stat().st_size > 8_000_000
-        assert growth_kib < 23 * 1024
+        assert growth_kib < 15 * 1024
 
 
 class TestCommandTrajectories:
@@ -1535,7 +1674,8 @@ class TestJsonWriter:
         monkeypatch.setattr(json, "dumps", lambda obj, **kw: calls.append(obj)
                             or real(obj, **kw))
         payload = {"b": [1, {"c": 0.5}], "a": {"d": "x"}}
-        assert cli._json_text(payload) == real(payload, indent=2, sort_keys=True)
+        assert "".join(cli._json_pieces(payload)) == real(payload, indent=2,
+                                                          sort_keys=True)
         assert calls == [payload]
 
     def test_each_distinct_value_is_formatted_once(self, monkeypatch):
@@ -1549,7 +1689,7 @@ class TestJsonWriter:
 
         monkeypatch.setattr(cli, "float", Float, raising=False)
         payload = {"p": np.full(4096, 1 / 3), "q": np.array([[0.5, -0.0]] * 100)}
-        text = cli._json_text(payload)
+        text = "".join(cli._json_pieces(payload))
         assert sorted(map(repr, formatted)) == ["-0.0", "0.3333333333333333", "0.5"]
         assert text == json.dumps(as_lists(payload), indent=2, sort_keys=True)
 
@@ -1570,7 +1710,7 @@ class TestJsonWriter:
         max_leaves=12))
     def test_nested_payloads_match_stdlib(self, payload):
         expected = json.dumps(as_lists(payload), indent=2, sort_keys=True)
-        assert cli._json_text(payload) == expected
+        assert "".join(cli._json_pieces(payload)) == expected
 
 
 class TestRunJsonContract:
