@@ -174,9 +174,6 @@ def _write_file(path: Path, pieces) -> dict:
                 _write_text(sink, text)
                 del text  # not held while the next piece is formed
             size = fh.tell()
-        # ext4 makes a rename over an existing file write out the new file's
-        # data first (auto_da_alloc); with the old file unlinked it only renames
-        path.unlink(missing_ok=True)
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)
@@ -187,18 +184,21 @@ def _write_file(path: Path, pieces) -> dict:
 @contextlib.contextmanager
 def _output_dir(name: str):
     """The directory ``name``, made with its missing parents.  If the block
-    raises, the directories made here are removed with the files written in
-    them, so a failed command leaves no new directory behind."""
-    out_dir = Path(name)
+    raises and the directory was made here, the files written in it are
+    removed, and then the directories made here, deepest first; rmdir leaves
+    a directory that holds anything else, so a failed command removes no
+    file that was there before it."""
+    out_dir = Path(name).resolve()  # "new/.." names the directory above "new"
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         yield out_dir
     except BaseException:
         with contextlib.suppress(OSError):  # the command's own error is reported
-            for d in made:  # deepest first: only out_dir holds files
-                for f in d.iterdir():
+            if made and made[0] == out_dir:
+                for f in out_dir.iterdir():
                     f.unlink()
+            for d in made:
                 d.rmdir()
         raise
 

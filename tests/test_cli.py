@@ -847,6 +847,19 @@ class TestPopulationPass:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
         assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("out", ["new/..", "made/new/../out"])
+    def test_a_failed_run_keeps_the_files_above_a_dotdot_out(self, tmp_path, monkeypatch,
+                                                              out):
+        # "new/.." is tmp_path itself, which was there: its files stay
+        self.spy_columns(monkeypatch, poison=np.nan)
+        cfg = write_config(tmp_path / "cfg.json", n_ions=15, marked_index=3)
+        (tmp_path / "keep.txt").write_text("kept\n")
+        (tmp_path / "sub").mkdir()
+        assert main(["run", "--config", str(cfg), "--out", f"{tmp_path}/{out}"]) == 3
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "keep.txt",
+                                                                    "sub"]
+        assert (tmp_path / "keep.txt").read_text() == "kept\n"
+
 
 class TestPulseGrid:
     """Touching windows (the default spacing is twice the window) are lone
@@ -918,7 +931,6 @@ def heavy():
 
 import iongrover.cli
 from iongrover.cli import main
-from iongrover.dynamics import IntegrationError
 
 found = {"import": sorted(m for m in sys.modules if m.split(".")[0] in UNUSED
                           or m.split(".")[:2] == ["numpy", "random"])}
@@ -937,7 +949,6 @@ import json, math, sys
 sys.modules["scipy"] = None  # every import of scipy now raises ImportError
 
 from iongrover.cli import main
-from iongrover.dynamics import IntegrationError
 from iongrover.dynamics import IntegratorConfig, fit_hr_phase, hr_distance, propagator
 from iongrover.householder import generalized_hr
 from iongrover.model import CouplingVector, PulseShape
@@ -977,7 +988,6 @@ STDERR_PROBE = """
 import contextlib, io, json, sys
 
 from iongrover.cli import main
-from iongrover.dynamics import IntegrationError
 
 err = io.StringIO()
 with contextlib.redirect_stderr(err):
