@@ -38,12 +38,12 @@ from .pulses import NoSolutionError, calibrates, nominal_pulse, rms_area
 FIG4_EPSILONS = [round(0.01 * i, 2) for i in range(21)]
 FIG4_IONS = [1, 5, 10]
 #: peak memory of ``run`` per ion, its whole peak RSS over N (the highest of
-#: three runs): 537 and 421 bytes in ideal mode at N = 2^18 and 2^20, 996 and
-#: 505 in physical mode, whose peak also holds a trajectory record of 402,501
+#: three runs): 316 and 211 bytes in ideal mode at N = 2^18 and 2^20, 375 and
+#: 233 in physical mode, whose peak also holds a trajectory record of 402,501
 #: and 804,501 rows
 BYTES_PER_ION = 1024
 #: peak memory of ``run`` per trajectory row, above that of a short run (the
-#: highest of three runs): 349 bytes (physical) and 182 (ideal) at N = 15 and
+#: highest of three runs): 59 bytes (physical) and 118 (ideal) at N = 15 and
 #: 10^6 rows
 BYTES_PER_ROW = 512
 #: RK4 steps a pulse may take: about 2.5 s for each distinct 2x2 pulse chain

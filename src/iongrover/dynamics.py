@@ -22,8 +22,8 @@ it are dark and frozen.  A pulse is thus the 2x2 problem
 in span{ancilla, start state, chi_1..chi_K} (Biham et al., PRA 60, 2742
 (1999)), so a run, or a stack of sweep cells, is carried as r <= K + 2
 coordinates in one orthonormal basis of that span each (``subspace``): O(N)
-once, O(r) per step after; ``_search_rows`` steps searches by doubling, and
-``_search_last`` forms only their last row.
+once, O(r) per step after; ``_search_rows`` steps any start row under any
+r x r operator by doubling, and ``_search_last`` forms only the last row.
 Fixed-step classical RK4 (bit-for-bit reproducible) is a polynomial in the
 stage Hamiltonians, so on this invariant space it is the same scheme as on
 the full register.  A lone pulse's 2x2 Hamiltonian is real, so its one-step
@@ -296,24 +296,11 @@ def _basis(vectors):
     return q, coords[0, :, :r]
 
 
-def _search_step(chis, products):
-    """Each cell's init row from the ancilla (cells, 1, r) and its iteration
-    U = R O (cells, r, r).  ``chis`` (cells, 3, r) holds the init, oracle and
-    reflection chi coordinates; role x is I + Q (P_x - 1) Q^dagger,
-    Q = [e0, chi_x], P = ``products`` (cells, 3, 2, 2)."""
-    q = chis[..., None] * np.array([0.0, 1.0])  # Q = [e0, chi]; chi's slot 0 is empty
-    q[:, :, 0, 0] = 1.0
-    ops = np.eye(chis.shape[2]) + np.einsum("cxia,cxab,cxjb->cxij", q,
-                                            products - np.eye(2), q.conj())
-    return ops[:, 0, None, :, 0], ops[:, 2] @ ops[:, 1]
-
-
-def _search_rows(chis, products, count):
-    """Rows (cells, count + 1, r) of each cell's search from the ancilla: the
-    init, then ``count`` times U (``_search_step``).  Doubling, a scan
-    (Blelloch, CMU-CS-90-190 (1990)): rows[n:2n] = rows[:n] (U^n)^T, then
-    U <- U^2, ceil(log2(count + 1)) times."""
-    start, u = _search_step(chis, products)
+def _search_rows(start, u, count):
+    """Rows (cells, count + 1, r) of each cell's search: its ``start`` row
+    (cells, 1, r), then ``count`` times its operator ``u`` (cells, r, r), any
+    r x r matrix.  Doubling, a scan (Blelloch, CMU-CS-90-190 (1990)):
+    rows[n:2n] = rows[:n] (U^n)^T, then U <- U^2, ceil(log2(count + 1)) times."""
     rows = np.empty((len(start), count + 1, start.shape[2]), dtype=complex)
     rows[:, :1] = start
     n = 1
@@ -324,10 +311,10 @@ def _search_rows(chis, products, count):
     return rows
 
 
-def _search_last(chis, products, count):
+def _search_last(start, u, count):
     """The last row of ``_search_rows`` alone, (cells, 1, r): U^(2^i) applied
     for each set bit i of ``count``, the lowest first, as the doubling forms it."""
-    row, u = _search_step(chis, products)
+    row = start
     for bit in reversed(f"{count:b}"):
         if bit == "1":
             row = row @ u.swapaxes(1, 2)

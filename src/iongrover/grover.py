@@ -2,9 +2,9 @@
 
 A search is init followed by repeated (oracle, global reflection) pairs.
 Every reflection is one laser pulse, and both modes read one plan of them.
-``sweep`` steps configs as cells of one batch, planned once per group that
-shares its pulses, in r <= 4 coordinates under each role's 2x2 on (ancilla,
-chi), an ideal run as one cell; physical mode integrates the whole schedule.
+``sweep`` steps configs as cells of one batch, each a start row and iteration
+U = R O in r <= 4 coordinates, planned once per group that shares its pulses,
+an ideal run as one cell; physical mode integrates the whole schedule.
 The probabilistic variant uses resonant pulses (reflection phase pi); the
 deterministic variant detunes both pulses of each iteration to the matched
 phase that makes the final fidelity exactly one.
@@ -197,7 +197,8 @@ def _cells(configs):
     and role products, each distinct chi is formed once, and one ``subspace``
     serves each group of cells with as many chis and N of one bit length,
     zero-padded to its largest N.  Returns each cell's plan, ion rows (k, N)
-    by cell, chi coordinates (cells, 3, r) and role products (cells, 3, 2, 2).
+    by cell, chi coordinates (cells, 3, r), start row (cells, 1, r) and U = R O
+    (cells, r, r), each role I + Q (P - 1) Q^dagger, Q = [e0, chi], P its 2x2.
     A physical plan whose windows overlap (``dynamics._overlaps``) raises
     ``ValueError`` for its first cell, before its pulses are integrated."""
     plans, beams, oracles, cells, groups = {}, {}, {}, [], {}
@@ -236,8 +237,13 @@ def _cells(configs):
         coords[index, :, :k + 1] = x[:, [0, 1, 2 % k]]
         ions.update(zip(index, rows))  # zero-padded past each cell's own N
     r = 1 + np.count_nonzero(coords.any(axis=(0, 1)))  # the slots some cell keeps
-    return ([plan for plan, _ in cells], ions, coords[:, :, :r],
-            np.array([products for _, products in cells]).reshape(-1, 3, 2, 2))
+    coords = coords[:, :, :r]
+    q = coords[..., None] * np.array([0.0, 1.0])  # Q = [e0, chi]; chi's slot 0 is empty
+    q[:, :, 0, 0] = 1.0
+    p = np.array([products for _, products in cells]).reshape(-1, 3, 2, 2) - np.eye(2)
+    ops = np.eye(r) + np.einsum("cxia,cxab,cxjb->cxij", q, p, q.conj())
+    plans = [plan for plan, _ in cells]
+    return plans, ions, coords, ops[:, 0, None, :, 0], ops[:, 2] @ ops[:, 1]
 
 
 def _populations(configs, step):
@@ -245,9 +251,9 @@ def _populations(configs, step):
     ``step`` (``dynamics._search_rows``, or ``_search_last`` for cells of one
     count) forms from ``_cells``.  A non-finite population or drift raises
     ``IntegrationError``."""
-    plans, _, coords, products = _cells(configs)
+    plans, _, coords, start, u = _cells(configs)
     count = max((p.count for p in plans), default=0)  # an empty batch steps no cell
-    rows = step(coords, products, count)
+    rows = step(start, u, count)
     norms = np.linalg.norm(rows, axis=2)
     populations = abs(np.einsum("ci,cki->ck", coords[:, 1].conj(), rows) / norms) ** 2
     # each cell's last row: the rows stop at the largest count
@@ -273,12 +279,14 @@ def sweep(configs: list[SearchConfig]) -> list[np.ndarray]:
 def run_search(cfg: SearchConfig) -> SearchResult:
     """Execute init, all iterations, and detection for one config."""
     if cfg.mode == "ideal":  # one cell of the sweep engine
-        (plan,), ions, coords, products = _cells([cfg])
-        rows = dynamics._search_rows(coords, products, plan.count)[0]
+        (plan,), ions, _, start, u = _cells([cfg])
+        rows = dynamics._search_rows(start, u, plan.count)[0]
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        dynamics._check_drift(float(norms[-1, 0]), 1 + 2 * plan.count)  # as a sweep cell
         q = np.eye(cfg.n_ions + 1, rows.shape[1], dtype=complex)
         q[1:, 1:] = ions[0][:rows.shape[1] - 1].T
         # U is unitary only to rounding: each row back to norm 1
-        trajectory = Trajectory(q, rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        trajectory = Trajectory(q, rows / norms)
         times = np.arange(plan.count + 1, dtype=float)
         state = RegisterState(q @ trajectory.coords[-1])
     else:

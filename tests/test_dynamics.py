@@ -410,3 +410,67 @@ class TestSubspace:
             rows = ions[c, :formed]
             np.testing.assert_allclose(rows.conj() @ rows.T, np.eye(formed),
                                        rtol=0, atol=1e-15)
+
+
+COUNTS = [0, 1, 2, 3, 5, 8, 17, 64]
+
+
+class TestSearchStepper:
+    """``_search_rows`` and ``_search_last`` step any start row under any r x r
+    operator, unitary or not, by doubling."""
+
+    @staticmethod
+    def complex_normal(rng, *shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def operator(self, rng, cells, r):
+        """Random non-unitary U's, scaled to spectral radius 1 so U^64 stays
+        of order one."""
+        u = self.complex_normal(rng, cells, r, r)
+        return u / abs(np.linalg.eigvals(u)).max(axis=1)[:, None, None]
+
+    @staticmethod
+    def repeated(start, u, count):
+        """Rows start (U^k)^T for k = 0..count, one multiplication at a time."""
+        rows = [start[:, 0]]
+        for _ in range(count):
+            rows.append(np.einsum("cij,cj->ci", u, rows[-1]))
+        return np.stack(rows, axis=1)
+
+    @staticmethod
+    def relative(a, b):
+        """The largest row-wise |a - b| / |b|."""
+        return (np.linalg.norm(a - b, axis=-1) / np.linalg.norm(b, axis=-1)).max()
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_rows_are_repeated_multiplication(self, r, count):
+        rng = np.random.default_rng(100 * r + count)
+        start, u = self.complex_normal(rng, 5, 1, r), self.operator(rng, 5, r)
+        expected = self.repeated(start, u, count)
+        rows = dynamics._search_rows(start, u, count)
+        assert rows.shape == (5, count + 1, r)
+        assert self.relative(rows, expected) <= 1e-12
+        last = dynamics._search_last(start, u, count)
+        assert last.shape == (5, 1, r)
+        assert self.relative(last[:, 0], expected[:, -1]) <= 1e-12
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_block_triangular_u_steps_a_derivative(self, r, count):
+        # U = [[A, B], [0, A]] from [0, x]: the first r coordinates of row k are
+        # d/de x ((A + e B)^k)^T at e = 0 (Van Loan, IEEE TAC 23, 395 (1978))
+        rng = np.random.default_rng(200 * r + count)
+        a, b = self.operator(rng, 5, r), self.complex_normal(rng, 5, r, r)
+        x = self.complex_normal(rng, 5, 1, r)
+        u = np.block([[a, b], [np.zeros_like(a), a]])
+        start = np.concatenate([np.zeros_like(x), x], axis=2)
+        rows = dynamics._search_rows(start, u, count)[:, :, :r]
+        eps = 1e-6
+        central = (self.repeated(x, a + eps * b, count)
+                   - self.repeated(x, a - eps * b, count)) / (2.0 * eps)
+        assert not rows[:, 0].any()  # x itself does not depend on e
+        if count:
+            assert self.relative(rows[:, 1:], central[:, 1:]) <= 1e-6
+            last = dynamics._search_last(start, u, count)[:, 0, :r]
+            assert self.relative(last, rows[:, -1]) <= 1e-12

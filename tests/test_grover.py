@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iongrover import dynamics, grover
-from iongrover.cli import FIG4_EPSILONS, FIG4_IONS
+from iongrover.cli import FIG4_EPSILONS, FIG4_IONS, main
 from iongrover.dynamics import (
     IntegrationError,
     hamiltonian_from_pulse,
@@ -509,6 +510,34 @@ class TestSweep:
         with pytest.raises(IntegrationError, match=r"sweep cell 1 \(N=7, ion 2, "
                                                    r"epsilon=0\): non-finite marked"):
             sweep(configs)
+
+    @staticmethod
+    def drifting(monkeypatch):
+        """Ideal N = 15, ion 8, with every reflection's 2x2 scaled by 1 + 1e-6:
+        the last row's norm drifts 1.003e-06 against 7 pulses' budget."""
+        products = grover._role_products
+        monkeypatch.setattr(grover, "_role_products", lambda plan, cfg: (
+            products(plan, cfg) * np.array([1.0, 1.0, 1.0 + 1e-6])[:, None, None]))
+        return SearchConfig(n_ions=15, marked_index=8)
+
+    def test_the_ideal_run_keeps_the_cells_drift_rule(self, monkeypatch):
+        cfg = self.drifting(monkeypatch)
+        drift = r"norm drift 1\.003e-06 exceeds schedule budget 7e-09$"
+        with pytest.raises(IntegrationError,
+                           match=r"^sweep cell 0 \(N=15, ion 8, epsilon=0\): " + drift):
+            sweep([cfg])
+        with pytest.raises(IntegrationError, match="^" + drift):
+            run_search(cfg)
+
+    def test_a_drifting_ideal_run_exits_3(self, monkeypatch, tmp_path, capsys):
+        cfg = self.drifting(monkeypatch)
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps({"n_ions": cfg.n_ions, "marked_index": cfg.marked_index,
+                                    "mode": "ideal"}))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: numerical failure: norm drift 1.003e-06 exceeds schedule budget 7e-09"]
+        assert not out.exists()
 
 
 class TestRecordSize:

@@ -397,21 +397,21 @@ class TestSweepLastRow:
     @staticmethod
     def cells(mode, reflection):
         """fig4's cells as the sweep forms them (``grover._cells``): r <= 4
-        coordinates of each cell's chis, and each cell's role products."""
-        _, _, coords, products = grover._cells([
+        coordinates of each cell's chis, its start row and its iteration U."""
+        _, _, coords, start, u = grover._cells([
             SearchConfig(n_ions=20, marked_index=m, mode=mode, iterations=3,
                          imperfection=ImperfectionSettings(epsilon=eps,
                                                            reflection=reflection))
             for eps in FIG4_EPSILONS for m in FIG4_IONS])
-        return coords, products
+        return coords, start, u
 
     @pytest.mark.parametrize("mode", ["ideal", "physical"])
     @pytest.mark.parametrize("reflection", ["adapted", "uniform"])
     @pytest.mark.parametrize("count", [*range(1, 10), 15, 16, 17, 10**4])
     def test_matches_the_last_of_the_rows(self, mode, reflection, count):
-        coords, products = self.cells(mode, reflection)
-        last = dynamics._search_last(coords, products, count)
-        rows = dynamics._search_rows(coords, products, count)
+        coords, start, u = self.cells(mode, reflection)
+        last = dynamics._search_last(start, u, count)
+        rows = dynamics._search_rows(start, u, count)
         assert last.shape == (63, 1, coords.shape[2])
         assert np.abs(last - rows[:, -1:]).max() <= 1e-12
 
