@@ -225,16 +225,81 @@ def _json_array(value: np.ndarray, indent: str):
     yield "\n" + indent + "]"
 
 
+def _bounds(codes: np.ndarray) -> np.ndarray:
+    """Where each run of equal elements of ``codes`` begins, as a mask one
+    longer than ``codes`` whose last element, the end of the last run, is
+    True too."""
+    bounds = np.empty(len(codes) + 1, dtype=bool)
+    bounds[0] = bounds[-1] = True
+    np.not_equal(codes[1:], codes[:-1], out=bounds[1:-1])
+    return bounds
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of the int64 array ``codes``, ascending (not
+    np.unique: without return_inverse it imports numpy.ma, 16 ms cold)."""
+    codes = np.sort(codes)
+    return codes[_bounds(codes)[:-1]]
+
+
+def _index(values: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The index of each of ``codes`` in ``values``, their distinct values
+    ascending.  Where the values are few (their count squared at most the
+    codes'), a binary search; else each code's rank in an argsort, because
+    a binary search over many values mispredicts its steps and costs 3-6
+    times the argsort."""
+    if len(values) ** 2 <= len(codes):
+        return np.searchsorted(values, codes)
+    order = np.argsort(codes)
+    index = np.empty(len(codes), dtype=np.intp)
+    index[order] = np.cumsum(_bounds(codes[order])[:-1]) - 1
+    return index
+
+
 def _json_block(block: np.ndarray, item: str, start: int) -> str:
     """The rows of ``block`` as list items of the template ``item``, opening
-    the list at ``start`` 0: each distinct value (by bit pattern, so -0.0
-    stays apart from 0.0) formatted once, with json's repr, and the cells
-    filled in by one % call."""
-    unique, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+    the list at ``start`` 0.  Values and rows are told apart by bit pattern,
+    so -0.0 stays apart from 0.0, and each distinct value is formatted once,
+    with json's repr.  Where more than half the rows repeat an earlier row,
+    each distinct row's text is formed once, and one join lays out each run
+    of equal rows as that text repeated; otherwise one % call fills in every
+    cell, as the split and the join would cost more than the cells they
+    save."""
+    head = ("," if start else "[") + "\n"
+
+    def fill(cells):  # one % call over every cell
+        return (head + ",\n".join([item] * len(block))) % tuple(cells)
+
     form = float.__repr__ if block.dtype == np.float64 else int.__repr__
-    text = np.array(list(map(form, unique.view(block.dtype).tolist())), dtype=object)
-    template = ("," if start else "[") + "\n" + ",\n".join([item] * len(block))
-    return template % tuple(text[inverse].tolist())
+    bits = block.view(np.int64).ravel()
+    values = _distinct(bits)
+    if len(values) == len(bits):  # no value repeats, so no row does
+        return fill(map(form, block.ravel().tolist()))
+    text = np.array(list(map(form, values.view(block.dtype).tolist())), dtype=object)
+    cells = _index(values, bits).reshape(len(block), -1)
+    # each row's index among the distinct rows of its first columns, one
+    # column more at a time: a row of one column is its value.  Renumbered
+    # after each column, a code stays below len(bits) ** 2, inside int64
+    rows, count = cells[:, 0], len(values)
+    for column in cells.T[1:]:
+        codes = rows * len(values) + column
+        distinct = _distinct(codes)
+        count = len(distinct)
+        if 2 * count >= len(block):  # more columns only tell more rows apart
+            break
+        rows = _index(distinct, codes)
+    if 2 * count >= len(block):
+        return fill(text[cells.ravel()].tolist())
+    first = np.empty(count, dtype=np.intp)  # a row of each distinct row
+    first[rows] = np.arange(len(block))
+    row_text = np.array(("\0".join([",\n" + item] * count)
+                         % tuple(text[cells[first].ravel()].tolist())).split("\0"),
+                        dtype=object)
+    bounds = np.flatnonzero(_bounds(rows))  # of the runs of equal rows
+    laid = (row_text[rows[bounds[:-1]]] * (bounds[1:] - bounds[:-1])).tolist()
+    if not start:
+        laid[0] = "[" + laid[0][1:]
+    return "".join(laid)
 
 
 def _json_pieces(payload, end: str = ""):

@@ -432,13 +432,16 @@ class Trajectory:
         ancilla and the total of every other slot, shape (rows, 3), written
         into ``out`` if given.  Each row has the bits of the whole table's:
         matmul forms a lone row (gemv) otherwise than several (gemm), so a
-        lone row after the first is formed with the row before it."""
+        lone row after the first is formed with the row before it.  The
+        marked slot is clipped at 1, as an ideal run's success probability
+        is, after the total of the others is formed from it."""
         start, stop, _ = rows.indices(len(self))
         first = max(0, min(start, stop - 2))
         coords = self.coords[first:stop]
         out = np.empty((stop - start, 3)) if out is None else out
         out[:, :2] = _squared(coords @ self.basis[[marked_index, 0]].T)[start - first:]
         out[:, 2] = _squared(coords[start - first:]).sum(axis=-1) - out[:, 0] - out[:, 1]
+        np.minimum(out[:, 0], 1.0, out=out[:, 0])
         return out
 
 

@@ -62,6 +62,21 @@ class TestRunCommand:
         last = lines[-1].split(",")
         assert float(last[1]) == result["success_probability"]
 
+    @pytest.mark.parametrize("n_ions, marked", [(15, 15), (256, 180)])
+    def test_marked_population_is_clipped_at_one(self, tmp_path, n_ions, marked):
+        # these deterministic searches end on a marked population that rounds
+        # to 1 + 4.4e-16; the CSV holds it clipped, as result.json does
+        cfg = write_config(tmp_path / "cfg.json", n_ions=n_ions, marked_index=marked,
+                           variant="deterministic")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+        result = json.loads((out / "result.json").read_text())
+        assert rows[-1, 1] == result["success_probability"] == 1.0
+        assert rows[:, 1].max() <= 1.0
+        # the total of the other slots is formed before the clip
+        assert rows[-1, 3] == -2.220446049250313e-16
+
     def test_lf_line_endings(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "out"
@@ -943,6 +958,24 @@ print(json.dumps(found))
 """
 
 
+MODULES_PROBE = """
+import importlib, json, sys
+
+from iongrover.cli import main
+
+found = {}
+for name, argv in json.loads(sys.argv[1]):
+    before = set(sys.modules)
+    if argv is None:  # the module ``name`` imported alone, as a reference
+        importlib.import_module(name)
+        code = 0
+    else:
+        code = main(argv)
+    found[name] = [code, sorted(set(sys.modules) - before)]
+print(json.dumps(found))
+"""
+
+
 SCIPY_BLOCKED_PROBE = """
 import json, math, sys
 
@@ -1085,6 +1118,41 @@ class TestImportHygiene:
         assert json.loads((tmp_path / "s" / "result.json").read_text())["shots"] == {
             "count": 1000, "seed": 7, "no_click": 0,
             "ion_counts": [5, 7, 926, 4, 8, 1, 7, 7, 5, 4, 4, 4, 6, 6, 6]}
+
+    def test_commands_load_only_their_own_modules(self, tmp_path):
+        # after the import, a command loads no module but the validation
+        # suite and, for shot sampling, numpy.random with what it imports: a
+        # lazy load inside a command, such as numpy.ma behind a bare
+        # np.unique (16 ms cold), would be timed as the command's own work.
+        # The epsilon = 0 runs write arrays whose rows repeat, the epsilon =
+        # 0.2 runs arrays whose rows mostly differ
+        configs = {
+            "ideal": dict(n_ions=64, marked_index=8),
+            "ideal_eps": dict(n_ions=64, marked_index=8, imperfection={"epsilon": 0.2}),
+            "physical": dict(n_ions=15, marked_index=8, mode="physical",
+                             variant="deterministic"),
+            "physical_eps": dict(n_ions=15, marked_index=8, mode="physical",
+                                 imperfection={"epsilon": 0.2}),
+            "shots": dict(n_ions=15, marked_index=3, shots=1000),
+        }
+        paths = {name: str(write_config(tmp_path / f"{name}.json", **cfg))
+                 for name, cfg in configs.items()}
+        commands = [
+            *([f"run_{name}", ["run", "--config", paths[name], "--out",
+                               str(tmp_path / name)]] for name in configs if name != "shots"),
+            *([figure, ["reproduce", "--figure", figure, "--out", str(tmp_path / figure)]]
+              for figure in ("fig3", "fig4", "crowding")),
+            ["validate", ["validate", "--suite", "fast", "--out", str(tmp_path / "v")]],
+            # last: a module loads once a process
+            ["shots", ["run", "--config", paths["shots"], "--out", str(tmp_path / "s"),
+                       "--seed", "7"]],
+        ]
+        found = run_probe(MODULES_PROBE, json.dumps(commands))
+        random = run_probe(MODULES_PROBE, json.dumps([["numpy.random", None]]))
+        assert "numpy.random" in random["numpy.random"][1]
+        assert found.pop("shots") == random["numpy.random"]
+        assert found.pop("validate") == [0, ["iongrover.validation"]]
+        assert found == {name: [0, []] for name, _ in commands[:-2]}
 
 
 def reference_write_csv(path, header, rows):
@@ -1629,6 +1697,9 @@ class TestCommandTrajectories:
         self.check_rows(searches)
 
 
+CHUNK = _csvtext.CHUNK_ROWS
+
+
 def as_lists(value):
     """``value`` with every numpy array replaced by its tolist()."""
     if isinstance(value, np.ndarray):
@@ -1703,6 +1774,61 @@ class TestJsonWriter:
         assert sorted(map(repr, formatted)) == ["-0.0", "0.3333333333333333", "0.5"]
         assert text == json.dumps(as_lists(payload), indent=2, sort_keys=True)
 
+    #: what repeated rows are drawn from: signed zeros, the ends of the float
+    #: range, and values of 1 to 17 digits
+    POOL = np.array([0.0, -0.0, 1 / 3, 0.5, -2.5, 1e-300, 5e-324, 1e16, 0.1])
+
+    @pytest.mark.parametrize("rows", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("tail", [(), (1,), (2,), (3,)], ids=["n", "n1", "n2", "n3"])
+    def test_repeated_rows(self, tmp_path, tail, rows):
+        # each row one of three drawn from the pool, so most rows repeat
+        rng = np.random.default_rng(rows)
+        distinct = self.POOL[rng.integers(0, len(self.POOL), (3, *tail))]
+        self.assert_stdlib_bytes(tmp_path, {"a": distinct[rng.integers(0, 3, rows)],
+                                            "b": [1]})
+
+    @pytest.mark.parametrize("column", [None, 0, 1, 2])
+    def test_rows_apart_only_by_the_sign_of_a_zero(self, tmp_path, column):
+        # -0.0 == 0.0, but json writes them apart: single values, or rows of
+        # three that differ in one column only by the sign of its zero
+        pair = np.zeros(2) if column is None else np.full((2, 3), 0.5)
+        if column is None:
+            pair[1] = -0.0
+        else:
+            pair[:, column] = [0.0, -0.0]
+        rows = pair[np.random.default_rng(1).integers(0, 2, CHUNK + 7)]
+        self.assert_stdlib_bytes(tmp_path, {"a": rows})
+
+    def test_runs_of_rows_across_blocks(self, tmp_path):
+        # a run of equal rows that crosses a block boundary, blocks of one
+        # row throughout, and a lone row at the end
+        a = np.tile([[0.25, -0.0]], (2 * CHUNK + 3, 1))
+        a[CHUNK - 2:CHUNK + 2] = [1 / 3, 0.0]
+        a[-1] = [0.5, 0.5]
+        self.assert_stdlib_bytes(tmp_path, {"rows": a, "column": a[:, 0]})
+
+    def test_int64_counts(self, tmp_path):
+        # shot counts as the shots payload's ion_counts holds them: mostly
+        # zeros, a few small counts and one large; and rows of int64 extremes
+        rng = np.random.default_rng(2)
+        counts = rng.poisson(0.01, 2 * CHUNK + 1).astype(np.int64)
+        counts[7] = 987
+        extremes = np.array([[2**63 - 1, -2**63], [0, -1], [2**63 - 1, -2**63]])
+        self.assert_stdlib_bytes(tmp_path, {
+            "ion_counts": counts, "pairs": np.stack([counts, counts[::-1]], axis=1),
+            "extremes": extremes[rng.integers(0, 3, CHUNK + 1)]})
+
+    @pytest.mark.parametrize("distinct", [1000, 3000])
+    @pytest.mark.parametrize("width", [1, 2, 6])
+    def test_many_distinct_values(self, tmp_path, width, distinct):
+        # rows of many distinct values, most of them repeated (1,000 of 4,096
+        # rows distinct) or few (3,000): the values and rows are numbered
+        # through an argsort rather than a binary search, and six columns'
+        # codes are renumbered column by column
+        rng = np.random.default_rng(3)
+        rows = rng.random((distinct, width))[rng.integers(0, distinct, CHUNK)]
+        self.assert_stdlib_bytes(tmp_path, {"a": rows if width > 1 else rows[:, 0]})
+
     @settings(max_examples=200, deadline=None)
     @given(payload=st.recursive(
         st.dictionaries(st.text(max_size=4), st.one_of(
@@ -1713,7 +1839,9 @@ class TestJsonWriter:
                        elements=st.floats(allow_subnormal=True)),
             hnp.arrays(np.int64, hnp.array_shapes(max_dims=2, min_side=0,
                                                   max_side=4)),
-            hnp.arrays(np.float64, st.integers(0, 12),
+            # rows drawn from a few values, so that many repeat
+            hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, min_side=0,
+                                                    max_side=12),
                        elements=st.sampled_from([0.0, -0.0, 0.1, 1e300, 5e-324])),
         ), max_size=4),
         lambda children: st.dictionaries(st.text(max_size=4), children, max_size=3),

@@ -211,6 +211,17 @@ class TestSearchResult:
                                       [[1, 0, 0, 0, 0], [0] + [0.25] * 4])
         np.testing.assert_array_equal(result.trajectory.totals(), [1, 1])
 
+    def test_columns_clip_the_marked_slot_at_one(self):
+        # a row whose marked amplitude rounds above 1, as an ideal run's can
+        over = math.sqrt(1 + 4 * 2.0**-52)
+        trajectory = Trajectory(np.eye(3, dtype=complex), np.array([[0.6, 0.8, 0],
+                                                                    [0, over, 0]]))
+        assert trajectory.slots(1)[1] > 1.0
+        columns = trajectory.columns(1)
+        assert columns[1, 0] == 1.0 and columns[0, 0] == 0.8 ** 2
+        # the other slots' total comes from the unclipped slot
+        assert columns[1, 2] == trajectory.totals()[1] - trajectory.slots(1)[1]
+
     def test_needs_a_trajectory(self):
         rows = np.array([uniform_register(4).populations] * 2)
         with pytest.raises(TypeError):
