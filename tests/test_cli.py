@@ -1759,33 +1759,72 @@ class TestJsonWriter:
                                                           sort_keys=True)
         assert calls == [payload]
 
-    def test_each_distinct_value_is_formatted_once(self, monkeypatch):
+    @pytest.fixture
+    def formatted(self, monkeypatch):
+        """Each float that cli formats, in order, through a stand-in for the
+        builtin inside cli."""
         formatted = []
 
-        class Float:  # stands in for the builtin inside cli
+        class Float:
             @staticmethod
             def __repr__(x):
                 formatted.append(x)
                 return repr(x)
 
         monkeypatch.setattr(cli, "float", Float, raising=False)
+        return formatted
+
+    def test_each_distinct_value_is_formatted_once(self, formatted):
         payload = {"p": np.full(4096, 1 / 3), "q": np.array([[0.5, -0.0]] * 100)}
         text = "".join(cli._json_pieces(payload))
         assert sorted(map(repr, formatted)) == ["-0.0", "0.3333333333333333", "0.5"]
         assert text == json.dumps(as_lists(payload), indent=2, sort_keys=True)
 
+    @pytest.mark.parametrize("config", [
+        {"n_ions": 2048, "marked_index": 7, "variant": "probabilistic"},
+        {"n_ions": 2048, "marked_index": 7, "variant": "deterministic"},
+        {"n_ions": 256, "marked_index": 77, "mode": "physical", "variant": "deterministic"},
+    ], ids=["ideal-probabilistic", "ideal-deterministic", "physical"])
+    def test_epsilon_zero_runs_format_only_their_runs_first_rows(self, tmp_path, formatted,
+                                                                 config):
+        # each block of an epsilon = 0 run's arrays holds 2-4 runs of equal
+        # rows, so the writer formats exactly the cells of each run's first
+        # row, where one value per cell would format every cell
+        cfg = write_config(tmp_path / "cfg.json", **config)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        first_cells = 0
+        for array in (result["detection"]["probabilities"], result["final_state"]):
+            bits = np.array(array).view(np.int64).reshape(len(array), -1)
+            for block in np.split(bits, range(CHUNK, len(bits), CHUNK)):
+                runs = 1 + np.count_nonzero((block[1:] != block[:-1]).any(axis=1))
+                assert 2 <= runs <= 4
+                first_cells += runs * block.shape[1]
+        assert len(formatted) == first_cells
+
     #: what repeated rows are drawn from: signed zeros, the ends of the float
     #: range, and values of 1 to 17 digits
     POOL = np.array([0.0, -0.0, 1 / 3, 0.5, -2.5, 1e-300, 5e-324, 1e16, 0.1])
 
-    @pytest.mark.parametrize("rows", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("rows, runs", [
+        *((rows, None) for rows in (1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)),
+        # runs of equal rows exactly half the rows, laid out run by run, and
+        # one more than half, filled cell by cell
+        (10, 5), (10, 6), (CHUNK, CHUNK // 2), (CHUNK, CHUNK // 2 + 1)])
     @pytest.mark.parametrize("tail", [(), (1,), (2,), (3,)], ids=["n", "n1", "n2", "n3"])
-    def test_repeated_rows(self, tmp_path, tail, rows):
+    def test_repeated_rows(self, tmp_path, tail, rows, runs):
         # each row one of three drawn from the pool, so most rows repeat
         rng = np.random.default_rng(rows)
         distinct = self.POOL[rng.integers(0, len(self.POOL), (3, *tail))]
-        self.assert_stdlib_bytes(tmp_path, {"a": distinct[rng.integers(0, 3, rows)],
-                                            "b": [1]})
+        if runs is None:
+            pick = rng.integers(0, 3, rows)
+        else:  # ``runs`` runs of random lengths, the three rows (apart in their
+            # first cells) in turn
+            distinct.reshape(3, -1)[:, 0] = rng.choice(self.POOL, 3, replace=False)
+            begins = np.zeros(rows, dtype=int)
+            begins[rng.choice(np.arange(1, rows), runs - 1, replace=False)] = 1
+            pick = np.cumsum(begins) % 3
+        self.assert_stdlib_bytes(tmp_path, {"a": distinct[pick], "b": [1]})
 
     @pytest.mark.parametrize("column", [None, 0, 1, 2])
     def test_rows_apart_only_by_the_sign_of_a_zero(self, tmp_path, column):
@@ -1822,9 +1861,8 @@ class TestJsonWriter:
     @pytest.mark.parametrize("width", [1, 2, 6])
     def test_many_distinct_values(self, tmp_path, width, distinct):
         # rows of many distinct values, most of them repeated (1,000 of 4,096
-        # rows distinct) or few (3,000): the values and rows are numbered
-        # through an argsort rather than a binary search, and six columns'
-        # codes are renumbered column by column
+        # rows distinct) or few (3,000), in random order: few runs of equal
+        # rows, so every cell is filled, each distinct value formatted once
         rng = np.random.default_rng(3)
         rows = rng.random((distinct, width))[rng.integers(0, distinct, CHUNK)]
         self.assert_stdlib_bytes(tmp_path, {"a": rows if width > 1 else rows[:, 0]})
