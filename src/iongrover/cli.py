@@ -227,12 +227,12 @@ def _json_array(value: np.ndarray, indent: str):
 
 def _json_block(block: np.ndarray, item: str, start: int) -> str:
     """The rows of ``block`` as list items of the template ``item``, opening
-    the list at ``start`` 0, each value as json's repr.  Rows and values are
-    compared by bit pattern, so -0.0 stays apart from 0.0.  Where the runs of
-    equal adjacent rows number at most half the rows, as in every block of an
+    the list at ``start`` 0, each value as json's repr.  Rows are compared by
+    bit pattern, so -0.0 stays apart from 0.0.  Where the runs of equal
+    adjacent rows number at most half the rows, as in every block of an
     epsilon = 0 run, only each run's first row is formatted, and one join
     lays out each run as that row's text repeated.  Otherwise one % call
-    fills every cell, each distinct value formatted once if any repeats."""
+    fills every cell."""
     form = float.__repr__ if block.dtype == np.float64 else int.__repr__
     bits = block.view(np.int64).reshape(len(block), block[0].size)
     first = np.zeros(len(block), dtype=bool)  # where each run of equal rows begins
@@ -248,14 +248,8 @@ def _json_block(block: np.ndarray, item: str, start: int) -> str:
         if not start:
             laid[0] = "[" + laid[0][1:]
         return "".join(laid)
-    ordered = np.sort(bits, axis=None)
-    if (ordered[1:] == ordered[:-1]).any():
-        values, index = np.unique(bits, return_inverse=True)
-        text = np.array(list(map(form, values.view(block.dtype).tolist())), dtype=object)
-        cells = text[index.ravel()].tolist()
-    else:
-        cells = map(form, block.ravel().tolist())
-    return (("," if start else "[") + "\n" + ",\n".join([item] * len(block))) % tuple(cells)
+    return ((("," if start else "[") + "\n" + ",\n".join([item] * len(block)))
+            % tuple(map(form, block.ravel().tolist())))
 
 
 def _json_pieces(payload, end: str = ""):

@@ -1862,7 +1862,7 @@ class TestJsonWriter:
     def test_many_distinct_values(self, tmp_path, width, distinct):
         # rows of many distinct values, most of them repeated (1,000 of 4,096
         # rows distinct) or few (3,000), in random order: few runs of equal
-        # rows, so every cell is filled, each distinct value formatted once
+        # rows, so every cell is filled
         rng = np.random.default_rng(3)
         rows = rng.random((distinct, width))[rng.integers(0, distinct, CHUNK)]
         self.assert_stdlib_bytes(tmp_path, {"a": rows if width > 1 else rows[:, 0]})
