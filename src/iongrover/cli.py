@@ -38,13 +38,13 @@ from .pulses import NoSolutionError, calibrates, nominal_pulse, rms_area
 FIG4_EPSILONS = [round(0.01 * i, 2) for i in range(21)]
 FIG4_IONS = [1, 5, 10]
 #: peak memory of ``run`` per ion, its whole peak RSS over N (the highest of
-#: three runs): 316 and 211 bytes in ideal mode at N = 2^18 and 2^20, 375 and
-#: 233 in physical mode, whose peak also holds a trajectory record of 402,501
-#: and 804,501 rows
+#: three runs): 316 and 211 bytes in ideal mode at N = 2^18 and 2^20, 330 and
+#: 227 in physical mode, whose runs record 402,501 and 804,501 rows
 BYTES_PER_ION = 1024
 #: peak memory of ``run`` per trajectory row, above that of a short run (the
-#: highest of three runs): 59 bytes (physical) and 118 (ideal) at N = 15 and
-#: 10^6 rows
+#: highest of three runs): 10 bytes (physical, which holds its windows and 8
+#: bytes of time a row; 59 with every row stored) and 118 (ideal) at N = 15
+#: and 10^6 rows
 BYTES_PER_ROW = 512
 #: RK4 steps a pulse may take: about 2.5 s for each distinct 2x2 pulse chain
 #: at 0.25 us a step recorded every 8 steps (0.1 us a step unrecorded), where

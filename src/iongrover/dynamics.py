@@ -41,8 +41,8 @@ on an even grid whose recorded steps mirror about the middle, only the first
 half L is integrated and the window is L^T L.  Either way the one-step
 matrices of a chunk are built at once and ``_products`` multiplies them:
 pairwise trees between recorded steps and a log-depth prefix scan over those
-segments.  The recorded trajectory is the basis and the coordinates at each
-recorded step (``Trajectory``).
+segments.  The recorded trajectory is the basis and each window's start,
+frame and products (``Trajectory``), whose rows are formed only when read.
 """
 
 from __future__ import annotations
@@ -363,12 +363,11 @@ def _windows(pulses, column, cfg, stride):
         marks, products = _chain(terms, lo, h, steps, stride)
         yield lo, h, marks, e, products
         return
+    frames = {key: np.stack([np.eye(len(c))[0], c], axis=1) for key, c in column.items()}
     for p, (lo, _) in zip(pulses, spans):
         marks, products = _spec_chain(p, cfg, stride)
-        e = np.eye(len(column[id(p.chi)]), 2, dtype=complex)  # [e0, c_chi]
-        e[:, 1] = column[id(p.chi)]
         yield (lo, 2.0 * cfg.window * p.shape.width / cfg.steps_per_pulse,
-               marks, e, products)
+               marks, frames[id(p.chi)], products)
 
 
 def propagator(spec: PulseSpec, cfg: IntegratorConfig | None = None,
@@ -422,9 +421,10 @@ def evolve_schedule(
     beyond ``NORM_REPAIR_TOL`` per pulse raises ``IntegrationError``; drift
     inside it is repaired, never hidden above it.  Every schedule is recorded
     at its start, the earliest window start (0.0 if it is empty), every
-    ``cfg.trajectory_stride`` steps of each window and each window's last step:
-    the rows are counted from the windows' marks before any is stepped, and
-    each window writes its rows and times into the one preallocated record.
+    ``cfg.trajectory_stride`` steps of each window and each window's last step.
+    The record is the windows (``Trajectory``): each window's start z, its
+    frame e and its products, which a lone pulse shares with the memo.  Only
+    z is stepped, to its window's last row; no row is formed.
     """
     cfg = cfg or IntegratorConfig()
     pulses = sorted(pulses, key=lambda p: p.center)
@@ -436,21 +436,20 @@ def evolve_schedule(
     z = np.append(state.amplitudes[0], coords[0, 1:])
     column = dict(zip(map(id, distinct), coords[1:]))
     windows = list(_windows(pulses, column, cfg, cfg.trajectory_stride))
-    total = 1 + sum(len(marks) for _, _, marks, _, _ in windows)
-    times, rows = np.empty(total), np.empty((total, len(z)), dtype=complex)
+    times = np.empty(1 + sum(len(marks) for _, _, marks, _, _ in windows))
     times[0] = min((p.center - cfg.window * p.shape.width for p in pulses), default=0.0)
-    rows[0] = z
-    end = 1
+    # the start row: a window of one mark, the identity on e0
+    record, end = [(z, np.eye(len(z), 1, dtype=complex), np.ones((1, 1, 1), complex))], 1
     for t0, h, marks, e, products in windows:
-        w = e.conj().T @ z
-        first, end = end, end + len(marks)
-        rows[first:end] = z + (np.einsum("ijm,j->mi", products, w) - w) @ e.T
-        times[first:end] = t0 + marks * h
-        z = rows[end - 1]
+        record.append((z, e, products))
+        times[end:end + len(marks)] = t0 + marks * h
+        end += len(marks)
+        w = e.conj().T @ z  # z steps to its window's last row
+        z = z + np.einsum("j,ij->i", np.einsum("ij,j->i", products[:, :, -1], w) - w, e)
 
     norm = float(np.linalg.norm(z))
     _check_drift(norm, len(pulses))
-    return RegisterState(q @ (z / norm)), times, Trajectory(q, rows)
+    return RegisterState(q @ (z / norm)), times, Trajectory(q, tuple(record))
 
 
 def hr_distance(candidate: Operator | Reflection | np.ndarray,

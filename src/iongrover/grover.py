@@ -288,18 +288,18 @@ def run_search(cfg: SearchConfig) -> SearchResult:
         # U is unitary only to rounding: each row back to norm 1
         trajectory = Trajectory(q, rows / norms)
         times = np.arange(plan.count + 1, dtype=float)
-        state = RegisterState(q @ trajectory.coords[-1])
+        state = RegisterState(np.einsum("ij,j->i", q, trajectory.coords[-1]))
+        # the last recorded row, which the final register may round apart
+        last = Trajectory(q, trajectory.coords[-1:]).slots(cfg.marked_index)[0]
+        success = min(1.0, float(last))
     else:
         plan = build_plan(cfg)
         state, times, trajectory = evolve_schedule(
             basis_register(cfg.n_ions, 0), plan.timeline(), cfg.integrator
         )
+        success = marked_probability(state, cfg.marked_index)
     if not (np.all(np.isfinite(state.amplitudes)) and trajectory.is_finite()):
         raise IntegrationError("non-finite final state or trajectory")
-    # ideal: the last recorded row, which the final register may round apart
-    last = Trajectory(trajectory.basis, trajectory.coords[-1:])
-    success = (min(1.0, float(last.slots(cfg.marked_index)[0])) if cfg.mode == "ideal"
-               else marked_probability(state, cfg.marked_index))
 
     return SearchResult(
         final_state=state,

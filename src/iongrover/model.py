@@ -390,6 +390,15 @@ def _squared(z: np.ndarray) -> np.ndarray:
     return np.square(out, out=out)
 
 
+def _combine(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j a[:, j] v[j], the terms in order and elementwise, so that no
+    row's bits depend on how many rows ``a`` holds (as a matmul's would)."""
+    out = a[:, 0] * v[0]
+    for j in range(1, len(v)):
+        out += a[:, j] * v[j]
+    return out
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Population trace of a run, held in the run's invariant subspace.
@@ -397,26 +406,50 @@ class Trajectory:
     The orthonormal columns of ``basis`` (N+1 x r, ancilla first) span every
     state the run passes through, and row m of ``coords`` (M x r) is the m-th
     recorded state in that basis, so trace row m is |basis @ coords[m]|^2.
-    Slot populations cost O(M r) and a row total is ||coords[m]||^2.
+    The record is those rows, or a run's windows: each a start z (r,), its
+    orthonormal columns e (r x c) and recorded products P (c x c x rows), so
+    that its row m is z + (P_m w - w) e^T with w = e^dagger z.  A window's
+    rows are formed only when ``coords`` is read; its populations come from
+    the c-vectors P_m w.  Slot populations cost O(M r) either way.
     """
 
     basis: np.ndarray
-    coords: np.ndarray
+    _record: Any  # the (M, r) coordinates, or a tuple of windows (z, e, P)
 
     def __post_init__(self) -> None:
-        self.basis.setflags(write=False)
-        self.coords.setflags(write=False)
+        ends = (None if isinstance(self._record, np.ndarray)
+                else np.cumsum([p.shape[2] for *_, p in self._record]))
+        object.__setattr__(self, "_ends", ends)  # each window's end row
+        for a in self._arrays():
+            a.setflags(write=False)
+
+    def _arrays(self) -> list:
+        """The arrays the record holds, each once (windows share their pulses')."""
+        if self._ends is None:
+            return [self.basis, self._record]
+        return [self.basis, *{id(a): a for window in self._record for a in window}.values()]
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self._record) if self._ends is None else int(self._ends[-1])
+
+    @property
+    def coords(self) -> np.ndarray:
+        """The recorded rows, (M, r); a window's are formed as they are read."""
+        if self._ends is None:
+            return self._record
+        rows = []
+        for z, e, p in self._record:
+            w = e.conj().T @ z
+            rows.append(z + (np.einsum("ijm,j->mi", p, w) - w) @ e.T)
+        return np.concatenate(rows)
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the basis and the coordinates."""
-        return self.basis.nbytes + self.coords.nbytes
+        """Bytes held by the basis and the coordinates or windows."""
+        return sum(a.nbytes for a in self._arrays())
 
     def is_finite(self) -> bool:
-        return bool(np.isfinite(self.basis).all() and np.isfinite(self.coords).all())
+        return all(np.isfinite(a).all() for a in self._arrays())
 
     def slots(self, index) -> np.ndarray:
         """Populations of the indexed slots, one row per recorded sample."""
@@ -432,15 +465,31 @@ class Trajectory:
         ancilla and the total of every other slot, shape (rows, 3), written
         into ``out`` if given.  Each row has the bits of the whole table's:
         matmul forms a lone row (gemv) otherwise than several (gemm), so a
-        lone row after the first is formed with the row before it.  The
+        lone stored row after the first is formed with the row before it,
+        and a window's rows from the c-vectors P_m w by elementwise
+        arithmetic alone, the total as ||z||^2 - ||w||^2 + ||P_m w||^2.  The
         marked slot is clipped at 1, as an ideal run's success probability
         is, after the total of the others is formed from it."""
         start, stop, _ = rows.indices(len(self))
-        first = max(0, min(start, stop - 2))
-        coords = self.coords[first:stop]
         out = np.empty((stop - start, 3)) if out is None else out
-        out[:, :2] = _squared(coords @ self.basis[[marked_index, 0]].T)[start - first:]
-        out[:, 2] = _squared(coords[start - first:]).sum(axis=-1) - out[:, 0] - out[:, 1]
+        q = self.basis[[marked_index, 0]]
+        if self._ends is None:
+            first = max(0, min(start, stop - 2))
+            coords = self._record[first:stop]
+            out[:, :2] = _squared(coords @ q.T)[start - first:]
+            out[:, 2] = _squared(coords[start - first:]).sum(axis=-1) - out[:, 0] - out[:, 1]
+        else:
+            at, k = start, int(np.searchsorted(self._ends, start, "right"))
+            while at < stop:  # a window's rows at a time
+                (z, e, p), end = self._record[k], min(stop, self._ends[k])
+                first, w, b = self._ends[k] - p.shape[2], e.conj().T @ z, q @ e
+                pw = _combine(p[:, :, at - first:end - first], w)
+                amp = _squared(_combine(b[:, :, None], pw) + (q @ z - b @ w)[:, None])
+                part = out[at - start:end - start]
+                part[:, :2] = amp.T
+                part[:, 2] = (sum(_squared(pw), np.vdot(z, z).real - np.vdot(w, w).real)
+                              - amp[0] - amp[1])
+                k, at = k + 1, end
         np.minimum(out[:, 0], 1.0, out=out[:, 0])
         return out
 

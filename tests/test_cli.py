@@ -786,11 +786,17 @@ class TestConfigHardening:
     @staticmethod
     def run_with_poisoned_record(tmp_path, monkeypatch, part, value):
         """Exit code of a physical run whose trajectory record carries
-        ``value`` in column 1 of the second row of its basis or coordinates."""
+        ``value`` in column 1 of the second row of its basis or coordinates,
+        or in slot 1 of the start of its second window."""
         real = grover.evolve_schedule
 
         def poisoned(*args, **kwargs):
             state, times, trajectory = real(*args, **kwargs)
+            if part == "window":
+                windows = list(trajectory._record)
+                z, e, p = windows[1]
+                windows[1] = (np.where(np.arange(len(z)) == 1, value, z), e, p)
+                return state, times, Trajectory(trajectory.basis, tuple(windows))
             basis, coords = trajectory.basis.copy(), trajectory.coords.copy()
             {"basis": basis, "coords": coords}[part][1, 1] = value
             return state, times, Trajectory(basis, coords)
@@ -809,6 +815,8 @@ class TestConfigHardening:
     @pytest.mark.parametrize("part, value", [
         ("basis", np.nan),     # a basis direction of the run
         ("coords", 1e200),     # finite, but its population overflows
+        ("window", np.nan),    # a window's start, the rows never formed
+        ("window", 1e200),
     ])
     def test_poisoned_record_exits_3_before_writing(self, tmp_path, monkeypatch,
                                                     part, value):
@@ -1646,22 +1654,21 @@ print(json.dumps([code, peak_kib() - before]))
 
 
 class TestRunPeak:
-    """A large physical run holds its record once and its CSV scratch a chunk
-    at a time."""
+    """A large physical run holds its windows, not its rows, and its CSV
+    scratch a chunk at a time."""
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the peak from /proc/self/status")
     def test_peak_memory_of_a_large_physical_run(self, tmp_path):
-        # physical N = 16,384: a record of 101,501 rows, a CSV of 8.1 MB and a
-        # result.json of 1.7 MB; the growth past the import's peak read 18 MiB,
-        # and 24-30 MiB with the record joined from per-window pieces and the
-        # populations formed for the whole table at once
+        # physical N = 16,384: 101,501 rows from 203 windows, a CSV of 8.1 MB
+        # and a result.json of 1.7 MB; the growth past the import's peak read
+        # 6 MiB, and 10 MiB with every row's 3 coordinates stored (4.6 MiB)
         cfg = write_config(tmp_path / "cfg.json", n_ions=16384, marked_index=7,
                            mode="physical", variant="deterministic")
         code, growth_kib = run_probe(RUN_PEAK_PROBE, str(cfg), str(tmp_path / "out"))
         assert code == 0
         assert (tmp_path / "out" / "trajectory.csv").stat().st_size > 8_000_000
-        assert growth_kib < 15 * 1024
+        assert growth_kib < 8 * 1024
 
 
 class TestCommandTrajectories:

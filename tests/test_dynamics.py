@@ -24,6 +24,7 @@ from iongrover.model import (
     PulseShape,
     PulseSpec,
     SearchConfig,
+    Trajectory,
     basis_register,
     fidelity,
     local_chi,
@@ -349,31 +350,69 @@ class TestSchedule:
             z = rows[-1][-1]
         return np.concatenate(times), np.concatenate(rows)
 
+    @staticmethod
+    def schedule(name):
+        """The start register, the pulses and the integrator of a named
+        schedule, and the slot its populations are read for."""
+        cfg = IntegratorConfig(trajectory_stride=7 if name.endswith("7") else 8)
+        if name.startswith("search"):
+            plan = grover.build_plan(SearchConfig(15, 8, mode="physical",
+                                                  variant="deterministic"))
+            return basis_register(15, 0), plan.timeline(), cfg, 8
+        pulses = ([PulseSpec(SECH, local_chi(3, 2), 2.0, center=15.0),
+                   PulseSpec(SECH, uniform_chi(3), 2.0, center=25.0)]
+                  if name == "overlapping" else [])
+        return uniform_register(3), pulses, cfg, 2
+
     @pytest.mark.parametrize("schedule", ["search", "search-stride-7", "overlapping",
                                           "empty"])
     def test_record_is_the_windows_joined(self, schedule):
-        # evolve_schedule counts the rows first and fills one record
-        cfg = IntegratorConfig(trajectory_stride=7 if schedule.endswith("7") else 8)
-        if schedule.startswith("search"):
-            plan = grover.build_plan(SearchConfig(15, 8, mode="physical",
-                                                  variant="deterministic"))
-            state, pulses = basis_register(15, 0), plan.timeline()
-        else:
-            state = uniform_register(3)
-            pulses = ([PulseSpec(SECH, local_chi(3, 2), 2.0, center=15.0),
-                       PulseSpec(SECH, uniform_chi(3), 2.0, center=25.0)]
-                      if schedule == "overlapping" else [])
+        # evolve_schedule keeps each window's start, frame and products, and
+        # the record forms the rows only when its coords are read
+        state, pulses, cfg, marked = self.schedule(schedule)
         _, times, trajectory = evolve_schedule(state, pulses, cfg)
         ref_times, ref_rows = self.window_by_window(state, pulses, cfg)
         np.testing.assert_array_equal(times, ref_times)
-        np.testing.assert_array_equal(trajectory.coords, ref_rows)
+        np.testing.assert_allclose(trajectory.coords, ref_rows, rtol=0, atol=1e-14)
         assert times.dtype == np.float64 and trajectory.coords.dtype == np.complex128
+        # the populations, formed from the windows, are those of the rows
+        np.testing.assert_allclose(trajectory.columns(marked),
+                                   Trajectory(trajectory.basis, ref_rows).columns(marked),
+                                   rtol=0, atol=1e-14)
         # the start, then 4000 / stride marks in each of N = 15's 7 pulses
         rows = {"search": 1 + 7 * 500, "search-stride-7": 1 + 7 * 572, "empty": 1}
         if schedule in rows:
             assert len(times) == rows[schedule]
         else:  # the overlapping pair, one window on a global grid
             assert len(times) > 2
+
+    @pytest.mark.parametrize("schedule", ["search", "overlapping"])
+    def test_window_rows_keep_their_bits_in_any_slice(self, schedule):
+        # lone rows, window edges and slices across windows: a window's
+        # populations are formed elementwise, two or all r coordinates a term
+        state, pulses, cfg, marked = self.schedule(schedule)
+        trajectory = evolve_schedule(state, pulses, cfg)[2]
+        whole, rows = trajectory.columns(marked), len(trajectory)
+        edges = [0, 1, 2, 500, 501, 502, 1000, 1001, rows - 2, rows - 1]
+        for start in {e for e in edges if e < rows}:
+            for stop in {start + 1, start + 2, start + 499, start + 1024, rows}:
+                np.testing.assert_array_equal(
+                    trajectory.columns(marked, slice(start, stop)), whole[start:stop])
+
+    def test_a_physical_record_holds_its_windows_not_its_rows(self):
+        # physical N = 256: 13,501 rows of 3 coordinates took 648 KiB; each
+        # window holds a start and a frame of its chi, and shares its pulse's
+        # products with the process memo
+        cfg = SearchConfig(256, 77, mode="physical", variant="deterministic")
+        trajectory = run_search(cfg).trajectory
+        shared = {id(dynamics._spec_chain(p, cfg.integrator,
+                                          cfg.integrator.trajectory_stride)[1])
+                  for p in grover.build_plan(cfg).timeline()}
+        windows = trajectory._record
+        assert {id(p) for _, _, p in windows[1:]} <= shared
+        own = {id(a): a for window in windows for a in window if id(a) not in shared}
+        assert len(trajectory) == 13_501 and trajectory.basis.shape == (257, 3)
+        assert trajectory.basis.nbytes + sum(a.nbytes for a in own.values()) < 64 * 1024
 
     def test_crowded_schedules_sample_only_live_pulses(self, envelope_calls):
         # spacing 29.9 overlaps all 13 windows of N = 64 into one global grid
